@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import checks, numeric, svgplot, wire
+from . import svgplot, wire
 from .orbits import (
     FlagPoint,
     RealFormCase,
@@ -229,6 +229,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks  # NumPy and SciPy load only for the numeric subcommands
+
     cfg = _Config(args)
     seed = int(cfg.get("seed", _default_seed()))
     try:
@@ -246,6 +248,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import numeric
+
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True)
     subgroup = str(cfg.get("subgroup", "H"))
@@ -267,7 +271,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if src.endswith(".json"):
         with open(src) as fh:
             obj = json.load(fh)
-        poly = wire.polytope_from_json(obj.get("polytope", obj))
+        poly = wire.polytope_from_json(obj.get("polytope", obj) if isinstance(obj, dict) else obj)
         svg = svgplot.render_polytope_svg(poly)
     elif src.endswith(".csv"):
         with open(src, newline="") as fh:

@@ -24,13 +24,10 @@ alpha-units and pr is the imaginary-part projection onto the compact algebra.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.spatial import cKDTree
 
 from .orbits import FlagPoint
 from .reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
@@ -200,8 +197,28 @@ def sampled_delta(samples: SampleSet, mode: str = "radial",
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _distinct_rows(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, d) float array, compared byte for byte."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError("a point cloud must have shape (n, d)")
+    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return points[first]
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric sample-based Hausdorff distance between two point clouds."""
+    """Symmetric sample-based Hausdorff distance between two point clouds.
+
+    Both clouds are reduced to their distinct points first, which leaves the
+    distance unchanged.  Both sides matter: when every point is equidistant
+    from the other cloud, as in the two-point negative control of
+    :func:`coadjoint_fixed_check`, the tree cannot prune and repeated query
+    points cost as much as distinct ones.
+    """
+    from scipy.spatial import cKDTree  # the only SciPy import outside the gradient check
+
+    a, b = _distinct_rows(a), _distinct_rows(b)
     d_ab = cKDTree(b).query(a)[0].max()
     d_ba = cKDTree(a).query(b)[0].max()
     return float(max(d_ab, d_ba))
@@ -231,17 +248,20 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
         raise ValueError(f"unknown plane {plane!r}")
     psi = rng.uniform(0, 2 * np.pi, n)
     base = 0.5j * lam * _PAULI[2]  # algebra element with coordinates (0, 0, lam)
-    orbit = np.empty((n, 3))
-    for i, p in enumerate(psi):
-        u = np.array([[np.cos(p), np.sin(p)], [-np.sin(p), np.cos(p)]], dtype=complex)
-        orbit[i] = su2_coordinates(u @ base @ u.conj().T)
+    cos, sin = np.cos(psi), np.sin(psi)
+    u = np.empty((n, 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = cos, sin, -sin, cos
+    orbit = su2_coordinates(u @ base @ u.conj().transpose(0, 2, 1))
     return hausdorff_distance(cut, orbit)
 
 
 def su2_coordinates(xi: np.ndarray) -> np.ndarray:
-    """Coordinates of an anti-hermitian traceless matrix in the (i/2)*Pauli basis."""
-    p, q = xi[0, 0], xi[0, 1]
-    return np.array([2 * q.imag, 2 * q.real, 2 * p.imag])
+    """Coordinates of an anti-hermitian traceless matrix in the (i/2)*Pauli basis.
+
+    Also takes a stack of matrices, shape (..., 2, 2), giving shape (..., 3).
+    """
+    p, q = xi[..., 0, 0], xi[..., 0, 1]
+    return np.stack([2 * q.imag, 2 * q.real, 2 * p.imag], axis=-1)
 
 
 def borel_imaginary_part(xi: np.ndarray) -> np.ndarray:
@@ -260,6 +280,8 @@ def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
 
 def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
                   xi: np.ndarray, t: float) -> float:
+    from scipy.linalg import expm
+
     g = expm(-t * xi)
     (a1, c1), (a2, c2) = _as_complex_pairs(point)
     v1 = g @ np.array([a1, c1])
@@ -329,15 +351,20 @@ CSV_COLUMNS = ("a1re", "a1im", "c1re", "c1im", "a2re", "a2im",
                "c2re", "c2im", "phi1", "phi2", "phi3", "norm")
 
 
+# A float repr never holds a comma, quote or newline, so no field needs quoting.
+_CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+
+
 def write_samples_csv(samples: SampleSet, stream: IO[str]) -> None:
-    """Deterministic CSV dump of a sample set (row order = draw order)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    norms = np.linalg.norm(samples.phis, axis=1)
-    for i in range(samples.count):
-        a1, c1, a2, c2 = samples.coords[i]
-        phi = samples.phis[i]
-        writer.writerow([repr(float(v)) for v in
-                         (a1.real, a1.imag, c1.real, c1.imag,
-                          a2.real, a2.imag, c2.real, c2.imag,
-                          phi[0], phi[1], phi[2], norms[i])])
+    """Deterministic CSV dump of a sample set (row order = draw order).
+
+    Every field is the ``repr`` of a Python float, so the bytes are those of
+    ``csv.writer`` with ``lineterminator="\\n"``.
+    """
+    table = np.empty((samples.count, len(CSV_COLUMNS)))
+    table[:, 0:8:2] = samples.coords.real
+    table[:, 1:8:2] = samples.coords.imag
+    table[:, 8:11] = samples.phis
+    table[:, 11] = np.linalg.norm(samples.phis, axis=1)
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    stream.writelines(_CSV_ROW % tuple(row) for row in table.tolist())

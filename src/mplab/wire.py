@@ -43,12 +43,20 @@ def polytope_to_json(p: RationalPolytope) -> dict:
 
 
 def polytope_from_json(obj: dict) -> RationalPolytope:
-    dim = int(obj["dim"])
-    raw = obj["vertices"]
-    if dim == 1:
-        verts = tuple(sorted((pair_to_rational(v),) for v in raw))
-    else:
-        verts = tuple(sorted(tuple(pair_to_rational(c) for c in v) for v in raw))
+    """Parse polytope JSON; any malformed input raises ``ValueError``."""
+    if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
+        raise ValueError('polytope JSON must be an object with "dim" and "vertices"')
+    try:
+        dim = int(obj["dim"])
+        raw = obj["vertices"]
+        if dim == 1:
+            verts = tuple(sorted((pair_to_rational(v),) for v in raw))
+        else:
+            verts = tuple(sorted(tuple(pair_to_rational(c) for c in v) for v in raw))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in polytope JSON") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed polytope JSON: {exc}") from exc
     return RationalPolytope(dim, verts)
 
 
@@ -65,10 +73,10 @@ def parse_gaussian(text: str) -> GaussianRational:
     match = _COORD_RE.match(text.strip().replace(" ", ""))
     if not match:
         raise ValueError(f"bad coordinate literal {text!r}")
-    re_part = Fraction(match["re"])
-    if match["im"] is None:
-        return GaussianRational.of(re_part)
-    im_part = Fraction(match["im"])
+    try:
+        re_part, im_part = Fraction(match["re"]), Fraction(match["im"] or 0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coordinate literal {text!r}") from None
     if match["sign"] == "-":
         im_part = -im_part
     return GaussianRational.of(re_part, im_part)
@@ -109,5 +117,9 @@ def parse_gamma(text: str, rank: int = 1) -> InvolutionSpec:
         rows = json.loads(tag)
     except json.JSONDecodeError as exc:
         raise ValueError(f"unknown involution tag {tag!r}") from exc
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == len(rows)
+                    and all(type(v) is int for v in row) for row in rows)):
+        raise ValueError(f"involution matrix {tag!r} is not a square JSON array of integers")
     matrix = RatMatrix.from_rows(rows)
     return InvolutionSpec(LinearInvolution(matrix), "matrix")

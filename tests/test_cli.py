@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from mplab import wire
 from mplab.orbits import orbit_representatives
 from mplab.polytope import equals, hull
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv, env=None):
@@ -59,6 +64,72 @@ class TestPolytopeCommand:
     def test_missing_subcommand_usage_error(self):
         p = run_cli()
         assert p.returncode == 2
+
+
+def assert_usage_error(p):
+    """Exit 2 with a one-line message on stderr and no traceback."""
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert len(p.stderr.strip().splitlines()) == 1
+
+
+class TestMalformedInput:
+    def test_zero_denominator_point(self):
+        assert_usage_error(run_cli("polytope", "--weights", "2", "1",
+                                   "--point", "1/0,1;1,1"))
+
+    def test_non_integer_gamma_matrix(self):
+        assert_usage_error(run_cli("realpolytope", "--weights", "2", "1",
+                                   "--point", "0/1,1/1;1/1,1/1", "--gamma", "[[0.5]]"))
+
+    def test_polytope_json_without_dim(self, tmp_path):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"vertices": [["1", "1"]]}))
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "x.svg")))
+
+
+class TestImportLayering:
+    """The exact subcommands must not load NumPy or SciPy."""
+
+    def run_python(self, code, tmp_path):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        p = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                           capture_output=True, text=True, env=env)
+        assert p.returncode == 0, p.stderr
+        return json.loads(p.stdout.strip().splitlines()[-1])
+
+    def test_exact_subcommands_load_neither(self, tmp_path):
+        loaded = self.run_python("""
+            import contextlib, io, json, sys
+            from mplab import cli
+            point, w = "0/1,1/1;1/1,1/1", ["--weights", "2", "1"]
+            commands = [
+                ["polytope", *w, "--point", point, "--membership"],
+                ["realpolytope", *w, "--point", point, "--gamma", "negation"],
+                ["catalog", *w, "--gamma", "negation"],
+                ["decompose", *w, "--r", "1"],
+                ["hwv", *w, "--r", "1", "--k", "1"],
+                ["oracle", *w, "--r", "1", "--weight", "1"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                codes = [cli.main(c) for c in commands]
+            with open("poly.json", "w") as fh:
+                fh.write(out.getvalue().splitlines()[0])
+            codes.append(cli.main(["plot", "--in", "poly.json", "--out", "poly.svg"]))
+            print(json.dumps({"codes": codes, "modules": sorted(
+                m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))}))
+            """, tmp_path)
+        assert loaded == {"codes": [0] * 7, "modules": []}
+
+    def test_numeric_loads_numpy_only(self, tmp_path):
+        loaded = self.run_python("""
+            import json, sys
+            import mplab.numeric
+            print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})))
+            """, tmp_path)
+        assert loaded == ["numpy"]
 
 
 class TestRealPolytopeCommand:

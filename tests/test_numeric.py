@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -143,6 +144,74 @@ class TestCoadjointFixedCheck:
             numeric.coadjoint_fixed_check(1, 10, 0, plane="x")
 
 
+def _reference_hausdorff(a, b):
+    """Two trees over the clouds as given, duplicates and all."""
+    from scipy.spatial import cKDTree
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+
+
+class TestHausdorffDistance:
+    def test_distinct_clouds(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2000, 3)), rng.normal(size=(1500, 3))
+        assert numeric.hausdorff_distance(a, b) == _reference_hausdorff(a, b)
+
+    def test_duplicated_clouds(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(40, 3))[rng.integers(0, 40, 3000)]
+        b = rng.normal(size=(25, 3))[rng.integers(0, 25, 2000)]
+        assert numeric.hausdorff_distance(a, b) == _reference_hausdorff(a, b)
+
+    def test_equidistant_two_point_control(self):
+        # every orbit point is sqrt(2) from both cut points, so no tree pruning
+        signs = np.where(np.arange(2000) % 2 == 0, 1.0, -1.0)
+        cut = np.stack([np.zeros(2000), signs, np.zeros(2000)], axis=1)
+        th = np.random.default_rng(13).uniform(0, 2 * np.pi, 2000)
+        orbit = np.stack([np.cos(th), np.zeros(2000), np.sin(th)], axis=1)
+        assert numeric.hausdorff_distance(cut, orbit) == _reference_hausdorff(cut, orbit)
+
+    def test_rejects_flat_arrays(self):
+        with pytest.raises(ValueError, match="shape"):
+            numeric.hausdorff_distance(np.arange(5.0), np.arange(3.0))
+
+
+def _reference_coadjoint_clouds(lam, n, seed, plane):
+    """The per-element loop the batched orbit replaced."""
+    rng = np.random.default_rng(seed)
+    if plane == "q":
+        th = rng.uniform(0, 2 * np.pi, n)
+        cut = np.stack([lam * np.cos(th), np.zeros(n), lam * np.sin(th)], axis=1)
+    else:
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
+    psi = rng.uniform(0, 2 * np.pi, n)
+    base = 0.5j * lam * numeric._PAULI[2]
+    orbit = np.empty((n, 3))
+    for i, p in enumerate(psi):
+        u = np.array([[np.cos(p), np.sin(p)], [-np.sin(p), np.cos(p)]], dtype=complex)
+        xi = u @ base @ u.conj().T
+        orbit[i] = [2 * xi[0, 1].imag, 2 * xi[0, 1].real, 2 * xi[0, 0].imag]
+    return cut, orbit
+
+
+@pytest.mark.parametrize("lam,seed,plane", [(1, 0, "q"), (2, 1, "q"), (3, 7, "q"),
+                                            (2, 401, "q"), (1, 0, "k"), (1, 401, "k")])
+def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane):
+    seen = []
+    hausdorff = numeric.hausdorff_distance
+
+    def recording_hausdorff(a, b):
+        seen.append((a, b))
+        return hausdorff(a, b)
+
+    monkeypatch.setattr(numeric, "hausdorff_distance", recording_hausdorff)
+    dist = numeric.coadjoint_fixed_check(lam, 2000, seed, plane)
+    cut, orbit = _reference_coadjoint_clouds(lam, 2000, seed, plane)
+    assert np.array_equal(seen[0][0], cut)
+    assert np.array_equal(seen[0][1], orbit)
+    assert dist == _reference_hausdorff(cut, orbit)
+
+
 class TestGradientIdentity:
     def test_requires_calibration(self):
         spec = SectionSpaceSpec(1, 2, 1)
@@ -218,6 +287,21 @@ class TestCsv:
         assert len(row) == 12
         float(row[0])  # parses
 
+    @pytest.mark.parametrize("subgroup", ["B", "H", "G", "G'"])
+    def test_bytes_match_csv_writer(self, subgroup):
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], subgroup, 500, 4, 2, 1)
+        assert _csv_text(samples) == _reference_csv_text(samples)
+
+    def test_edge_floats_match_csv_writer(self):
+        coords = np.array([[-0.0, 1e-05 - 0.0j, 1e16 + 5e-324j, -5e-324j],
+                           [1 + 2j, -0.0 - 0.0j, 0.1, float("inf")]])
+        phis = np.array([[-0.0, 1e-05, 1e16], [5e-324, -1e-05, 0.0]])
+        samples = numeric.SampleSet(seed=0, subgroup="H", base_point=((1, 0), (0, 1)),
+                                    lam1=2, lam2=1, coords=coords, phis=phis)
+        text = _csv_text(samples)
+        assert text == _reference_csv_text(samples)
+        assert "-0.0,1e-05,1e+16" in text and "5e-324" in text
+
     def test_deterministic_bytes(self):
         samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 50, 3, 2, 1)
         bufs = []
@@ -226,3 +310,25 @@ class TestCsv:
             numeric.write_samples_csv(samples, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+def _csv_text(samples):
+    buf = io.StringIO()
+    numeric.write_samples_csv(samples, buf)
+    return buf.getvalue()
+
+
+def _reference_csv_text(samples):
+    """The csv.writer implementation the table-based writer replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(numeric.CSV_COLUMNS)
+    norms = np.linalg.norm(samples.phis, axis=1)
+    for i in range(samples.count):
+        a1, c1, a2, c2 = samples.coords[i]
+        phi = samples.phis[i]
+        writer.writerow([repr(float(v)) for v in
+                         (a1.real, a1.imag, c1.real, c1.imag,
+                          a2.real, a2.imag, c2.real, c2.imag,
+                          phi[0], phi[1], phi[2], norms[i])])
+    return buf.getvalue()
