@@ -21,8 +21,8 @@ from mplab import (
 neg = negation_involution()
 fixed, negated = involution_eigenspaces(neg)
 print(f"== involution 'negation' on the rank-1 torus dual ==")
-print(f"fixed eigenspace dim {fixed.subspace_dim}, negated eigenspace dim "
-      f"{negated.subspace_dim} (the whole axis)")
+print(f"fixed eigenspace dim {len(fixed)}, negated eigenspace dim "
+      f"{len(negated)} (the whole axis)")
 
 print("\n== two routes, weights (2,1) ==")
 for cls, x in orbit_representatives().items():

@@ -34,7 +34,7 @@ from .orbits import (
     orbit_representatives,
     real_moment_polytope,
 )
-from .polytope import LinearSubspace, RationalPolytope, contains, equals, hull, intersect_subspace
+from .polytope import RationalPolytope, contains, equals, hull, intersect_subspace
 from .reps import (
     BiHomogPoly,
     MixedWeightsError,
@@ -65,7 +65,6 @@ __all__ = [
     "GaussianRational",
     "InvolutionSpec",
     "LinearInvolution",
-    "LinearSubspace",
     "MixedWeightsError",
     "OrbitClass",
     "RatMatrix",

@@ -259,7 +259,7 @@ def check_catalog(seed: int = 0) -> CheckResult:
         if len(cat) > 5:
             bad.append(f"({l1},{l2}) size {len(cat)}")
     cat21 = enumerate_polytope_catalog(2, 1, gamma)
-    expected = [RationalPolytope.empty(1),
+    expected = [RationalPolytope.empty(),
                 hull([(Fraction(1),)]),
                 hull([(Fraction(3),)]),
                 hull([(Fraction(1),), (Fraction(3),)])]

@@ -75,8 +75,26 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _int_pair(value) -> list[int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError("not a pair")
+    return [int(v) for v in value]
+
+
 class _Config:
-    """Flag resolution: explicit flag > config file > default."""
+    """Flag resolution: explicit flag > config file > default.
+
+    Flags arrive typed by argparse.  A config-file value is converted by the
+    option's ``kind`` (``int``, ``float``, ``_text`` or ``_int_pair``), and a
+    value of the wrong JSON type raises a one-line ``ValueError`` naming the
+    option.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -88,36 +106,41 @@ class _Config:
             if not isinstance(self.table, dict):
                 raise ValueError("config file must hold a JSON object")
 
-    def get(self, name: str, default=None):
+    def get(self, name: str, kind, default=None):
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
-        if name in self.table:
-            return self.table[name]
-        return default
+        if name not in self.table:
+            return default
+        value = self.table[name]
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"bad value for --{name.replace('_', '-')} in config file: "
+                             f"{json.dumps(value)}") from None
 
-    def require(self, name: str):
-        value = self.get(name)
+    def require(self, name: str, kind):
+        value = self.get(name, kind)
         if value is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return value
 
     def case_spec(self, need_point: bool = True, need_gamma: bool = False) -> CaseSpec:
-        lam1, lam2 = (int(w) for w in self.require("weights"))
-        point = self.get("point")
+        lam1, lam2 = self.require("weights", _int_pair)
+        point = self.get("point", _text)
         if need_point:
-            point = wire.parse_point_literal(self.require("point"))
+            point = wire.parse_point_literal(self.require("point", _text))
         elif point is not None:
             point = wire.parse_point_literal(point)
-        gamma = self.get("gamma")
+        gamma = self.get("gamma", _text)
         if need_gamma:
-            gamma = wire.parse_gamma(self.require("gamma"))
+            gamma = wire.parse_gamma(self.require("gamma", _text))
         elif gamma is not None:
             gamma = wire.parse_gamma(gamma)
         return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma,
-                        seed=int(self.get("seed", _default_seed())),
-                        r_max=int(self.get("r_max", 6)),
-                        eps=float(self.get("eps", 0.05)))
+                        seed=self.get("seed", int, _default_seed()),
+                        r_max=self.get("r_max", int, 6),
+                        eps=self.get("eps", float, 0.05))
 
 
 def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
@@ -181,7 +204,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(int(cfg.get("r", 1)), case.lam1, case.lam2)
+    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
     weights_list = clebsch_gordan_highest_weights(spec)
     _emit({"r": spec.r, "weights": [case.lam1, case.lam2],
            "highest_weights": weights_list,
@@ -193,8 +216,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_hwv(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(int(cfg.get("r", 1)), case.lam1, case.lam2)
-    k = int(cfg.require("k"))
+    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
+    k = cfg.require("k", int)
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     d1, d2 = spec.bidegree
@@ -220,8 +243,8 @@ def cmd_hwv(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(int(cfg.get("r", 1)), case.lam1, case.lam2)
-    weight = int(cfg.require("weight"))
+    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
+    weight = cfg.require("weight", int)
     basis = n_invariant_subspace(spec, weight)
     _emit({"r": spec.r, "weights": [case.lam1, case.lam2], "weight": weight,
            "dimension": len(basis), "basis": [b.pretty() for b in basis]})
@@ -232,7 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks  # NumPy and SciPy load only for the numeric subcommands
 
     cfg = _Config(args)
-    seed = int(cfg.get("seed", _default_seed()))
+    seed = cfg.get("seed", int, _default_seed())
     try:
         results = checks.run_suite(args.suite, seed)
     except ValueError as exc:
@@ -252,11 +275,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True)
-    subgroup = str(cfg.get("subgroup", "H"))
-    n = int(cfg.get("n", 1000))
+    subgroup = cfg.get("subgroup", _text, "H")
+    n = cfg.get("n", int, 1000)
     samples = numeric.sample_orbit(case.point, subgroup, n, case.seed,
                                    case.lam1, case.lam2)
-    out = cfg.get("out")
+    out = cfg.get("out", _text)
     if out:
         with open(out, "w", newline="") as fh:
             numeric.write_samples_csv(samples, fh)
@@ -275,7 +298,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         svg = svgplot.render_polytope_svg(poly)
     elif src.endswith(".csv"):
         with open(src, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
+            if not {"phi1", "phi3"} <= set(reader.fieldnames or ()):
+                raise ValueError(f"sample CSV {src} has no phi1 and phi3 columns")
             phi1, phi3 = [], []
             for row in reader:
                 phi1.append(float(row["phi1"]))

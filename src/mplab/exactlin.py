@@ -162,24 +162,6 @@ def kernel(m: RatMatrix) -> list[Vector]:
     return basis
 
 
-def solve_unique(m: RatMatrix, b: Sequence[Fraction]) -> Vector | None:
-    """Solve m x = b when a solution exists; None if inconsistent.
-
-    If the system is underdetermined, returns the solution with free
-    variables set to zero.
-    """
-    if m.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    aug = RatMatrix(tuple(row + (frac(bi),) for row, bi in zip(m.entries, b)))
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.entries[i][m.cols]
-    return tuple(x)
-
-
 def invert(m: RatMatrix) -> RatMatrix:
     if not m.is_square:
         raise ValueError("only square matrices are invertible")
@@ -439,7 +421,3 @@ class GaussianRational:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-GAUSSIAN_ZERO = GaussianRational(Fraction(0))
-GAUSSIAN_ONE = GaussianRational(Fraction(1))

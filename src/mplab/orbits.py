@@ -179,10 +179,10 @@ def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:
     if cls is OrbitClass.DIAGONAL:
         return hull([(lam1 + lam2,)])
     if cls is OrbitClass.FIRST_FACTOR:
-        return hull([(lam1 - lam2,)]) if lam1 >= lam2 else RationalPolytope.empty(1)
+        return hull([(lam1 - lam2,)]) if lam1 >= lam2 else RationalPolytope.empty()
     if cls is OrbitClass.SECOND_FACTOR:
-        return hull([(lam2 - lam1,)]) if lam2 >= lam1 else RationalPolytope.empty(1)
-    return RationalPolytope.empty(1)
+        return hull([(lam2 - lam1,)]) if lam2 >= lam1 else RationalPolytope.empty()
+    return RationalPolytope.empty()
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int,
             vec = highest_weight_vector(spec, k)
             if not vec.evaluate(point).is_zero:
                 achieved.append((Fraction(r * (lam1 + lam2) - 2 * k, r),))
-    closure = hull(achieved, dim=1)
+    closure = hull(achieved)
     _, q_sub = involution_eigenspaces(case.gamma)
     return intersect_subspace(closure, q_sub)
 

@@ -1,101 +1,40 @@
-"""Exact rational convex polytopes in low dimension (V-representation).
+"""Exact closed intervals on the rank-1 weight axis.
 
-A polytope is stored as its minimal vertex set in canonical lexicographic
-order, so equality is syntactic.  The empty polytope is a first-class value.
-Membership and vertex filtering run an exact phase-1 simplex over Q; the
-intersection with a linear subspace enumerates basic feasible solutions of
-the convex-combination system, which is exact and needs no facet machinery.
+Every polytope of the worked model lives in the dual of the diagonal torus
+of SU(2), which is a line, so a polytope is an exact closed interval over Q:
+empty, a point or a segment.  It is stored as its sorted distinct endpoints,
+each a 1-tuple, so equality is syntactic.  A linear subspace of the line is
+the whole axis or the origin, so a subspace cut keeps the interval or keeps
+at most the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactlin import RatMatrix, Vector, dot, frac, kernel, rank, rref, row_space_basis, vector
-
-
-def linear_feasible(a_rows: Sequence[Sequence[Fraction]],
-                    b: Sequence[Fraction]) -> list[Fraction] | None:
-    """Exact solution of A x = b, x >= 0, or None if infeasible.
-
-    Phase-1 simplex with Bland's rule: terminates on every input, no rounding.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
-    tab: list[list[Fraction]] = []
-    for row, bi in zip(a_rows, b):
-        r = [frac(x) for x in row] + [frac(bi)]
-        if r[-1] < 0:
-            r = [-x for x in r]
-        tab.append(r)
-    for i in range(m):  # artificial columns
-        tab[i] = tab[i][:-1] + [Fraction(int(i == j)) for j in range(m)] + [tab[i][-1]]
-    total = n + m
-    basis = list(range(n, n + m))
-    # reduced-cost row for minimizing the sum of artificials
-    z = [sum(tab[i][j] for i in range(m)) for j in range(total + 1)]
-    for j in range(n, n + m):
-        z[j] -= 1
-    while True:
-        enter = next((j for j in range(total) if z[j] > 0), None)
-        if enter is None:
-            break
-        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i)
-                  for i in range(m) if tab[i][enter] > 0]
-        if not ratios:
-            break
-        _, _, leave = min(ratios)
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, tab[leave])]
-        basis[leave] = enter
-    if z[-1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tab[i][-1]
-    return x
-
-
-def in_convex_hull(x: Sequence[Fraction], points: Sequence[Vector]) -> bool:
-    """Exact test: is x a convex combination of the given points?"""
-    if not points:
-        return False
-    a_rows = [[p[i] for p in points] for i in range(len(x))]
-    a_rows.append([Fraction(1)] * len(points))
-    b = list(x) + [Fraction(1)]
-    return linear_feasible(a_rows, b) is not None
+from .exactlin import Vector, vector
 
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """V-representation polytope in Q^dim; construct via :func:`hull`."""
+    """Closed interval in Q^1 given by its endpoints; construct via :func:`hull`."""
 
-    dim: int
     vertices: tuple[Vector, ...]
 
     def __post_init__(self):
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise ValueError("vertex dimension mismatch")
+        if len(self.vertices) > 2 or any(len(v) != 1 for v in self.vertices):
+            raise ValueError("a polytope on the line has at most two 1-D vertices")
         if list(self.vertices) != sorted(set(self.vertices)):
-            raise ValueError("vertices must be unique and lexicographically sorted")
+            raise ValueError("vertices must be unique and sorted")
 
     @classmethod
-    def empty(cls, dim: int) -> "RationalPolytope":
-        return cls(dim, ())
+    def empty(cls) -> "RationalPolytope":
+        return cls(())
+
+    @property
+    def dim(self) -> int:
+        return 1
 
     @property
     def is_empty(self) -> bool:
@@ -104,96 +43,35 @@ class RationalPolytope:
     def __str__(self) -> str:
         if self.is_empty:
             return "{}"
-        if self.dim == 1:
-            vals = [v[0] for v in self.vertices]
-            if len(vals) == 1:
-                return f"{{{vals[0]}}}"
-            return f"[{vals[0]}, {vals[-1]}]"
-        pts = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in self.vertices)
-        return f"hull{{{pts}}}"
+        if len(self.vertices) == 1:
+            return f"{{{self.vertices[0][0]}}}"
+        return f"[{self.vertices[0][0]}, {self.vertices[1][0]}]"
 
 
-def _hull_1d(points: list[Vector]) -> list[Vector]:
-    lo = min(points)
-    hi = max(points)
-    return [lo] if lo == hi else [lo, hi]
+def _point(x: Sequence) -> Vector:
+    xv = vector(x)
+    if len(xv) != 1:
+        raise ValueError(f"dimension mismatch: {len(xv)}-D point on the line")
+    return xv
 
 
-def _cross(o: Vector, a: Vector, b: Vector) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(points: list[Vector]) -> list[Vector]:
-    """Monotone chain with exact rational comparisons; collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Vector] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vector] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull_pts = lower[:-1] + upper[:-1]
-    if len(hull_pts) < 2:  # all points collinear: keep the two extremes
-        return [pts[0], pts[-1]]
-    return hull_pts
-
-
-def _extreme_filter(points: list[Vector]) -> list[Vector]:
-    """Brute-force minimal vertex set: p is kept iff p is not in conv(rest)."""
-    pts = sorted(set(points))
-    keep = []
-    for i, p in enumerate(pts):
-        rest = pts[:i] + pts[i + 1:]
-        if not in_convex_hull(p, rest):
-            keep.append(p)
-    return keep
-
-
-def hull(points: Iterable[Sequence], dim: int | None = None) -> RationalPolytope:
-    """Exact convex hull; returns the canonical minimal-vertex polytope."""
-    pts = [vector(p) for p in points]
+def hull(points: Iterable[Sequence]) -> RationalPolytope:
+    """Exact convex hull ``[min, max]`` of points on the line."""
+    pts = [_point(p) for p in points]
     if not pts:
-        if dim is None:
-            raise ValueError("empty point set needs an explicit ambient dimension")
-        return RationalPolytope.empty(dim)
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise ValueError("mixed ambient dimensions")
-    if dim is not None and dim != d:
-        raise ValueError("points do not match the requested dimension")
-    if d == 0:
-        return RationalPolytope(0, ((),))
-    if d == 1:
-        verts = _hull_1d(pts)
-    elif d == 2:
-        verts = _hull_2d(pts)
-    else:
-        verts = _extreme_filter(pts)
-    return RationalPolytope(d, tuple(sorted(set(verts))))
+        return RationalPolytope.empty()
+    lo, hi = min(pts), max(pts)
+    return RationalPolytope((lo,) if lo == hi else (lo, hi))
 
 
 def contains(p: RationalPolytope, x: Sequence) -> bool:
-    """Exact membership of a point in the closed hull."""
-    xv = vector(x)
-    if len(xv) != p.dim:
-        raise ValueError("dimension mismatch")
-    if p.is_empty:
-        return False
-    if xv in p.vertices:
-        return True
-    return in_convex_hull(xv, p.vertices)
+    """Exact membership ``lo <= x <= hi`` of a point in the closed interval."""
+    xv = _point(x)
+    return not p.is_empty and p.vertices[0] <= xv <= p.vertices[-1]
 
 
 def equals(p: RationalPolytope, q: RationalPolytope) -> bool:
-    """Syntactic equality of canonicalized polytopes."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
+    """Syntactic equality of canonical intervals."""
     return p.vertices == q.vertices
 
 
@@ -202,97 +80,16 @@ def contains_polytope(outer: RationalPolytope, inner: RationalPolytope) -> bool:
     return all(contains(outer, v) for v in inner.vertices)
 
 
-@dataclass(frozen=True)
-class LinearSubspace:
-    """Linear subspace of Q^dim through the origin, canonical independent basis."""
+def intersect_subspace(p: RationalPolytope, basis: Sequence[Sequence]) -> RationalPolytope:
+    """Exact cut of ``p`` by the span of ``basis``, a linear subspace of the line.
 
-    dim: int
-    basis: tuple[Vector, ...]
-
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.dim:
-                raise ValueError("basis vector dimension mismatch")
-        if self.basis and rank(RatMatrix.from_rows(self.basis)) != len(self.basis):
-            raise ValueError("basis vectors are linearly dependent")
-
-    @classmethod
-    def span(cls, dim: int, vectors: Iterable[Sequence]) -> "LinearSubspace":
-        vecs = [vector(v) for v in vectors]
-        if not vecs:
-            return cls(dim, ())
-        reduced = row_space_basis(RatMatrix.from_rows(vecs))
-        return cls(dim, tuple(reduced))
-
-    @classmethod
-    def full(cls, dim: int) -> "LinearSubspace":
-        return cls(dim, tuple(tuple(Fraction(int(i == j)) for j in range(dim))
-                              for i in range(dim)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "LinearSubspace":
-        return cls(dim, ())
-
-    @property
-    def subspace_dim(self) -> int:
-        return len(self.basis)
-
-
-def intersect_subspace(p: RationalPolytope, sub: LinearSubspace) -> RationalPolytope:
-    """Exact polytope ``p`` intersected with span(sub).
-
-    Finds all basic feasible solutions of
-    ``{mu >= 0, sum mu = 1, C (V mu) = 0}`` where C annihilates the subspace,
-    maps them to ambient space and takes the hull: every vertex of the
-    intersection is the image of some basic solution.
+    One basis vector spans the whole axis and the cut is ``p``; no basis
+    vector spans the origin and the cut is ``{0}`` or empty.
     """
-    if p.dim != sub.dim:
-        raise ValueError("dimension mismatch")
-    if p.is_empty:
-        return RationalPolytope.empty(p.dim)
-    origin = tuple(Fraction(0) for _ in range(p.dim))
-    if sub.subspace_dim == 0:
-        return hull([origin]) if contains(p, origin) else RationalPolytope.empty(p.dim)
-    if sub.subspace_dim == p.dim:
+    vecs = [_point(v) for v in basis]
+    if len(vecs) > 1 or any(v[0] == 0 for v in vecs):
+        raise ValueError("a basis of a subspace of the line has at most one nonzero vector")
+    if vecs:
         return p
-    c_rows = kernel(RatMatrix.from_rows(sub.basis))
-    m = len(p.vertices)
-    a_rows = [[dot(c, v) for v in p.vertices] for c in c_rows]
-    a_rows.append([Fraction(1)] * m)
-    b = [Fraction(0)] * len(c_rows) + [Fraction(1)]
-
-    # independent-row reduction of [A | b]
-    aug = RatMatrix.from_rows([row + [bi] for row, bi in zip(a_rows, b)])
-    reduced, pivots = rref(aug)
-    if m in pivots:
-        return RationalPolytope.empty(p.dim)
-    rho = len(pivots)
-    a_red = [list(reduced.entries[i][:m]) for i in range(rho)]
-    b_red = [reduced.entries[i][m] for i in range(rho)]
-
-    candidates: list[Vector] = []
-    for cols in combinations(range(m), rho):
-        sub_mat = RatMatrix.from_rows([[a_red[i][j] for j in cols] for i in range(rho)])
-        if rank(sub_mat) != rho:
-            continue
-        sol = _solve_square(sub_mat, b_red)
-        if sol is None or any(s < 0 for s in sol):
-            continue
-        mu = [Fraction(0)] * m
-        for j, s in zip(cols, sol):
-            mu[j] = s
-        point = tuple(sum((mu[j] * p.vertices[j][i] for j in range(m)), Fraction(0))
-                      for i in range(p.dim))
-        candidates.append(point)
-    if not candidates:
-        return RationalPolytope.empty(p.dim)
-    return hull(candidates)
-
-
-def _solve_square(m: RatMatrix, b: Sequence[Fraction]) -> list[Fraction] | None:
-    aug = RatMatrix.from_rows([list(row) + [bi] for row, bi in zip(m.entries, b)])
-    reduced, pivots = rref(aug)
-    n = m.cols
-    if n in pivots or len(pivots) != n:
-        return None
-    return [reduced.entries[i][n] for i in range(n)]
+    origin = (0,)
+    return hull([origin]) if contains(p, origin) else RationalPolytope.empty()

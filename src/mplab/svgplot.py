@@ -20,8 +20,6 @@ def _fmt(x: float) -> str:
 
 def render_polytope_svg(p: RationalPolytope) -> str:
     """1-D polytope on the weight axis: segment, dot(s), or an 'empty' note."""
-    if p.dim != 1:
-        raise ValueError("only 1-D polytopes are rendered")
     width, height, pad = 420, 90, 30
     axis_y = 55.0
     vals = [float(v[0]) for v in p.vertices]

@@ -22,7 +22,6 @@ from .exactlin import (
     frac,
     vector,
 )
-from .polytope import LinearSubspace
 
 Weight = Vector
 
@@ -44,23 +43,6 @@ def diagonal_project(w: Sequence) -> Weight:
     if len(wv) != 2:
         raise ValueError("diagonal projection expects a rank-2 weight")
     return (wv[0] + wv[1],)
-
-
-@dataclass(frozen=True)
-class TorusData:
-    """Rank, lattice Z^rank, and the closed dominant chamber (all in alpha-units)."""
-
-    rank: int
-
-    def in_lattice(self, w: Sequence) -> bool:
-        return all(frac(c).denominator == 1 for c in w)
-
-    def in_chamber(self, w: Sequence) -> bool:
-        return is_dominant(w)
-
-
-DIAGONAL_TORUS = TorusData(rank=1)
-PRODUCT_TORUS = TorusData(rank=2)
 
 
 @dataclass(frozen=True)
@@ -89,15 +71,13 @@ def identity_involution(rank: int = 1) -> InvolutionSpec:
     return InvolutionSpec(LinearInvolution(RatMatrix.identity(rank)), "identity")
 
 
-def involution_eigenspaces(gamma: InvolutionSpec) -> tuple[LinearSubspace, LinearSubspace]:
-    """(fixed part, negated part) of the torus dual under gamma.
+def involution_eigenspaces(gamma: InvolutionSpec) -> tuple[list[Vector], list[Vector]]:
+    """Bases of the (fixed part, negated part) of the torus dual under gamma.
 
     The fixed (+1) eigenspace carries the compact-side weights, the negated
     (-1) eigenspace is where moment values of involution-fixed points live.
     """
-    plus, minus = eigensplit(gamma.action)
-    n = gamma.rank
-    return LinearSubspace(n, tuple(plus)), LinearSubspace(n, tuple(minus))
+    return eigensplit(gamma.action)
 
 
 @dataclass(frozen=True)

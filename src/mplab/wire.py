@@ -1,9 +1,8 @@
 """File formats: rational JSON polytopes, flag-point literals, involution tags.
 
 Rationals travel as decimal strings (numerator, denominator) so arbitrary
-precision survives JSON.  A polytope is ``{"dim": d, "vertices": [...]}``;
-in dimension 1 each vertex is a flat [num, den] pair, in higher dimension a
-vertex is a list of such pairs, one per coordinate.
+precision survives JSON.  A polytope is ``{"dim": 1, "vertices": [...]}``
+with each vertex a flat [num, den] pair; no other dimension is accepted.
 
 Flag-point literal grammar (EBNF, whitespace ignored):
 
@@ -35,11 +34,7 @@ def pair_to_rational(pair) -> Fraction:
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:
-    if p.dim == 1:
-        verts = [rational_to_pair(v[0]) for v in p.vertices]
-    else:
-        verts = [[rational_to_pair(c) for c in v] for v in p.vertices]
-    return {"dim": p.dim, "vertices": verts}
+    return {"dim": p.dim, "vertices": [rational_to_pair(v[0]) for v in p.vertices]}
 
 
 def polytope_from_json(obj: dict) -> RationalPolytope:
@@ -48,25 +43,19 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
         raise ValueError('polytope JSON must be an object with "dim" and "vertices"')
     try:
         dim = int(obj["dim"])
-        raw = obj["vertices"]
-        if dim == 1:
-            verts = tuple(sorted((pair_to_rational(v),) for v in raw))
-        else:
-            verts = tuple(sorted(tuple(pair_to_rational(c) for c in v) for v in raw))
+        if dim != 1:
+            raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
+        verts = tuple(sorted((pair_to_rational(v),) for v in obj["vertices"]))
     except ZeroDivisionError:
         raise ValueError("zero denominator in polytope JSON") from None
     except TypeError as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from exc
-    return RationalPolytope(dim, verts)
+    return RationalPolytope(verts)
 
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _COORD_RE = re.compile(
     rf"^(?P<re>{_RATIONAL})(?:(?P<sign>[+-])(?P<im>{_RATIONAL})i)?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def parse_gaussian(text: str) -> GaussianRational:

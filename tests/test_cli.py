@@ -88,6 +88,36 @@ class TestMalformedInput:
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "x.svg")))
 
+    @pytest.mark.parametrize("bad", [
+        {"weights": 5},
+        {"weights": [[1], 1]},
+        {"point": 5},
+        {"gamma": 3},
+        {"eps": [1]},
+        {"seed": [1]},
+        {"r_max": None},
+    ], ids=lambda bad: json.dumps(bad))
+    def test_config_value_of_wrong_type(self, tmp_path, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1",
+                                   "gamma": "negation", **bad}))
+        p = run_cli("realpolytope", "--config", str(cfg))
+        assert_usage_error(p)
+        assert f"--{next(iter(bad)).replace('_', '-')}" in p.stderr
+
+    def test_sample_csv_without_moment_columns(self, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("a,b\n1,2\n")
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "s.svg")))
+
+    def test_polytope_json_with_three_vertices(self, tmp_path):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"dim": 1, "vertices": [["0", "1"], ["1", "1"], ["2", "1"]]}))
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "x.svg")))
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestImportLayering:
     """The exact subcommands must not load NumPy or SciPy."""
@@ -280,9 +310,13 @@ class TestWireFormats:
         for poly in enumerate_polytope_catalog(3, 2, negation_involution()):
             assert equals(wire.polytope_from_json(wire.polytope_to_json(poly)), poly)
 
-    def test_2d_polytope_round_trip(self):
-        square = hull([(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert equals(wire.polytope_from_json(wire.polytope_to_json(square)), square)
+    def test_2d_polytope_json_rejected(self, tmp_path):
+        square = {"dim": 2, "vertices": [[["0", "1"], ["0", "1"]], [["1", "1"], ["1", "1"]]]}
+        with pytest.raises(ValueError, match="dim 2"):
+            wire.polytope_from_json(square)
+        src = tmp_path / "square.json"
+        src.write_text(json.dumps(square))
+        assert_usage_error(run_cli("plot", "--in", str(src), "--out", str(tmp_path / "x.svg")))
 
     def test_point_literal_round_trip(self):
         for x in orbit_representatives().values():

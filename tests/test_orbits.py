@@ -161,7 +161,7 @@ class TestMomentPolytope:
                     got = membership_in_C(x, l1, l2, lam, r_limit=1)
                     if got.member:
                         achieved.append((F(lam),))
-                assert equals(hull(achieved, dim=1), moment_polytope(x, l1, l2)), (cls, l1, l2)
+                assert equals(hull(achieved), moment_polytope(x, l1, l2)), (cls, l1, l2)
 
     def test_monotonicity_in_dense_polytope(self):
         for l1, l2 in ((1, 1), (2, 1), (3, 4)):
@@ -222,19 +222,19 @@ class TestTwoRoutes:
 class TestCatalog:
     def test_worked_catalog(self):
         cat = enumerate_polytope_catalog(2, 1, NEG)
-        expected = [RationalPolytope.empty(1), hull([(1,)]), hull([(3,)]), seg(1, 3)]
+        expected = [RationalPolytope.empty(), hull([(1,)]), hull([(3,)]), seg(1, 3)]
         assert len(cat) == 4
         assert all(equals(a, b) for a, b in zip(cat, expected))
 
     def test_equal_weights(self):
         cat = enumerate_polytope_catalog(1, 1, NEG)
-        expected = [RationalPolytope.empty(1), hull([(0,)]), hull([(2,)]), seg(0, 2)]
+        expected = [RationalPolytope.empty(), hull([(0,)]), hull([(2,)]), seg(0, 2)]
         assert len(cat) == 4
         assert all(equals(a, b) for a, b in zip(cat, expected))
 
     def test_identity_involution_collapses(self):
         cat = enumerate_polytope_catalog(1, 1, identity_involution())
-        expected = [RationalPolytope.empty(1), hull([(0,)])]
+        expected = [RationalPolytope.empty(), hull([(0,)])]
         assert len(cat) == 2
         assert all(equals(a, b) for a, b in zip(cat, expected))
 

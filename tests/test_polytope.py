@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mplab import wire
 from mplab.polytope import (
-    LinearSubspace,
     RationalPolytope,
-    _extreme_filter,
     contains,
     contains_polytope,
     equals,
@@ -18,6 +17,8 @@ from mplab.polytope import (
 F = Fraction
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+AXIS = [(F(1),)]   # the whole line: the negated eigenspace of the negation involution
+ORIGIN = []        # the zero subspace: the negated eigenspace of the identity
 
 
 class TestHull:
@@ -27,27 +28,25 @@ class TestHull:
     def test_single_point(self):
         assert hull([(3,)]).vertices == ((F(3),),)
 
-    def test_square_with_center(self):
-        p = hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))])
-        assert p.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1)))
-
-    def test_collinear_2d(self):
-        p = hull([(0, 0), (1, 1), (2, 2), (3, 3)])
-        assert p.vertices == ((F(0), F(0)), (F(3), F(3)))
-
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             hull([(1,), (1, 2)])
 
-    def test_empty_needs_dimension(self):
-        with pytest.raises(ValueError):
-            hull([])
-        assert hull([], dim=2).is_empty
+    def test_empty_point_set_is_empty(self):
+        assert hull([]).is_empty
+        assert equals(hull([]), RationalPolytope.empty())
 
-    def test_3d_cross_polytope(self):
-        pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-               (0, 0, 1), (0, 0, -1), (0, 0, 0), (F(1, 3), F(1, 3), 0)]
-        assert len(hull(pts).vertices) == 6
+    def test_str(self):
+        assert str(RationalPolytope.empty()) == "{}"
+        assert str(hull([(F(3, 2),)])) == "{3/2}"
+        assert str(hull([(3,), (-1,), (0,)])) == "[-1, 3]"
+
+    def test_at_most_two_sorted_vertices(self):
+        with pytest.raises(ValueError):
+            RationalPolytope(((F(0),), (F(1),), (F(2),)))
+        with pytest.raises(ValueError):
+            RationalPolytope(((F(1),), (F(0),)))
+        assert hull([(1,), (0,)]).dim == 1
 
 
 class TestContains:
@@ -57,17 +56,18 @@ class TestContains:
         assert not contains(seg, (0,))
 
     def test_empty_contains_nothing(self):
-        assert not contains(RationalPolytope.empty(1), (0,))
+        assert not contains(RationalPolytope.empty(), (0,))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(hull([(1,)]), (1, 2))
 
     def test_boundary_points(self):
-        tri = hull([(0, 0), (2, 0), (0, 2)])
-        assert contains(tri, (1, 1))        # edge midpoint
-        assert contains(tri, (F(1, 2), F(1, 2)))
-        assert not contains(tri, (2, 2))
+        seg = hull([(0,), (2,)])
+        assert contains(seg, (0,)) and contains(seg, (2,))
+        assert not contains(seg, (F(-1, 100),))
+        assert not contains(seg, (F(201, 100),))
+        assert contains(hull([(F(1, 3),)]), (F(1, 3),))
 
 
 class TestEquals:
@@ -80,77 +80,55 @@ class TestEquals:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            equals(hull([(1,)]), hull([(1, 1)]))
+            RationalPolytope(((F(1), F(1)),))
 
 
 class TestIntersectSubspace:
-    def test_segment_against_antidiagonal(self):
-        seg = hull([(-1, -1), (1, 1)])
-        line = LinearSubspace.span(2, [(1, -1)])
-        assert intersect_subspace(seg, line).vertices == ((F(0), F(0)),)
-
     def test_full_space_is_identity(self):
         seg = hull([(1,), (3,)])
-        assert equals(intersect_subspace(seg, LinearSubspace.full(1)), seg)
+        assert equals(intersect_subspace(seg, AXIS), seg)
 
     def test_zero_subspace(self):
         seg = hull([(1,), (3,)])
-        assert intersect_subspace(seg, LinearSubspace.zero(1)).is_empty
+        assert intersect_subspace(seg, ORIGIN).is_empty
         through = hull([(-1,), (3,)])
-        assert intersect_subspace(through, LinearSubspace.zero(1)).vertices == ((F(0),),)
+        assert intersect_subspace(through, ORIGIN).vertices == ((F(0),),)
 
     def test_empty_input(self):
-        line = LinearSubspace.span(2, [(1, -1)])
-        assert intersect_subspace(RationalPolytope.empty(2), line).is_empty
+        for basis in (AXIS, ORIGIN):
+            assert intersect_subspace(RationalPolytope.empty(), basis).is_empty
 
     def test_disjoint_line(self):
-        square = hull([(1, 1), (1, 2), (2, 1), (2, 2)])
-        line = LinearSubspace.span(2, [(1, -1)])
-        assert intersect_subspace(square, line).is_empty
-
-    def test_square_diagonal(self):
-        square = hull([(-1, -1), (-1, 1), (1, -1), (1, 1)])
-        diag = LinearSubspace.span(2, [(1, 1)])
-        assert intersect_subspace(square, diag).vertices == ((F(-1), F(-1)), (F(1), F(1)))
-
-    def test_3d_line_through_cross_polytope(self):
-        pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-        oct3 = hull(pts)
-        line = LinearSubspace.span(3, [(1, 1, 1)])
-        cut = intersect_subspace(oct3, line)
-        assert cut.vertices == ((F(-1, 3), F(-1, 3), F(-1, 3)),
-                                (F(1, 3), F(1, 3), F(1, 3)))
+        for seg in (hull([(1,), (3,)]), hull([(-3,), (F(-1, 2),)])):
+            assert intersect_subspace(seg, ORIGIN).is_empty
 
     def test_result_contained_in_input(self):
-        square = hull([(0, 0), (0, 3), (3, 0), (3, 3)])
-        line = LinearSubspace.span(2, [(2, 1)])
-        cut = intersect_subspace(square, line)
-        assert not cut.is_empty
-        assert contains_polytope(square, cut)
+        seg = hull([(0,), (3,)])
+        for basis in (AXIS, [(F(-2),)], ORIGIN):
+            cut = intersect_subspace(seg, basis)
+            assert not cut.is_empty
+            assert contains_polytope(seg, cut)
 
 
 class TestLinearSubspace:
-    def test_span_canonicalizes(self):
-        a = LinearSubspace.span(2, [(2, 2), (1, 1)])
-        assert a.basis == ((F(1), F(1)),)
+    """The basis that ``intersect_subspace`` takes spans a subspace of the line."""
 
     def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSubspace(2, ((F(1), F(1)), (F(2), F(2))))
+        seg = hull([(0,), (3,)])
+        for basis in ([(1,), (2,)], [(0,)], [(1, 1)]):
+            with pytest.raises(ValueError):
+                intersect_subspace(seg, basis)
 
 
 @st.composite
 def point_sets_1d(draw):
-    return [ (x,) for x in draw(st.lists(rationals, min_size=1, max_size=8)) ]
+    return [(x,) for x in draw(st.lists(rationals, min_size=1, max_size=8))]
 
 
-@st.composite
-def point_sets_2d(draw):
-    pts = draw(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
-    return [tuple(p) for p in pts]
+polytopes = st.lists(rationals, max_size=4).map(lambda xs: hull([(x,) for x in xs]))
 
 
-@given(point_sets_1d() | point_sets_2d())
+@given(point_sets_1d())
 @settings(deadline=None)
 def test_hull_idempotent_and_contains_vertices(points):
     p = hull(points)
@@ -161,22 +139,32 @@ def test_hull_idempotent_and_contains_vertices(points):
         assert contains(p, x)
 
 
-@given(point_sets_2d())
+@given(point_sets_1d())
 @settings(deadline=None)
-def test_monotone_chain_agrees_with_lp_filter(points):
-    via_chain = hull(points)
-    via_lp = tuple(sorted(set(_extreme_filter([tuple(Fraction(c) for c in p)
-                                               for p in points]))))
-    assert via_chain.vertices == via_lp
+def test_hull_is_min_max(points):
+    lo, hi = min(points), max(points)
+    assert hull(points).vertices == ((lo,) if lo == hi else (lo, hi))
 
 
-@given(point_sets_2d())
-@settings(deadline=None, max_examples=40)
-def test_intersection_inside_polytope(points):
-    p = hull(points)
-    line = LinearSubspace.span(2, [(1, 2)])
-    cut = intersect_subspace(p, line)
+@given(polytopes, rationals)
+@settings(deadline=None)
+def test_contains_is_interval_membership(p, x):
+    if p.is_empty:
+        assert not contains(p, (x,))
+    else:
+        assert contains(p, (x,)) == (p.vertices[0][0] <= x <= p.vertices[-1][0])
+
+
+@given(polytopes)
+@settings(deadline=None)
+def test_intersection_inside_polytope(p):
+    assert equals(intersect_subspace(p, AXIS), p)
+    cut = intersect_subspace(p, ORIGIN)
     assert contains_polytope(p, cut)
-    for v in cut.vertices:
-        # membership in the subspace: v is a multiple of (1, 2)
-        assert v[1] == 2 * v[0]
+    assert cut.vertices == (((F(0),),) if contains(p, (0,)) else ())
+
+
+@given(polytopes)
+@settings(deadline=None)
+def test_json_round_trip(p):
+    assert wire.polytope_from_json(wire.polytope_to_json(p)) == p

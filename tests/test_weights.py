@@ -4,7 +4,6 @@ import pytest
 
 from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix
 from mplab.weights import (
-    DIAGONAL_TORUS,
     ExactGroupElement2x2,
     GroupElement2x2,
     InvolutionSpec,
@@ -40,46 +39,38 @@ def test_diagonal_project():
         diagonal_project((1,))
 
 
-def test_torus_lattice_and_chamber():
-    assert DIAGONAL_TORUS.in_lattice((2,))
-    assert not DIAGONAL_TORUS.in_lattice((F(1, 2),))
-    assert DIAGONAL_TORUS.in_chamber((0,))
-
-
 def test_dominant_lattice_points_are_nonnegative_integers():
     for n in range(-5, 6):
-        w = weight_embed(n)
-        assert DIAGONAL_TORUS.in_lattice(w)
-        assert is_dominant(w) == (n >= 0)
+        assert is_dominant(weight_embed(n)) == (n >= 0)
 
 
 class TestInvolutionEigenspaces:
     def test_negation_rank1(self):
         fixed, negated = involution_eigenspaces(negation_involution())
-        assert fixed.subspace_dim == 0
-        assert negated.subspace_dim == 1  # whole torus dual is negated
+        assert fixed == []
+        assert negated == [(F(1),)]  # whole torus dual is negated
 
     def test_identity(self):
         fixed, negated = involution_eigenspaces(identity_involution())
-        assert fixed.subspace_dim == 1
-        assert negated.subspace_dim == 0
+        assert fixed == [(F(1),)]
+        assert negated == []
 
     def test_swap_rank2(self):
         swap = InvolutionSpec(LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]])), "swap")
         fixed, negated = involution_eigenspaces(swap)
-        assert fixed.basis == ((F(1), F(1)),)
-        assert negated.basis == ((F(1), F(-1)),)
+        assert fixed == [(F(1), F(1))]
+        assert negated == [(F(1), F(-1))]
 
     def test_dimensions_sum_to_rank(self):
         for spec in (negation_involution(2), identity_involution(2),
                      InvolutionSpec(LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]])))):
             fixed, negated = involution_eigenspaces(spec)
-            assert fixed.subspace_dim + negated.subspace_dim == spec.rank
+            assert len(fixed) + len(negated) == spec.rank
 
     def test_eigenbasis_clears_to_lattice(self):
         swap = InvolutionSpec(LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]])))
-        for sub in involution_eigenspaces(swap):
-            for vec in sub.basis:
+        for basis in involution_eigenspaces(swap):
+            for vec in basis:
                 denom = 1
                 for c in vec:
                     denom = denom * c.denominator
