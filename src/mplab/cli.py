@@ -11,6 +11,10 @@ A JSON config file passed with ``--config`` may hold any long-option value
 (keys use underscores, e.g. ``{"weights": [2, 1], "gamma": "negation"}``);
 explicit flags win over the file.  The environment variable ``MPLAB_SEED``
 overrides the default seed.
+
+Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
+of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, and ``sample`` at most
+``MAX_SAMPLES`` samples.  A larger input is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .orbits import (
 )
 from .polytope import equals, intersect_subspace
 from .reps import (
+    MAX_SECTION_SPACE_DIM,
     SectionSpaceSpec,
     clebsch_gordan_highest_weights,
     hw_vector_product_form,
@@ -43,6 +48,10 @@ from .reps import (
     section_space_dim,
 )
 from .weights import InvolutionSpec, involution_eigenspaces
+
+# Largest ``sample --n``: the sampled-agreement check's own size.  A sample
+# costs about 0.75 KB of memory while the CSV is written.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,16 +63,10 @@ class CaseSpec:
     point: FlagPoint | None = None
     gamma: InvolutionSpec | None = None
     seed: int = 0
-    r_max: int = 6
-    eps: float = 0.05
 
     def __post_init__(self):
         if self.lam1 < 1 or self.lam2 < 1:
             raise ValueError("weights must be integers >= 1")
-        if self.r_max < 1:
-            raise ValueError("r_max must be >= 1")
-        if not 0 < self.eps < 3.15:
-            raise ValueError("eps must be a small positive angle in radians")
 
 
 def _default_seed() -> int:
@@ -91,7 +94,7 @@ class _Config:
     """Flag resolution: explicit flag > config file > default.
 
     Flags arrive typed by argparse.  A config-file value is converted by the
-    option's ``kind`` (``int``, ``float``, ``_text`` or ``_int_pair``), and a
+    option's ``kind`` (``int``, ``_text`` or ``_int_pair``), and a
     value of the wrong JSON type raises a one-line ``ValueError`` naming the
     option.
     """
@@ -138,9 +141,15 @@ class _Config:
         elif gamma is not None:
             gamma = wire.parse_gamma(gamma)
         return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma,
-                        seed=self.get("seed", int, _default_seed()),
-                        r_max=self.get("r_max", int, 6),
-                        eps=self.get("eps", float, 0.05))
+                        seed=self.get("seed", int, _default_seed()))
+
+    def section_spec(self, case: CaseSpec) -> SectionSpaceSpec:
+        spec = SectionSpaceSpec(self.get("r", int, 1), case.lam1, case.lam2)
+        dim = section_space_dim(spec)
+        if dim > MAX_SECTION_SPACE_DIM:
+            raise ValueError(f"section space dimension {dim} exceeds the limit "
+                             f"{MAX_SECTION_SPACE_DIM}")
+        return spec
 
 
 def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
@@ -204,7 +213,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
+    spec = cfg.section_spec(case)
     weights_list = clebsch_gordan_highest_weights(spec)
     _emit({"r": spec.r, "weights": [case.lam1, case.lam2],
            "highest_weights": weights_list,
@@ -216,7 +225,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_hwv(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
+    spec = cfg.section_spec(case)
     k = cfg.require("k", int)
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
@@ -243,7 +252,7 @@ def cmd_hwv(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
-    spec = SectionSpaceSpec(cfg.get("r", int, 1), case.lam1, case.lam2)
+    spec = cfg.section_spec(case)
     weight = cfg.require("weight", int)
     basis = n_invariant_subspace(spec, weight)
     _emit({"r": spec.r, "weights": [case.lam1, case.lam2], "weight": weight,
@@ -271,12 +280,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    from . import numeric
-
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True)
     subgroup = cfg.get("subgroup", _text, "H")
     n = cfg.get("n", int, 1000)
+    if n > MAX_SAMPLES:
+        raise ValueError(f"--n {n} exceeds the limit {MAX_SAMPLES}")
+    from . import numeric
     samples = numeric.sample_orbit(case.point, subgroup, n, case.seed,
                                    case.lam1, case.lam2)
     out = cfg.get("out", _text)
@@ -321,8 +331,6 @@ def _add_common(sub: argparse.ArgumentParser, point: bool = False,
                      help="the two positive integer weights")
     sub.add_argument("--config", help="JSON file with default option values")
     sub.add_argument("--seed", type=int, help="RNG seed (default: MPLAB_SEED or 0)")
-    sub.add_argument("--r-max", dest="r_max", type=int, help="witness search bound (default 6)")
-    sub.add_argument("--eps", type=float, help="angular filter half-width (default 0.05)")
     if point:
         sub.add_argument("--point", help="flag point literal 'a1,c1;a2,c2'")
     if gamma:
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, point=True)
     p.add_argument("--subgroup", choices=["B", "H", "G", "G'"],
                    help="which group to sample (default H)")
-    p.add_argument("--n", type=int, help="number of samples (default 1000)")
+    p.add_argument("--n", type=int, help=f"number of samples (default 1000, at most {MAX_SAMPLES})")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

@@ -1,8 +1,10 @@
 """Exact rational linear algebra: kernels, involution eigensplits, symplectic predicates.
 
 Everything here works over Q (``fractions.Fraction``) or Q(i) (:class:`GaussianRational`)
-with no rounding anywhere.  Canonical forms follow reduced-echelon conventions so
-that outputs are directly comparable in tests:
+with no rounding anywhere.  Products and elimination are fraction-free inside:
+each row or column is cleared of denominators once, the work runs over ``int``,
+and one ``Fraction`` is built per result entry.  Canonical forms follow
+reduced-echelon conventions so that outputs are directly comparable in tests:
 
 * null-space / eigenspace bases are normalized to leading coefficient 1 and
   ordered by pivot position,
@@ -14,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -30,10 +34,17 @@ def vector(xs: Iterable) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
+def _integral(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``ns`` and the least positive ``d`` with ``xs == [n / d for n in ns]``."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    (iu, du), (iv, dv) = _integral(u), _integral(v)
+    return Fraction(sum(map(mul, iu, iv)), du * dv)
 
 
 @dataclass(frozen=True)
@@ -94,20 +105,19 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
-    def scale(self, c) -> "RatMatrix":
-        c = frac(c)
-        return RatMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return RatMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.entries))
+        cols = [_integral(col) for col in zip(*other.entries)]
+        return RatMatrix(tuple(tuple(Fraction(sum(map(mul, row, col)), rd * cd) for col, cd in cols)
+                               for row, rd in map(_integral, self.entries)))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(dot(row, v) for row in self.entries)
+        iv, dv = _integral(v)
+        return tuple(Fraction(sum(map(mul, row, iv)), d * dv)
+                     for row, d in map(_integral, self.entries))
 
     def _shape_check(self, other: "RatMatrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -115,27 +125,37 @@ class RatMatrix:
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in m.entries]
+    """Reduced row echelon form and pivot column indices.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968): every row is scaled to integers,
+    and each elimination step ``row = (p * row - f * pivot_row) // prev`` divides
+    exactly by the previous pivot, so every entry stays an integer minor of the
+    scaled matrix.  All pivot entries end equal, and one division per entry
+    gives the reduced form, which is unique, hence equal to the rational one.
+    """
+    rows = [_integral(r)[0] for r in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * a for a in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and (f != 0 or p != prev):
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return RatMatrix.from_rows(rows), tuple(pivots)
+    # rows past the rank are zero; pivot rows hold prev at each pivot
+    return RatMatrix(tuple(tuple(Fraction(a, prev) for a in row) for row in rows)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -214,13 +234,14 @@ class LinearInvolution:
 def eigensplit(s: LinearInvolution) -> tuple[list[Vector], list[Vector]]:
     """Canonical rational bases of the +1 and -1 eigenspaces of an involution.
 
-    Computed from the projectors (I +/- S)/2 by column reduction; the two
-    bases together always span the whole space.
+    Computed by column reduction of I +/- S, twice the projectors (I +/- S)/2
+    and with the same column spaces; the two bases together always span the
+    whole space.
     """
     n = s.dim
     ident = RatMatrix.identity(n)
-    plus = column_space_basis((ident + s.matrix).scale(Fraction(1, 2)))
-    minus = column_space_basis((ident - s.matrix).scale(Fraction(1, 2)))
+    plus = column_space_basis(ident + s.matrix)
+    minus = column_space_basis(ident - s.matrix)
     return plus, minus
 
 
@@ -280,63 +301,54 @@ def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], omega: Symplecti
                for v in subspace_basis[i:])
 
 
-def _random_symplectic(dim: int, rng: random.Random, factors: int = 6) -> RatMatrix:
+def _random_symplectic(dim: int, rng: random.Random, factors: int = 6) -> list[list[int]]:
     """Product of elementary symplectic shears with small integer parameters."""
     n = dim // 2
-    t = RatMatrix.identity(dim)
+    t = [[int(r == c) for c in range(dim)] for r in range(dim)]
     for _ in range(factors):
         p = rng.choice([k for k in range(-9, 10) if k != 0])
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
-        block = [[Fraction(0)] * n for _ in range(n)]
+        factor = [[int(r == c) for c in range(dim)] for r in range(dim)]
         if kind < 2:
             # symmetric P: shear [[I, P], [0, I]] or [[I, 0], [P, I]]
-            block[i][j] += p
-            block[j][i] += p if i != j else 0
-            rows = []
-            for r in range(dim):
-                row = [Fraction(int(r == c)) for c in range(dim)]
-                if kind == 0 and r < n:
-                    for c in range(n):
-                        row[n + c] += block[r][c]
-                elif kind == 1 and r >= n:
-                    for c in range(n):
-                        row[c] += block[r - n][c]
-                rows.append(row)
-            t = t @ RatMatrix.from_rows(rows)
+            top, left = (0, n) if kind == 0 else (n, 0)
+            factor[top + i][left + j] += p
+            if i != j:
+                factor[top + j][left + i] += p
         else:
-            # GL factor diag(A, A^-T) with A an elementary shear
+            # GL factor diag(A, A^-T) with A = I + p*e_ij, so A^-T = I - p*e_ji
             if i == j:
                 continue
-            a = RatMatrix.identity(n).entries
-            a = [list(r) for r in a]
-            a[i][j] = Fraction(p)
-            a_mat = RatMatrix.from_rows(a)
-            a_inv_t = invert(a_mat).transpose()
-            rows = []
-            for r in range(dim):
-                row = [Fraction(0)] * dim
-                for c in range(dim):
-                    if r < n and c < n:
-                        row[c] = a_mat.entries[r][c]
-                    elif r >= n and c >= n:
-                        row[c] = a_inv_t.entries[r - n][c - n]
-                rows.append(row)
-            t = t @ RatMatrix.from_rows(rows)
+            factor[i][j] = p
+            factor[n + j][n + i] = -p
+        t = [[sum(map(mul, row, col)) for col in zip(*factor)] for row in t]
     return t
 
 
 def antisymplectic_involution_from_symplectic(t: RatMatrix) -> LinearInvolution:
     """Conjugate diag(I, -I) by a symplectic matrix: T^-1 diag(I,-I) T.
 
-    The result squares to the identity and reverses the standard Darboux form.
+    T^-1 = -Omega T^T Omega for the standard Darboux form Omega, a signed block
+    rearrangement of T^T that needs no elimination.  The result squares to
+    the identity and reverses the standard Darboux form.  A matrix that is not
+    symplectic raises ``ValueError``.
     """
     dim = t.rows
+    if not t.is_square or dim % 2 != 0:
+        raise ValueError("symplectic matrix needs even square dimension")
     n = dim // 2
-    d = RatMatrix.from_rows([[Fraction(int(i == j)) * (1 if i < n else -1)
-                              for j in range(dim)] for i in range(dim)])
-    return LinearInvolution(invert(t) @ d @ t)
+    rows = t.entries
+    # with T^T = [[A, B], [C, D]] in n x n blocks, T^-1 = [[D, -C], [-B, A]]
+    t_inv = RatMatrix(tuple(
+        tuple(rows[(j + n) % dim][(i + n) % dim] * (1 if (i < n) == (j < n) else -1)
+              for j in range(dim))
+        for i in range(dim)))
+    if t_inv @ t != RatMatrix.identity(dim):
+        raise ValueError("matrix is not symplectic for the standard Darboux form")
+    d_t = RatMatrix(rows[:n] + tuple(tuple(-a for a in row) for row in rows[n:]))
+    return LinearInvolution(t_inv @ d_t)
 
 
 def random_antisymplectic_involution(dim: int, seed: int) -> LinearInvolution:
@@ -348,7 +360,8 @@ def random_antisymplectic_involution(dim: int, seed: int) -> LinearInvolution:
     if dim % 2 != 0 or dim < 2:
         raise ValueError("dimension must be even and >= 2")
     rng = random.Random(seed)
-    return antisymplectic_involution_from_symplectic(_random_symplectic(dim, rng))
+    t = RatMatrix.from_rows(_random_symplectic(dim, rng))
+    return antisymplectic_involution_from_symplectic(t)
 
 
 def is_antisymplectic(s: LinearInvolution, omega: SymplecticForm) -> bool:

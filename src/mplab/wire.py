@@ -28,9 +28,22 @@ def rational_to_pair(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _wire_int(value) -> int:
+    """A JSON integer or a decimal-integer string; floats and booleans are rejected."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        return int(value)
+    raise ValueError(f"polytope JSON coordinate {json.dumps(value)} is not an integer "
+                     "or a decimal-integer string")
+
+
 def pair_to_rational(pair) -> Fraction:
     num, den = pair
-    return Fraction(int(num), int(den))
+    return Fraction(_wire_int(num), _wire_int(den))
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:

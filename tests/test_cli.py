@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -93,9 +94,7 @@ class TestMalformedInput:
         {"weights": [[1], 1]},
         {"point": 5},
         {"gamma": 3},
-        {"eps": [1]},
         {"seed": [1]},
-        {"r_max": None},
     ], ids=lambda bad: json.dumps(bad))
     def test_config_value_of_wrong_type(self, tmp_path, bad):
         cfg = tmp_path / "c.json"
@@ -111,12 +110,51 @@ class TestMalformedInput:
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "s.svg")))
 
+    @pytest.mark.parametrize("vertices", [[[1.5, 1]], [["1", 2.0]], [[True, 1]]],
+                             ids=json.dumps)
+    def test_polytope_json_coordinate_not_an_integer(self, tmp_path, vertices):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "x.svg")))
+        assert not (tmp_path / "x.svg").exists()
+
     def test_polytope_json_with_three_vertices(self, tmp_path):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"dim": 1, "vertices": [["0", "1"], ["1", "1"], ["2", "1"]]}))
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
+
+
+class TestInputLimits:
+    def test_oversized_oracle_fails_fast(self):
+        start = time.perf_counter()
+        p = run_cli("oracle", "--weights", "30", "30", "--r", "3", "--weight", "0")
+        assert time.perf_counter() - start < 1.0
+        assert_usage_error(p)
+        assert "limit 2500" in p.stderr
+
+    @pytest.mark.parametrize("command", [["decompose"], ["hwv", "--k", "0"]])
+    def test_oversized_section_space(self, command):
+        assert_usage_error(run_cli(*command, "--weights", "50", "49", "--r", "1"))
+
+    def test_largest_section_space_accepted(self):
+        p = run_cli("decompose", "--weights", "49", "49", "--r", "1")
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["section_dim"] == 2500
+
+    def test_oversized_sample(self, tmp_path):
+        p = run_cli("sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
+                    "--n", "100001", "--out", str(tmp_path / "s.csv"))
+        assert_usage_error(p)
+        assert "limit 100000" in p.stderr
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--r-max", "1"], ["--eps", "0.001"]])
+    def test_removed_options_are_unknown(self, flag):
+        p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1", *flag)
+        assert p.returncode == 2
 
 
 class TestImportLayering:
@@ -291,6 +329,14 @@ class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1"}))
+        p = run_cli("polytope", "--config", str(cfg))
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
+
+    def test_removed_keys_are_ignored(self, tmp_path):
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1",
+                                   "r_max": None, "eps": [1]}))
         p = run_cli("polytope", "--config", str(cfg))
         assert p.returncode == 0
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,184 @@ from mplab.exactlin import (
     fixed_subspace,
     is_antisymplectic,
     is_lagrangian,
+    invert,
     kernel,
     random_antisymplectic_involution,
+    rref,
     span_rank,
     standard_symplectic_form,
 )
 
 F = Fraction
+
+
+# Reference implementations: the plain Fraction algorithms the fraction-free
+# core replaced.  RREF is unique, so both must give identical Fractions.
+
+def reference_matmul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b))
+                 for row in a)
+
+
+def reference_rref(entries):
+    rows = [list(r) for r in entries]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(F(a) for a in row) for row in rows), tuple(pivots)
+
+
+def reference_invert(entries):
+    n = len(entries)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(entries)]
+    reduced, pivots = reference_rref(aug)
+    assert pivots == tuple(range(n))
+    return tuple(row[n:] for row in reduced)
+
+
+def reference_random_antisymplectic(dim, seed):
+    """The construction before the fraction-free core: shears over Fraction,
+    A^-T by elimination, and T^-1 diag(I, -I) T with T^-1 by elimination."""
+    rng = random.Random(seed)
+    n = dim // 2
+    ident = [[F(int(r == c)) for c in range(dim)] for r in range(dim)]
+    t = tuple(map(tuple, ident))
+    for _ in range(6):
+        p = rng.choice([k for k in range(-9, 10) if k != 0])
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        factor = [list(row) for row in ident]
+        if kind < 2:
+            block = [[F(0)] * n for _ in range(n)]
+            block[i][j] += p
+            block[j][i] += p if i != j else 0
+            for r in range(n):
+                for c in range(n):
+                    if kind == 0:
+                        factor[r][n + c] += block[r][c]
+                    else:
+                        factor[n + r][c] += block[r][c]
+        else:
+            if i == j:
+                continue
+            a = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+            a[i][j] = F(p)
+            a_inv_t = list(zip(*reference_invert(a)))
+            for r in range(n):
+                for c in range(n):
+                    factor[r][c] = a[r][c]
+                    factor[n + r][n + c] = a_inv_t[r][c]
+        t = reference_matmul(t, factor)
+    d = [[F(int(r == c)) * (1 if r < n else -1) for c in range(dim)] for r in range(dim)]
+    return reference_matmul(reference_matmul(reference_invert(t), d), t)
+
+
+rationals = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=6):
+    """Rational matrices, often rank-deficient: with zero rows, zero columns
+    or a row that is a combination of two others."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column", "combination"]))
+    if shape == "zero row":
+        rows.insert(draw(st.integers(0, nrows)), [F(0)] * ncols)
+    elif shape == "zero column":
+        col = draw(st.integers(0, ncols))
+        rows = [row[:col] + [F(0)] + row[col:] for row in rows]
+    elif shape == "combination":
+        a, b = draw(rationals), draw(rationals)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return RatMatrix.from_rows(rows)
+
+
+class TestFractionFreeCore:
+    @given(rational_matrices())
+    @settings(deadline=None, max_examples=200)
+    def test_rref_equals_reference(self, m):
+        reduced, pivots = rref(m)
+        assert (reduced.entries, pivots) == reference_rref(m.entries)
+        assert all(type(a) is F for row in reduced.entries for a in row)
+
+    @given(rational_matrices(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_matmul_and_apply_equal_reference(self, m, data):
+        k = data.draw(st.integers(1, 5))
+        other = RatMatrix.from_rows(data.draw(st.lists(
+            st.lists(rationals, min_size=k, max_size=k), min_size=m.cols, max_size=m.cols)))
+        assert (m @ other).entries == reference_matmul(m.entries, other.entries)
+        v = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+        assert m.apply(v) == tuple(row[0] for row in reference_matmul(m.entries, [[x] for x in v]))
+
+    @given(rational_matrices(max_rows=5, max_cols=5))
+    @settings(deadline=None, max_examples=100)
+    def test_invert_equals_reference(self, m):
+        if not m.is_square or len(reference_rref(m.entries)[1]) != m.rows:
+            with pytest.raises(ValueError):
+                invert(m)
+        else:
+            assert invert(m).entries == reference_invert(m.entries)
+
+    @given(st.sampled_from([2, 4, 6, 8]), st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), rationals),
+        max_size=6))
+    @settings(deadline=None, max_examples=100)
+    def test_symplectic_inverse_without_elimination(self, dim, shears):
+        n = dim // 2
+        t = RatMatrix.identity(dim)
+        for kind, i, j, p in shears:
+            i, j = i % n, j % n
+            rows = [list(row) for row in RatMatrix.identity(dim).entries]
+            if kind < 2:
+                top, left = (0, n) if kind == 0 else (n, 0)
+                rows[top + i][left + j] += p
+                if i != j:
+                    rows[top + j][left + i] += p
+            elif i != j:
+                rows[i][j] = p
+                rows[n + j][n + i] = -p
+            t = t @ RatMatrix.from_rows(rows)
+        omega = standard_symplectic_form(dim).matrix
+        assert t @ -(omega @ t.transpose() @ omega) == RatMatrix.identity(dim)
+        s = antisymplectic_involution_from_symplectic(t)
+        d = RatMatrix.from_rows([[int(r == c) * (1 if r < n else -1) for c in range(dim)]
+                                 for r in range(dim)])
+        assert s.matrix.entries == reference_matmul(
+            reference_matmul(reference_invert(t.entries), d.entries), t.entries)
+        assert is_antisymplectic(s, standard_symplectic_form(dim))
+
+    def test_non_symplectic_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            antisymplectic_involution_from_symplectic(RatMatrix.from_rows([[2, 0], [0, 1]]))
+        with pytest.raises(ValueError):
+            antisymplectic_involution_from_symplectic(RatMatrix.identity(3))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+    def test_random_involutions_equal_reference(self, dim):
+        for seed in range(20):
+            got = random_antisymplectic_involution(dim, seed).matrix.entries
+            assert got == reference_random_antisymplectic(dim, seed)
 
 
 class TestKernel:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mplab import reps
 from mplab.exactlin import GaussianRational
 from mplab.reps import (
     BiHomogPoly,
@@ -86,6 +87,22 @@ class TestHighestWeightVectors:
                     spec = SectionSpaceSpec(r, l1, l2)
                     for k in range(spec.k_max + 1):
                         assert hw_vector_sum_form(spec, k) == hw_vector_product_form(spec, k)
+
+    def test_product_form_equals_generic_expansion(self):
+        det = poly((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+        for r in range(1, 4):
+            for l1 in range(1, 5):
+                for l2 in range(1, 5):
+                    spec = SectionSpaceSpec(r, l1, l2)
+                    d1, d2 = spec.bidegree
+                    for k in range(spec.k_max + 1):
+                        want = BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * det ** k
+                        assert hw_vector_product_form(spec, k) == want
+
+    def test_product_form_beyond_memoized_powers(self):
+        k = reps._DET_MEMO_K + 1
+        spec = SectionSpaceSpec(1, k, k)
+        assert hw_vector_product_form(spec, k) == hw_vector_sum_form(spec, k)
 
 
 class TestNInvariance:
