@@ -26,6 +26,7 @@ from .orbits import (
     FlagPoint,
     OrbitClass,
     RealFormCase,
+    RouteDisagreementError,
     classify_borel_orbit_closure,
     enumerate_polytope_catalog,
     gamma_highest_weight_polytope,
@@ -70,6 +71,7 @@ __all__ = [
     "RatMatrix",
     "RationalPolytope",
     "RealFormCase",
+    "RouteDisagreementError",
     "SectionSpaceSpec",
     "SymplecticForm",
     "classify_borel_orbit_closure",

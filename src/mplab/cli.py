@@ -13,8 +13,10 @@ explicit flags win over the file.  The environment variable ``MPLAB_SEED``
 overrides the default seed.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
-of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, and ``sample`` at most
-``MAX_SAMPLES`` samples.  A larger input is a usage error (exit 2).
+of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
+``catalog`` the same for the section space at the representation route's
+largest bundle power, and ``sample`` at most ``MAX_SAMPLES`` samples.  A
+larger input is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -29,15 +31,16 @@ from fractions import Fraction
 
 from . import svgplot, wire
 from .orbits import (
+    REPRESENTATION_R_MAX,
     FlagPoint,
     RealFormCase,
+    RouteDisagreementError,
     classify_borel_orbit_closure,
     enumerate_polytope_catalog,
-    gamma_highest_weight_polytope,
     membership_in_C,
     moment_polytope,
+    real_moment_polytope,
 )
-from .polytope import equals, intersect_subspace
 from .reps import (
     MAX_SECTION_SPACE_DIM,
     SectionSpaceSpec,
@@ -47,7 +50,7 @@ from .reps import (
     n_invariant_subspace,
     section_space_dim,
 )
-from .weights import InvolutionSpec, involution_eigenspaces
+from .weights import InvolutionSpec
 
 # Largest ``sample --n``: the sampled-agreement check's own size.  A sample
 # costs about 0.75 KB of memory while the CSV is written.
@@ -144,12 +147,15 @@ class _Config:
                         seed=self.get("seed", int, _default_seed()))
 
     def section_spec(self, case: CaseSpec) -> SectionSpaceSpec:
-        spec = SectionSpaceSpec(self.get("r", int, 1), case.lam1, case.lam2)
-        dim = section_space_dim(spec)
-        if dim > MAX_SECTION_SPACE_DIM:
-            raise ValueError(f"section space dimension {dim} exceeds the limit "
-                             f"{MAX_SECTION_SPACE_DIM}")
-        return spec
+        return _limited(SectionSpaceSpec(self.get("r", int, 1), case.lam1, case.lam2))
+
+
+def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
+    dim = section_space_dim(spec)
+    if dim > MAX_SECTION_SPACE_DIM:
+        raise ValueError(f"section space dimension {dim} exceeds the limit "
+                         f"{MAX_SECTION_SPACE_DIM}")
+    return spec
 
 
 def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
@@ -186,12 +192,14 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 def cmd_realpolytope(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True, need_gamma=True)
-    real_case = RealFormCase(case.point, case.gamma)
-    _, q_sub = involution_eigenspaces(case.gamma)
-    via_intersection = intersect_subspace(
-        moment_polytope(case.point, case.lam1, case.lam2), q_sub)
-    via_membership = gamma_highest_weight_polytope(real_case, case.lam1, case.lam2)
-    same = equals(via_intersection, via_membership)
+    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, case.lam1, case.lam2))
+    try:
+        via_intersection = real_moment_polytope(
+            RealFormCase(case.point, case.gamma), case.lam1, case.lam2)
+        via_membership, same = via_intersection, True
+    except RouteDisagreementError as exc:
+        via_intersection, via_membership = exc.via_intersection, exc.via_representation
+        same = False
     _emit({"intersection_route": wire.polytope_to_json(via_intersection),
            "membership_route": wire.polytope_to_json(via_membership),
            "equal": same})
@@ -202,6 +210,7 @@ def cmd_realpolytope(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False, need_gamma=True)
+    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, case.lam1, case.lam2))
     cat = enumerate_polytope_catalog(case.lam1, case.lam2, case.gamma)
     _emit({"weights": [case.lam1, case.lam2], "gamma": case.gamma.label,
            "count": len(cat), "polytopes": [wire.polytope_to_json(p) for p in cat]})

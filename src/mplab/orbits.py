@@ -23,7 +23,8 @@ question to the three predicates.  From that case analysis:
 
 Real-form counterparts intersect these with the negated eigenspace of the
 torus involution; the headline identity "real polytope = polytope cut by
-the negated eigenspace" is computed by two independent routes and asserted.
+the negated eigenspace" is computed by two independent routes, compared on
+every call; a disagreement raises :class:`RouteDisagreementError`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, frac
@@ -199,44 +201,89 @@ class RealFormCase:
             raise ValueError("torus involution must act on the rank-1 torus dual")
 
 
+# Largest bundle power the representation route evaluates by default.
+REPRESENTATION_R_MAX = 2
+
+# Bound of the representation-route memo below.  The verify gate asks for 80
+# distinct (point, weights) pairs, the five orbit representatives over the
+# 4 x 4 weight grid; a stream of distinct points only ever misses, so the
+# bound keeps the memo's memory fixed.
+ACHIEVED_HULL_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=ACHIEVED_HULL_CACHE_SIZE)
+def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int,
+                   r_max: int) -> RationalPolytope:
+    """Hull of the weights whose invariant vectors are nonzero at ``coords``.
+
+    Independent of the involution, so it is memoized per exact coordinate
+    tuple; a projectively equal point written with other coordinates is a
+    miss, which is still correct.
+    """
+    achieved: list[tuple[Fraction, ...]] = []
+    for r in range(1, r_max + 1):
+        spec = SectionSpaceSpec(r, lam1, lam2)
+        for k in range(spec.k_max + 1):
+            vec = highest_weight_vector(spec, k)
+            if not vec.evaluate(coords).is_zero:
+                achieved.append((Fraction(r * (lam1 + lam2) - 2 * k, r),))
+    return hull(achieved)
+
+
 def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int,
-                                  r_max: int = 2) -> RationalPolytope:
+                                  r_max: int = REPRESENTATION_R_MAX) -> RationalPolytope:
     """Closure of the constrained weight set, by the representation route.
 
     Evaluates the actual invariant vectors at the base point over bundle
     powers r <= r_max, hulls the achieved weights (exact rationals), and
     intersects with the negated eigenspace of gamma.  For integer weights
     r = 1 already achieves the extreme points; r_max = 2 adds a safety
-    margin at trivial cost.
+    margin at trivial cost.  The hull is memoized per (coordinates, weights,
+    r_max) in a memo of ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by
+    gamma runs on every call.
     """
     _check_weights(lam1, lam2)
-    achieved: list[tuple[Fraction, ...]] = []
-    point = case.x.coords
-    for r in range(1, r_max + 1):
-        spec = SectionSpaceSpec(r, lam1, lam2)
-        for k in range(spec.k_max + 1):
-            vec = highest_weight_vector(spec, k)
-            if not vec.evaluate(point).is_zero:
-                achieved.append((Fraction(r * (lam1 + lam2) - 2 * k, r),))
-    closure = hull(achieved)
+    closure = _achieved_hull(case.x.coords, lam1, lam2, r_max)
     _, q_sub = involution_eigenspaces(case.gamma)
     return intersect_subspace(closure, q_sub)
+
+
+class RouteDisagreementError(AssertionError):
+    """The two routes to a real-form polytope gave different answers.
+
+    Carries both polytopes and the inputs: the point, the weights and the
+    involution.
+    """
+
+    def __init__(self, case: RealFormCase, lam1: int, lam2: int,
+                 via_intersection: RationalPolytope, via_representation: RationalPolytope):
+        super().__init__(f"route disagreement at {case.x}, weights ({lam1},{lam2}): "
+                         f"{via_intersection} vs {via_representation}")
+        self.point = case.x
+        self.gamma = case.gamma
+        self.lam1 = lam1
+        self.lam2 = lam2
+        self.via_intersection = via_intersection
+        self.via_representation = via_representation
+
+    @property
+    def orbit_class(self) -> OrbitClass:
+        return classify_borel_orbit_closure(self.point)
 
 
 def real_moment_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:
     """Polytope of the real form, by the intersection route.
 
     Cuts the exact orbit polytope with the negated eigenspace of gamma and
-    asserts agreement with the representation route before returning.
+    checks agreement with the representation route before returning; on
+    disagreement it raises :class:`RouteDisagreementError` with both answers.
     """
     _check_weights(lam1, lam2)
     _, q_sub = involution_eigenspaces(case.gamma)
     via_intersection = intersect_subspace(moment_polytope(case.x, lam1, lam2), q_sub)
-    via_membership = gamma_highest_weight_polytope(case, lam1, lam2)
-    if not equals(via_intersection, via_membership):
-        raise AssertionError(
-            f"route disagreement at {case.x}, weights ({lam1},{lam2}): "
-            f"{via_intersection} vs {via_membership}")
+    via_representation = gamma_highest_weight_polytope(case, lam1, lam2)
+    if not equals(via_intersection, via_representation):
+        raise RouteDisagreementError(case, lam1, lam2, via_intersection, via_representation)
     return via_intersection
 
 

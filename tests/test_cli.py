@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mplab import wire
+from mplab import cli, wire
 from mplab.orbits import orbit_representatives
 from mplab.polytope import equals, hull
 
@@ -144,6 +144,26 @@ class TestInputLimits:
         assert p.returncode == 0
         assert json.loads(p.stdout)["section_dim"] == 2500
 
+    def test_oversized_catalog_fails_fast(self):
+        start = time.perf_counter()
+        p = run_cli("catalog", "--weights", "80", "80", "--gamma", "negation")
+        assert time.perf_counter() - start < 1.0
+        assert_usage_error(p)
+        assert "limit 2500" in p.stderr
+
+    @pytest.mark.parametrize("command", [["catalog"],
+                                         ["realpolytope", "--point", "0/1,1/1;1/1,1/1"]])
+    def test_oversized_representation_route(self, command):
+        # r = 2 section space (2*25 + 1)(2*25 + 1) = 2601
+        assert_usage_error(run_cli(*command, "--weights", "25", "25", "--gamma", "negation"))
+
+    def test_largest_representation_route_accepted(self):
+        # r = 2 section space (2*24 + 1)(2*24 + 1) = 2401
+        p = run_cli("realpolytope", "--weights", "24", "24",
+                    "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation")
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["equal"] is True
+
     def test_oversized_sample(self, tmp_path):
         p = run_cli("sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
                     "--n", "100001", "--out", str(tmp_path / "s.csv"))
@@ -215,6 +235,17 @@ class TestRealPolytopeCommand:
         payload = json.loads(p.stdout)
         assert payload["equal"] is True
         assert payload["intersection_route"] == {"dim": 1, "vertices": [["0", "1"]]}
+
+    def test_disagreement_reports_both_routes(self, disagreeing_routes, capsys):
+        code = cli.main(["realpolytope", "--weights", "2", "1",
+                         "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert payload["equal"] is False
+        assert payload["intersection_route"] == {"dim": 1, "vertices": [["1", "1"], ["3", "1"]]}
+        assert payload["membership_route"] == {"dim": 1, "vertices": [["1", "1"], ["2", "1"]]}
+        assert captured.err == "routes DISAGREE: [1, 3]\n"
 
     def test_matrix_gamma_literal(self):
         p = run_cli("realpolytope", "--weights", "2", "1",

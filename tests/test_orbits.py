@@ -2,9 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mplab import orbits
+from mplab.checks import check_two_routes
 from mplab.exactlin import GaussianRational
 from mplab.orbits import (
+    ACHIEVED_HULL_CACHE_SIZE,
     FlagPoint,
     Membership,
     OrbitClass,
@@ -17,10 +22,24 @@ from mplab.orbits import (
     moment_polytope,
     orbit_predicates,
     orbit_representatives,
+    RouteDisagreementError,
     real_moment_polytope,
 )
-from mplab.polytope import RationalPolytope, contains, contains_polytope, equals, hull
-from mplab.weights import ExactGroupElement2x2, identity_involution, negation_involution
+from mplab.polytope import (
+    RationalPolytope,
+    contains,
+    contains_polytope,
+    equals,
+    hull,
+    intersect_subspace,
+)
+from mplab.reps import SectionSpaceSpec, highest_weight_vector
+from mplab.weights import (
+    ExactGroupElement2x2,
+    identity_involution,
+    involution_eigenspaces,
+    negation_involution,
+)
 
 F = Fraction
 REPS = orbit_representatives()
@@ -242,3 +261,101 @@ class TestCatalog:
         for l1 in range(1, 5):
             for l2 in range(1, 5):
                 assert len(enumerate_polytope_catalog(l1, l2, NEG)) <= 5
+
+
+def reference_representation_route(case, lam1, lam2, r_max=2):
+    """The representation route evaluated afresh, with no memo."""
+    achieved = []
+    for r in range(1, r_max + 1):
+        spec = SectionSpaceSpec(r, lam1, lam2)
+        for k in range(spec.k_max + 1):
+            if not highest_weight_vector(spec, k).evaluate(case.x.coords).is_zero:
+                achieved.append((F(r * (lam1 + lam2) - 2 * k, r),))
+    _, q_sub = involution_eigenspaces(case.gamma)
+    return intersect_subspace(hull(achieved), q_sub)
+
+
+rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
+nonzero_rationals = st.builds(F, st.integers(1, 50) | st.integers(-50, -1), st.integers(1, 20))
+weights = st.integers(1, 8)
+gammas = st.sampled_from([NEG, identity_involution()])
+
+
+@st.composite
+def real_points(draw):
+    """Real flag points of every orbit class, most of them dense."""
+    a1, a2 = draw(rationals), draw(rationals)
+    c1, c2 = draw(nonzero_rationals), draw(nonzero_rationals)
+    shape = draw(st.sampled_from(["free", "free", "diagonal", "first", "second", "point"]))
+    if shape == "diagonal":
+        a2, c2 = a1 * c2 / c1, c2
+    if shape in ("first", "point"):
+        a2, c2 = draw(nonzero_rationals), F(0)
+    if shape in ("second", "point"):
+        a1, c1 = draw(nonzero_rationals), F(0)
+    return FlagPoint.real(a1, c1, a2, c2)
+
+
+class TestRepresentationMemo:
+    @given(real_points(), weights, weights, gammas)
+    @settings(deadline=None, max_examples=60)
+    def test_memo_equals_reference(self, x, lam1, lam2, gamma):
+        orbits._achieved_hull.cache_clear()
+        case = RealFormCase(x, gamma)
+        want = reference_representation_route(case, lam1, lam2)
+        first = gamma_highest_weight_polytope(case, lam1, lam2)
+        hits = orbits._achieved_hull.cache_info().hits
+        second = gamma_highest_weight_polytope(case, lam1, lam2)
+        assert orbits._achieved_hull.cache_info().hits == hits + 1
+        assert equals(first, want) and equals(second, want)
+
+    def test_memo_is_bounded(self):
+        orbits._achieved_hull.cache_clear()
+        for n in range(ACHIEVED_HULL_CACHE_SIZE + 20):
+            case = RealFormCase(FlagPoint.real(n, 1, 1, 1), NEG)
+            gamma_highest_weight_polytope(case, 1, 1)
+            assert orbits._achieved_hull.cache_info().currsize <= ACHIEVED_HULL_CACHE_SIZE
+        assert orbits._achieved_hull.cache_info().currsize == ACHIEVED_HULL_CACHE_SIZE
+
+    def test_gamma_cut_is_not_memoized(self):
+        orbits._achieved_hull.cache_clear()
+        x = REPS[OrbitClass.DENSE]
+        assert equals(gamma_highest_weight_polytope(RealFormCase(x, NEG), 2, 1), seg(1, 3))
+        cut = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), 2, 1)
+        assert cut.is_empty
+        assert orbits._achieved_hull.cache_info().hits == 1
+
+    @given(real_points(), nonzero_rationals, nonzero_rationals, weights, weights, gammas)
+    @settings(deadline=None, max_examples=60)
+    def test_rescaling_either_pair_changes_nothing(self, x, t1, t2, lam1, lam2, gamma):
+        a1, c1, a2, c2 = (g.re for g in x.coords)
+        for y in (FlagPoint.real(t1 * a1, t1 * c1, a2, c2),
+                  FlagPoint.real(a1, c1, t2 * a2, t2 * c2)):
+            assert y == x
+            assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
+            case, scaled = RealFormCase(x, gamma), RealFormCase(y, gamma)
+            assert equals(gamma_highest_weight_polytope(scaled, lam1, lam2),
+                          gamma_highest_weight_polytope(case, lam1, lam2))
+            assert equals(real_moment_polytope(scaled, lam1, lam2),
+                          real_moment_polytope(case, lam1, lam2))
+
+
+class TestRouteDisagreement:
+    def test_error_carries_both_routes(self, disagreeing_routes):
+        case = RealFormCase(REPS[OrbitClass.DENSE], NEG)
+        with pytest.raises(RouteDisagreementError) as info:
+            real_moment_polytope(case, 2, 1)
+        err = info.value
+        assert isinstance(err, AssertionError)
+        assert equals(err.via_intersection, seg(1, 3))
+        assert equals(err.via_representation, seg(1, 2))
+        assert err.point == case.x and err.gamma is NEG
+        assert (err.lam1, err.lam2) == (2, 1)
+        assert err.orbit_class is OrbitClass.DENSE
+        assert str(err) == "route disagreement at ((0:1), (1:1)), weights (2,1): [1, 3] vs [1, 2]"
+
+    def test_check_two_routes_counts_a_mismatch(self, disagreeing_routes):
+        result = check_two_routes()
+        assert not result.passed
+        assert result.detail.startswith("80 cases x 2 routes, mismatches: [")
+        assert "'dense@(2,1)'" in result.detail
