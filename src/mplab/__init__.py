@@ -50,12 +50,9 @@ from .reps import (
 )
 from .weights import (
     InvolutionSpec,
-    diagonal_project,
     identity_involution,
     involution_eigenspaces,
-    is_dominant,
     negation_involution,
-    weight_embed,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +74,6 @@ __all__ = [
     "classify_borel_orbit_closure",
     "clebsch_gordan_highest_weights",
     "contains",
-    "diagonal_project",
     "eigensplit",
     "enumerate_polytope_catalog",
     "equals",
@@ -88,7 +84,6 @@ __all__ = [
     "identity_involution",
     "intersect_subspace",
     "involution_eigenspaces",
-    "is_dominant",
     "is_lagrangian",
     "kernel",
     "membership_in_C",
@@ -103,5 +98,4 @@ __all__ = [
     "torus_weight",
     "verify_n_invariance",
     "weight_decomposition",
-    "weight_embed",
 ]

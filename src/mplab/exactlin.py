@@ -67,10 +67,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -82,9 +78,6 @@ class RatMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -182,18 +175,6 @@ def kernel(m: RatMatrix) -> list[Vector]:
     return basis
 
 
-def invert(m: RatMatrix) -> RatMatrix:
-    if not m.is_square:
-        raise ValueError("only square matrices are invertible")
-    n = m.rows
-    aug = RatMatrix(tuple(row + RatMatrix.identity(n).entries[i]
-                          for i, row in enumerate(m.entries)))
-    reduced, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return RatMatrix(tuple(row[n:] for row in reduced.entries))
-
-
 def row_space_basis(m: RatMatrix) -> list[Vector]:
     """Canonical (reduced echelon) basis of the row space."""
     reduced, pivots = rref(m)
@@ -226,9 +207,6 @@ class LinearInvolution:
     @property
     def dim(self) -> int:
         return self.matrix.rows
-
-    def __neg__(self) -> "LinearInvolution":
-        return LinearInvolution(-self.matrix)
 
 
 def eigensplit(s: LinearInvolution) -> tuple[list[Vector], list[Vector]]:

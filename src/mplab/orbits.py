@@ -137,8 +137,7 @@ def _nonvanishing(k: int, r: int, lam1: int, lam2: int,
             and (k == 0 or not d))
 
 
-def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam,
-                    r_limit: int | None = None) -> Membership:
+def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
     """Does some bundle power carry an invariant vector of weight r*lam
     that is nonzero on the orbit closure of x?
 
@@ -151,9 +150,8 @@ def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam,
     _check_weights(lam1, lam2)
     lam = frac(lam)
     q = lam.denominator
-    bound = r_limit if r_limit is not None else 2 * q * (lam1 + lam2)
     z1, z2, d = orbit_predicates(x)
-    for r in range(q, bound + 1, q):
+    for r in range(q, 2 * q * (lam1 + lam2) + 1, q):
         r_lam = lam * r
         if r_lam < 0 or r_lam.denominator != 1:
             continue
@@ -201,7 +199,7 @@ class RealFormCase:
             raise ValueError("torus involution must act on the rank-1 torus dual")
 
 
-# Largest bundle power the representation route evaluates by default.
+# Largest bundle power the representation route evaluates.
 REPRESENTATION_R_MAX = 2
 
 # Bound of the representation-route memo below.  The verify gate asks for 80
@@ -212,8 +210,7 @@ ACHIEVED_HULL_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=ACHIEVED_HULL_CACHE_SIZE)
-def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int,
-                   r_max: int) -> RationalPolytope:
+def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -> RationalPolytope:
     """Hull of the weights whose invariant vectors are nonzero at ``coords``.
 
     Independent of the involution, so it is memoized per exact coordinate
@@ -221,7 +218,7 @@ def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int,
     miss, which is still correct.
     """
     achieved: list[tuple[Fraction, ...]] = []
-    for r in range(1, r_max + 1):
+    for r in range(1, REPRESENTATION_R_MAX + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for k in range(spec.k_max + 1):
             vec = highest_weight_vector(spec, k)
@@ -230,20 +227,19 @@ def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int,
     return hull(achieved)
 
 
-def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int,
-                                  r_max: int = REPRESENTATION_R_MAX) -> RationalPolytope:
+def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:
     """Closure of the constrained weight set, by the representation route.
 
     Evaluates the actual invariant vectors at the base point over bundle
-    powers r <= r_max, hulls the achieved weights (exact rationals), and
-    intersects with the negated eigenspace of gamma.  For integer weights
-    r = 1 already achieves the extreme points; r_max = 2 adds a safety
-    margin at trivial cost.  The hull is memoized per (coordinates, weights,
-    r_max) in a memo of ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by
+    powers r <= ``REPRESENTATION_R_MAX``, hulls the achieved weights (exact
+    rationals), and intersects with the negated eigenspace of gamma.  For
+    integer weights r = 1 already achieves the extreme points; r = 2 adds a
+    safety margin at trivial cost.  The hull is memoized per (coordinates,
+    weights) in a memo of ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by
     gamma runs on every call.
     """
     _check_weights(lam1, lam2)
-    closure = _achieved_hull(case.x.coords, lam1, lam2, r_max)
+    closure = _achieved_hull(case.x.coords, lam1, lam2)
     _, q_sub = involution_eigenspaces(case.gamma)
     return intersect_subspace(closure, q_sub)
 

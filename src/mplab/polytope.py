@@ -75,11 +75,6 @@ def equals(p: RationalPolytope, q: RationalPolytope) -> bool:
     return p.vertices == q.vertices
 
 
-def contains_polytope(outer: RationalPolytope, inner: RationalPolytope) -> bool:
-    """True iff every vertex of ``inner`` lies in ``outer`` (so inner subset outer)."""
-    return all(contains(outer, v) for v in inner.vertices)
-
-
 def intersect_subspace(p: RationalPolytope, basis: Sequence[Sequence]) -> RationalPolytope:
     """Exact cut of ``p`` by the span of ``basis``, a linear subspace of the line.
 

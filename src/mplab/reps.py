@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import GaussianRational, RatMatrix, kernel
@@ -77,12 +77,6 @@ class BiHomogPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, exp: Exponent) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def __add__(self, other: "BiHomogPoly") -> "BiHomogPoly":
         if self.bidegree != other.bidegree:
@@ -261,29 +255,6 @@ def verify_n_invariance(f: BiHomogPoly) -> bool:
     return all(e == 0 for (_, _, _, _, e) in f.shear_expansion())
 
 
-def n_invariance_randomized(f: BiHomogPoly, trials: int | None = None) -> bool:
-    """Fast evaluation-based invariance check at deg+1 shear parameters.
-
-    A polynomial identity in t of degree <= d1 + d2 that vanishes at
-    d1 + d2 + 1 distinct rational t values vanishes identically; points are
-    fixed small rationals so the check is deterministic.  The symbolic
-    check remains the authority in tests.
-    """
-    d1, d2 = f.bidegree
-    n_t = (trials if trials is not None else d1 + d2 + 1)
-    base = [GaussianRational.of(Fraction(2, 3), Fraction(1, 5)),
-            GaussianRational.of(Fraction(-1, 2), Fraction(3, 7)),
-            GaussianRational.of(Fraction(5, 4), Fraction(-2, 9)),
-            GaussianRational.of(Fraction(1, 6), Fraction(1))]
-    for idx in range(n_t):
-        t = GaussianRational.of(Fraction(idx + 1, 2))
-        x1, y1, x2, y2 = base
-        sheared = (x1 - t * y1, y1, x2 - t * y2, y2)
-        if not (f.evaluate(sheared) - f.evaluate(base)).is_zero:
-            return False
-    return True
-
-
 def torus_weight(f: BiHomogPoly) -> int:
     """Common weight (b - a) + (d - c) of all terms; MixedWeightsError otherwise."""
     if f.is_zero:
@@ -332,13 +303,9 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
     basis = kernel(RatMatrix.from_rows(rows))
     out = []
     for vec in basis:
-        denom_lcm = 1
-        for entry in vec:
-            denom_lcm = denom_lcm * entry.denominator // _gcd(denom_lcm, entry.denominator)
+        denom_lcm = lcm(*(entry.denominator for entry in vec))
         ints = [int(entry * denom_lcm) for entry in vec]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
+        g = gcd(*ints)
         ints = [v // g for v in ints]
         poly = BiHomogPoly.from_terms(spec.bidegree,
                                       {m: c for m, c in zip(monos, ints) if c != 0})
@@ -347,9 +314,3 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
             poly = -poly
         out.append(poly)
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

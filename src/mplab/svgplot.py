@@ -6,6 +6,7 @@ numbers, so plotting cannot alter results.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polytope import RationalPolytope
@@ -75,6 +76,8 @@ def render_samples_svg(phi1: list[float], phi3: list[float]) -> str:
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
     hi += 0.05 * span
+    if not all(map(math.isfinite, phi1 + phi3 + [hi - lo])):
+        raise ValueError("moment values must be finite, with a range a float can hold")
 
     def to_px(v: float) -> float:
         return pad + (v - lo) / (hi - lo) * (width - 2 * pad)

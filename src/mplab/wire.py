@@ -108,13 +108,13 @@ def format_point(x: FlagPoint) -> str:
     return f"{fmt(x.a1)},{fmt(x.c1)};{fmt(x.a2)},{fmt(x.c2)}"
 
 
-def parse_gamma(text: str, rank: int = 1) -> InvolutionSpec:
+def parse_gamma(text: str) -> InvolutionSpec:
     """'negation', 'identity', or a JSON integer matrix literal."""
     tag = text.strip()
     if tag == "negation":
-        return negation_involution(rank)
+        return negation_involution()
     if tag == "identity":
-        return identity_involution(rank)
+        return identity_involution()
     try:
         rows = json.loads(tag)
     except json.JSONDecodeError as exc:

@@ -110,6 +110,13 @@ class TestMalformedInput:
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "s.svg")))
 
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,-inf", "1.7e308,-1.7e308"])
+    def test_sample_csv_with_unplottable_moment(self, tmp_path, row):
+        src = tmp_path / "s.csv"
+        src.write_text(f"phi1,phi3\n0.5,0.25\n{row}\n")
+        assert_usage_error(run_cli("plot", "--in", str(src), "--out", str(tmp_path / "s.svg")))
+        assert not (tmp_path / "s.svg").exists()
+
     @pytest.mark.parametrize("vertices", [[[1.5, 1]], [["1", 2.0]], [[True, 1]]],
                              ids=json.dumps)
     def test_polytope_json_coordinate_not_an_integer(self, tmp_path, vertices):

@@ -14,7 +14,6 @@ from mplab.exactlin import (
     fixed_subspace,
     is_antisymplectic,
     is_lagrangian,
-    invert,
     kernel,
     random_antisymplectic_involution,
     rref,
@@ -144,15 +143,6 @@ class TestFractionFreeCore:
         v = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
         assert m.apply(v) == tuple(row[0] for row in reference_matmul(m.entries, [[x] for x in v]))
 
-    @given(rational_matrices(max_rows=5, max_cols=5))
-    @settings(deadline=None, max_examples=100)
-    def test_invert_equals_reference(self, m):
-        if not m.is_square or len(reference_rref(m.entries)[1]) != m.rows:
-            with pytest.raises(ValueError):
-                invert(m)
-        else:
-            assert invert(m).entries == reference_invert(m.entries)
-
     @given(st.sampled_from([2, 4, 6, 8]), st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), rationals),
         max_size=6))
@@ -199,7 +189,7 @@ class TestKernel:
         assert kernel(RatMatrix.identity(2)) == []
 
     def test_zero_matrix_gives_standard_basis(self):
-        assert kernel(RatMatrix.zero(2, 2)) == [(F(1), F(0)), (F(0), F(1))]
+        assert kernel(RatMatrix.from_rows([[0, 0], [0, 0]])) == [(F(1), F(0)), (F(0), F(1))]
 
     def test_one_relation(self):
         assert kernel(RatMatrix.from_rows([[1, 1]])) == [(F(1), F(-1))]
@@ -308,7 +298,7 @@ class TestAntisymplecticInvolutions:
     def test_negation_closure(self):
         omega = standard_symplectic_form(4)
         s = random_antisymplectic_involution(4, 3)
-        neg = -s
+        neg = LinearInvolution(-s.matrix)
         assert is_antisymplectic(neg, omega)
         _, minus = eigensplit(s)
         assert fixed_subspace(neg) == minus

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mplab import orbits
 from mplab.checks import check_two_routes
-from mplab.exactlin import GaussianRational
+from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix
 from mplab.orbits import (
     ACHIEVED_HULL_CACHE_SIZE,
     FlagPoint,
@@ -28,7 +28,6 @@ from mplab.orbits import (
 from mplab.polytope import (
     RationalPolytope,
     contains,
-    contains_polytope,
     equals,
     hull,
     intersect_subspace,
@@ -36,6 +35,7 @@ from mplab.polytope import (
 from mplab.reps import SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
     ExactGroupElement2x2,
+    InvolutionSpec,
     identity_involution,
     involution_eigenspaces,
     negation_involution,
@@ -177,8 +177,8 @@ class TestMomentPolytope:
                 achieved = []
                 for k in range(min(l1, l2) + 1):
                     lam = l1 + l2 - 2 * k
-                    got = membership_in_C(x, l1, l2, lam, r_limit=1)
-                    if got.member:
+                    got = membership_in_C(x, l1, l2, lam)
+                    if got.witness == 1:
                         achieved.append((F(lam),))
                 assert equals(hull(achieved), moment_polytope(x, l1, l2)), (cls, l1, l2)
 
@@ -186,7 +186,7 @@ class TestMomentPolytope:
         for l1, l2 in ((1, 1), (2, 1), (3, 4)):
             dense = moment_polytope(REPS[OrbitClass.DENSE], l1, l2)
             for x in REPS.values():
-                assert contains_polytope(dense, moment_polytope(x, l1, l2))
+                assert all(contains(dense, v) for v in moment_polytope(x, l1, l2).vertices)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -202,7 +202,8 @@ class TestRealFormCase:
 
     def test_requires_rank_one(self):
         with pytest.raises(ValueError):
-            RealFormCase(REPS[OrbitClass.DENSE], negation_involution(2))
+            RealFormCase(REPS[OrbitClass.DENSE],
+                         InvolutionSpec(LinearInvolution(-RatMatrix.identity(2))))
 
 
 class TestTwoRoutes:
