@@ -15,7 +15,6 @@ from .exactlin import (
     LinearInvolution,
     RatMatrix,
     SymplecticForm,
-    eigensplit,
     fixed_subspace,
     is_lagrangian,
     kernel,
@@ -35,7 +34,7 @@ from .orbits import (
     orbit_representatives,
     real_moment_polytope,
 )
-from .polytope import RationalPolytope, contains, equals, hull, intersect_subspace
+from .polytope import RationalPolytope, contains, equals, hull
 from .reps import (
     BiHomogPoly,
     MixedWeightsError,
@@ -51,7 +50,6 @@ from .reps import (
 from .weights import (
     InvolutionSpec,
     identity_involution,
-    involution_eigenspaces,
     negation_involution,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "classify_borel_orbit_closure",
     "clebsch_gordan_highest_weights",
     "contains",
-    "eigensplit",
     "enumerate_polytope_catalog",
     "equals",
     "fixed_subspace",
@@ -82,8 +79,6 @@ __all__ = [
     "highest_weight_vector",
     "hull",
     "identity_involution",
-    "intersect_subspace",
-    "involution_eigenspaces",
     "is_lagrangian",
     "kernel",
     "membership_in_C",

@@ -343,7 +343,7 @@ def _add_common(sub: argparse.ArgumentParser, point: bool = False,
     if point:
         sub.add_argument("--point", help="flag point literal 'a1,c1;a2,c2'")
     if gamma:
-        sub.add_argument("--gamma", help="involution: negation | identity | JSON matrix")
+        sub.add_argument("--gamma", help="involution: negation | identity | [[-1]] | [[1]]")
     if r:
         sub.add_argument("--r", type=int, help="bundle power (default 1)")
 

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: kernels, involution eigensplits, symplectic predicates.
+"""Exact rational linear algebra: kernels, involution fixed spaces, symplectic predicates.
 
 Everything here works over Q (``fractions.Fraction``) or Q(i) (:class:`GaussianRational`)
 with no rounding anywhere.  Products and elimination are fraction-free inside:
@@ -6,7 +6,7 @@ each row or column is cleared of denominators once, the work runs over ``int``,
 and one ``Fraction`` is built per result entry.  Canonical forms follow
 reduced-echelon conventions so that outputs are directly comparable in tests:
 
-* null-space / eigenspace bases are normalized to leading coefficient 1 and
+* null-space / fixed-space bases are normalized to leading coefficient 1 and
   ordered by pivot position,
 * matrices are immutable, equality is entry-wise.
 """
@@ -175,14 +175,10 @@ def kernel(m: RatMatrix) -> list[Vector]:
     return basis
 
 
-def row_space_basis(m: RatMatrix) -> list[Vector]:
-    """Canonical (reduced echelon) basis of the row space."""
-    reduced, pivots = rref(m)
-    return [reduced.entries[i] for i in range(len(pivots))]
-
-
 def column_space_basis(m: RatMatrix) -> list[Vector]:
-    return row_space_basis(m.transpose())
+    """Canonical (reduced echelon) basis of the column space."""
+    reduced, pivots = rref(m.transpose())
+    return [reduced.entries[i] for i in range(len(pivots))]
 
 
 def span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -209,23 +205,13 @@ class LinearInvolution:
         return self.matrix.rows
 
 
-def eigensplit(s: LinearInvolution) -> tuple[list[Vector], list[Vector]]:
-    """Canonical rational bases of the +1 and -1 eigenspaces of an involution.
-
-    Computed by column reduction of I +/- S, twice the projectors (I +/- S)/2
-    and with the same column spaces; the two bases together always span the
-    whole space.
-    """
-    n = s.dim
-    ident = RatMatrix.identity(n)
-    plus = column_space_basis(ident + s.matrix)
-    minus = column_space_basis(ident - s.matrix)
-    return plus, minus
-
-
 def fixed_subspace(s: LinearInvolution) -> list[Vector]:
-    """Basis of ker(S - I), i.e. the +1 eigenspace."""
-    return eigensplit(s)[0]
+    """Canonical rational basis of ker(S - I), the +1 eigenspace.
+
+    Computed as the column space of I + S, which is twice the projector onto
+    the +1 eigenspace; the -1 eigenspace of S is ``fixed_subspace`` of -S.
+    """
+    return column_space_basis(RatMatrix.identity(s.dim) + s.matrix)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ question to the three predicates.  From that case analysis:
   when lam1 != lam2)
 * the fixed point        -> empty
 
-Real-form counterparts intersect these with the negated eigenspace of the
-torus involution; the headline identity "real polytope = polytope cut by
-the negated eigenspace" is computed by two independent routes, compared on
-every call; a disagreement raises :class:`RouteDisagreementError`.
+Real-form counterparts cut these by the negated eigenspace of the torus
+involution (:meth:`InvolutionSpec.negated_cut`); the headline identity
+"real polytope = polytope cut by the negated eigenspace" is computed by two
+independent routes, compared on every call; a disagreement raises
+:class:`RouteDisagreementError`.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, frac
-from .polytope import RationalPolytope, equals, hull, intersect_subspace
+from .polytope import RationalPolytope, equals, hull
 from .reps import SectionSpaceSpec, highest_weight_vector
-from .weights import ExactGroupElement2x2, InvolutionSpec, involution_eigenspaces
+from .weights import ExactGroupElement2x2, InvolutionSpec
 
 
 class OrbitClass(Enum):
@@ -195,8 +196,6 @@ class RealFormCase:
     def __post_init__(self):
         if not self.x.is_real:
             raise ValueError("base point must have real coordinates")
-        if self.gamma.rank != 1:
-            raise ValueError("torus involution must act on the rank-1 torus dual")
 
 
 # Largest bundle power the representation route evaluates.
@@ -232,16 +231,14 @@ def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> R
 
     Evaluates the actual invariant vectors at the base point over bundle
     powers r <= ``REPRESENTATION_R_MAX``, hulls the achieved weights (exact
-    rationals), and intersects with the negated eigenspace of gamma.  For
+    rationals), and cuts them by the negated eigenspace of gamma.  For
     integer weights r = 1 already achieves the extreme points; r = 2 adds a
     safety margin at trivial cost.  The hull is memoized per (coordinates,
     weights) in a memo of ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by
     gamma runs on every call.
     """
     _check_weights(lam1, lam2)
-    closure = _achieved_hull(case.x.coords, lam1, lam2)
-    _, q_sub = involution_eigenspaces(case.gamma)
-    return intersect_subspace(closure, q_sub)
+    return case.gamma.negated_cut(_achieved_hull(case.x.coords, lam1, lam2))
 
 
 class RouteDisagreementError(AssertionError):
@@ -275,8 +272,7 @@ def real_moment_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPo
     disagreement it raises :class:`RouteDisagreementError` with both answers.
     """
     _check_weights(lam1, lam2)
-    _, q_sub = involution_eigenspaces(case.gamma)
-    via_intersection = intersect_subspace(moment_polytope(case.x, lam1, lam2), q_sub)
+    via_intersection = case.gamma.negated_cut(moment_polytope(case.x, lam1, lam2))
     via_representation = gamma_highest_weight_polytope(case, lam1, lam2)
     if not equals(via_intersection, via_representation):
         raise RouteDisagreementError(case, lam1, lam2, via_intersection, via_representation)

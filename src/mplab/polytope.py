@@ -3,9 +3,7 @@
 Every polytope of the worked model lives in the dual of the diagonal torus
 of SU(2), which is a line, so a polytope is an exact closed interval over Q:
 empty, a point or a segment.  It is stored as its sorted distinct endpoints,
-each a 1-tuple, so equality is syntactic.  A linear subspace of the line is
-the whole axis or the origin, so a subspace cut keeps the interval or keeps
-at most the origin.
+each a 1-tuple, so equality is syntactic.
 """
 
 from __future__ import annotations
@@ -73,18 +71,3 @@ def contains(p: RationalPolytope, x: Sequence) -> bool:
 def equals(p: RationalPolytope, q: RationalPolytope) -> bool:
     """Syntactic equality of canonical intervals."""
     return p.vertices == q.vertices
-
-
-def intersect_subspace(p: RationalPolytope, basis: Sequence[Sequence]) -> RationalPolytope:
-    """Exact cut of ``p`` by the span of ``basis``, a linear subspace of the line.
-
-    One basis vector spans the whole axis and the cut is ``p``; no basis
-    vector spans the origin and the cut is ``{0}`` or empty.
-    """
-    vecs = [_point(v) for v in basis]
-    if len(vecs) > 1 or any(v[0] == 0 for v in vecs):
-        raise ValueError("a basis of a subspace of the line has at most one nonzero vector")
-    if vecs:
-        return p
-    origin = (0,)
-    return hull([origin]) if contains(p, origin) else RationalPolytope.empty()

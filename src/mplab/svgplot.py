@@ -7,7 +7,6 @@ numbers, so plotting cannot alter results.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .polytope import RationalPolytope
 
@@ -23,12 +22,18 @@ def render_polytope_svg(p: RationalPolytope) -> str:
     """1-D polytope on the weight axis: segment, dot(s), or an 'empty' note."""
     width, height, pad = 420, 90, 30
     axis_y = 55.0
-    vals = [float(v[0]) for v in p.vertices]
-    lo = min(vals + [0.0]) if vals else 0.0
-    hi = max(vals + [1.0]) if vals else 1.0
-    span = (hi - lo) or 1.0
-    lo -= 0.1 * span
-    hi += 0.1 * span
+    try:
+        vals = [float(v[0]) for v in p.vertices]
+        lo = min(vals + [0.0])
+        hi = max(vals + [1.0])
+        span = hi - lo
+        lo -= 0.1 * span
+        hi += 0.1 * span
+        # one tick per integer, or per power of ten once the axis spans more than
+        # 20; an infinite span overflows in ceil, as a huge vertex does in float
+        step = 10 ** max(0, math.ceil(math.log10((hi - lo) / 20)))
+    except OverflowError:
+        raise ValueError("polytope vertices must lie in a range a float can hold") from None
 
     def sx(v: float) -> float:
         return pad + (v - lo) / (hi - lo) * (width - 2 * pad)
@@ -36,15 +41,12 @@ def render_polytope_svg(p: RationalPolytope) -> str:
     parts = [_HEADER.format(w=width, h=height)]
     parts.append(f'<line x1="{pad}" y1="{_fmt(axis_y)}" x2="{width - pad}" '
                  f'y2="{_fmt(axis_y)}" stroke="black" stroke-width="1"/>')
-    tick = Fraction(int(lo) - 1)
-    while float(tick) <= hi:
-        if lo <= float(tick) <= hi:
-            x = sx(float(tick))
-            parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(axis_y - 4)}" x2="{_fmt(x)}" '
-                         f'y2="{_fmt(axis_y + 4)}" stroke="black" stroke-width="1"/>')
-            parts.append(f'<text x="{_fmt(x)}" y="{_fmt(axis_y + 18)}" font-size="10" '
-                         f'text-anchor="middle">{tick}</text>')
-        tick += 1
+    for tick in range(math.ceil(lo / step) * step, math.floor(hi / step) * step + 1, step):
+        x = sx(tick)
+        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(axis_y - 4)}" x2="{_fmt(x)}" '
+                     f'y2="{_fmt(axis_y + 4)}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(axis_y + 18)}" font-size="10" '
+                     f'text-anchor="middle">{tick}</text>')
     if not p.vertices:
         parts.append(f'<text x="{width // 2}" y="25" font-size="12" '
                      f'text-anchor="middle">empty polytope</text>')

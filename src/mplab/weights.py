@@ -2,8 +2,8 @@
 
 Conventions for the worked model: the maximal torus of SU(2) consists of the
 diagonal matrices and weights are stored in alpha-units, integers on the
-lattice.  All involution data acts on these coordinates by an integer matrix,
-which keeps every eigenspace basis rational.
+lattice.  The torus dual is a line, whose only lattice-preserving involutions
+are w -> -w and w -> w, so an involution is a sign.
 """
 
 from __future__ import annotations
@@ -11,42 +11,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import GaussianRational, LinearInvolution, RatMatrix, Vector, eigensplit
+from .exactlin import GaussianRational
+from .polytope import RationalPolytope, contains, hull
 
 
 @dataclass(frozen=True)
 class InvolutionSpec:
-    """Lattice-preserving involution on the torus dual, with a descriptive tag."""
+    """Involution w -> sign * w of the torus dual, with a descriptive tag."""
 
-    action: LinearInvolution
+    sign: int
     label: str = ""
 
     def __post_init__(self):
-        for row in self.action.matrix.entries:
-            for entry in row:
-                if entry.denominator != 1:
-                    raise ValueError("involution does not preserve the weight lattice")
+        if self.sign not in (1, -1):
+            raise ValueError(f"involution sign {self.sign} is not +1 or -1")
 
-    @property
-    def rank(self) -> int:
-        return self.action.dim
+    def negated_cut(self, p: RationalPolytope) -> RationalPolytope:
+        """Exact cut of ``p`` by the -1 eigenspace of the involution.
+
+        Negation negates the whole axis, so the cut is ``p``; the identity
+        negates only the origin, so the cut is ``{0}`` or empty.
+        """
+        if self.sign == -1:
+            return p
+        origin = (0,)
+        return hull([origin]) if contains(p, origin) else RationalPolytope.empty()
 
 
 def negation_involution() -> InvolutionSpec:
-    return InvolutionSpec(LinearInvolution(-RatMatrix.identity(1)), "negation")
+    return InvolutionSpec(-1, "negation")
 
 
 def identity_involution() -> InvolutionSpec:
-    return InvolutionSpec(LinearInvolution(RatMatrix.identity(1)), "identity")
-
-
-def involution_eigenspaces(gamma: InvolutionSpec) -> tuple[list[Vector], list[Vector]]:
-    """Bases of the (fixed part, negated part) of the torus dual under gamma.
-
-    The fixed (+1) eigenspace carries the compact-side weights, the negated
-    (-1) eigenspace is where moment values of involution-fixed points live.
-    """
-    return eigensplit(gamma.action)
+    return InvolutionSpec(1, "identity")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 
-from .exactlin import GaussianRational, LinearInvolution, RatMatrix
+from .exactlin import GaussianRational
 from .orbits import FlagPoint
 from .polytope import RationalPolytope
 from .weights import InvolutionSpec, identity_involution, negation_involution
@@ -37,7 +37,7 @@ def _wire_int(value) -> int:
         return value
     if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
         return int(value)
-    raise ValueError(f"polytope JSON coordinate {json.dumps(value)} is not an integer "
+    raise ValueError(f"polytope JSON value {json.dumps(value)} is not an integer "
                      "or a decimal-integer string")
 
 
@@ -55,7 +55,7 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise ValueError('polytope JSON must be an object with "dim" and "vertices"')
     try:
-        dim = int(obj["dim"])
+        dim = _wire_int(obj["dim"])
         if dim != 1:
             raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
         verts = tuple(sorted((pair_to_rational(v),) for v in obj["vertices"]))
@@ -109,7 +109,11 @@ def format_point(x: FlagPoint) -> str:
 
 
 def parse_gamma(text: str) -> InvolutionSpec:
-    """'negation', 'identity', or a JSON integer matrix literal."""
+    """'negation', 'identity', or the JSON matrix literal [[-1]] or [[1]].
+
+    The weight axis has no other lattice-preserving involution, so every
+    other literal is a ``ValueError``.
+    """
     tag = text.strip()
     if tag == "negation":
         return negation_involution()
@@ -117,11 +121,8 @@ def parse_gamma(text: str) -> InvolutionSpec:
         return identity_involution()
     try:
         rows = json.loads(tag)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"unknown involution tag {tag!r}") from exc
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(row, list) and len(row) == len(rows)
-                    and all(type(v) is int for v in row) for row in rows)):
-        raise ValueError(f"involution matrix {tag!r} is not a square JSON array of integers")
-    matrix = RatMatrix.from_rows(rows)
-    return InvolutionSpec(LinearInvolution(matrix), "matrix")
+    if rows not in ([[-1]], [[1]]) or type(rows[0][0]) is not int:
+        raise ValueError(f"involution matrix {tag!r} is not [[-1]] or [[1]]")
+    return InvolutionSpec(rows[0][0], "matrix")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mplab import cli, wire
+from mplab import cli, svgplot, wire
 from mplab.orbits import orbit_representatives
 from mplab.polytope import equals, hull
 
@@ -132,6 +132,42 @@ class TestMalformedInput:
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("dim", [1.9, True], ids=json.dumps)
+    def test_polytope_json_dim_not_an_integer(self, tmp_path, dim):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"dim": dim, "vertices": [["1", "1"]]}))
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "x.svg")))
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("vertices", [
+        [["1" + "0" * 400, "1"]],                           # beyond a float
+        [["-1" + "0" * 308, "1"], ["1" + "0" * 308, "1"]],  # a span beyond a float
+    ], ids=["huge-vertex", "huge-span"])
+    def test_polytope_json_vertex_out_of_float_range(self, tmp_path, vertices):
+        src = tmp_path / "x.json"
+        src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
+        assert_usage_error(run_cli("plot", "--in", str(src),
+                                   "--out", str(tmp_path / "x.svg")))
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("literal", ["[[2]]", "[[1,0],[0,1]]", "[[true]]", "[[1.0]]", "[]"])
+    @pytest.mark.parametrize("command", ["realpolytope", "catalog"])
+    def test_gamma_literal_other_than_a_sign(self, command, literal, capsys):
+        point = ["--point", "0/1,1/1;1/1,1/1"] if command == "realpolytope" else []
+        code = cli.main([command, "--weights", "2", "1", *point, "--gamma", literal])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        # refused while parsing --gamma, with one line
+        assert captured.err == f"error: involution matrix {literal!r} is not [[-1]] or [[1]]\n"
+
+    def test_deeply_nested_gamma_literal(self, capsys):
+        code = cli.main(["catalog", "--weights", "2", "1", "--gamma", "[" * 100_000])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: unknown involution tag")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestInputLimits:
@@ -261,6 +297,21 @@ class TestRealPolytopeCommand:
         assert json.loads(p.stdout)["equal"] is True
 
 
+@pytest.mark.parametrize("literal, tag", [("[[-1]]", "negation"), ("[[1]]", "identity")])
+@pytest.mark.parametrize("command", ["realpolytope", "catalog"])
+def test_matrix_literal_prints_what_its_tag_prints(command, literal, tag, capsys):
+    """Apart from the catalog's "gamma" label, a matrix literal is its tag."""
+    argv = [command, "--weights", "1", "1"]
+    if command == "realpolytope":
+        argv += ["--point", "0/1,1/1;1/1,1/1"]
+    assert cli.main([*argv, "--gamma", literal]) == 0
+    by_literal = capsys.readouterr()
+    assert cli.main([*argv, "--gamma", tag]) == 0
+    by_tag = capsys.readouterr()
+    assert by_literal.out.replace('"gamma":"matrix"', f'"gamma":"{tag}"') == by_tag.out
+    assert by_literal.err == by_tag.err
+
+
 class TestCatalogCommand:
     def test_worked_catalog(self):
         p = run_cli("catalog", "--weights", "2", "1", "--gamma", "negation")
@@ -346,6 +397,12 @@ class TestSampleAndPlot:
         assert 'version="1.1"' in text
         # render-only: the source artifact is untouched
         assert json.loads(src.read_text()) == json.loads(p.stdout)
+
+    def test_plot_wide_polytope_ticks_by_powers_of_ten(self):
+        # one tick per integer would draw a million; the span of 1.2e6 steps by 1e5
+        svg = svgplot.render_polytope_svg(hull([(0,), (10**6,)]))
+        assert svg.count("<text") == 1 + 13
+        assert ">1000000</text>" in svg
 
     def test_plot_samples(self, tmp_path):
         csv_path = tmp_path / "s.csv"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplab import orbits
+from mplab import orbits, wire
 from mplab.checks import check_two_routes
-from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix
+from mplab.exactlin import GaussianRational
 from mplab.orbits import (
     ACHIEVED_HULL_CACHE_SIZE,
     FlagPoint,
@@ -30,14 +30,11 @@ from mplab.polytope import (
     contains,
     equals,
     hull,
-    intersect_subspace,
 )
 from mplab.reps import SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
     ExactGroupElement2x2,
-    InvolutionSpec,
     identity_involution,
-    involution_eigenspaces,
     negation_involution,
 )
 
@@ -201,9 +198,9 @@ class TestRealFormCase:
             RealFormCase(FlagPoint(i, one, one, one), NEG)
 
     def test_requires_rank_one(self):
+        # a rank-2 involution is refused before a case can be built
         with pytest.raises(ValueError):
-            RealFormCase(REPS[OrbitClass.DENSE],
-                         InvolutionSpec(LinearInvolution(-RatMatrix.identity(2))))
+            RealFormCase(REPS[OrbitClass.DENSE], wire.parse_gamma("[[-1, 0], [0, -1]]"))
 
 
 class TestTwoRoutes:
@@ -272,8 +269,10 @@ def reference_representation_route(case, lam1, lam2, r_max=2):
         for k in range(spec.k_max + 1):
             if not highest_weight_vector(spec, k).evaluate(case.x.coords).is_zero:
                 achieved.append((F(r * (lam1 + lam2) - 2 * k, r),))
-    _, q_sub = involution_eigenspaces(case.gamma)
-    return intersect_subspace(hull(achieved), q_sub)
+    closure = hull(achieved)
+    if case.gamma.sign == -1:  # the -1 eigenspace is the whole axis
+        return closure
+    return hull([(0,)]) if contains(closure, (0,)) else RationalPolytope.empty()
 
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))

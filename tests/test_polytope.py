@@ -10,14 +10,14 @@ from mplab.polytope import (
     contains,
     equals,
     hull,
-    intersect_subspace,
 )
+from mplab.weights import identity_involution, negation_involution
 
 F = Fraction
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-AXIS = [(F(1),)]   # the whole line: the negated eigenspace of the negation involution
-ORIGIN = []        # the zero subspace: the negated eigenspace of the identity
+AXIS = negation_involution()    # negates the whole line
+ORIGIN = identity_involution()  # negates only the origin
 
 
 class TestHull:
@@ -83,40 +83,33 @@ class TestEquals:
 
 
 class TestIntersectSubspace:
+    """The cut by the -1 eigenspace of an involution, ``InvolutionSpec.negated_cut``:
+    the whole axis or the origin."""
+
     def test_full_space_is_identity(self):
         seg = hull([(1,), (3,)])
-        assert equals(intersect_subspace(seg, AXIS), seg)
+        assert equals(AXIS.negated_cut(seg), seg)
 
     def test_zero_subspace(self):
         seg = hull([(1,), (3,)])
-        assert intersect_subspace(seg, ORIGIN).is_empty
+        assert ORIGIN.negated_cut(seg).is_empty
         through = hull([(-1,), (3,)])
-        assert intersect_subspace(through, ORIGIN).vertices == ((F(0),),)
+        assert ORIGIN.negated_cut(through).vertices == ((F(0),),)
 
     def test_empty_input(self):
-        for basis in (AXIS, ORIGIN):
-            assert intersect_subspace(RationalPolytope.empty(), basis).is_empty
+        for gamma in (AXIS, ORIGIN):
+            assert gamma.negated_cut(RationalPolytope.empty()).is_empty
 
     def test_disjoint_line(self):
         for seg in (hull([(1,), (3,)]), hull([(-3,), (F(-1, 2),)])):
-            assert intersect_subspace(seg, ORIGIN).is_empty
+            assert ORIGIN.negated_cut(seg).is_empty
 
     def test_result_contained_in_input(self):
         seg = hull([(0,), (3,)])
-        for basis in (AXIS, [(F(-2),)], ORIGIN):
-            cut = intersect_subspace(seg, basis)
+        for gamma in (AXIS, ORIGIN):
+            cut = gamma.negated_cut(seg)
             assert not cut.is_empty
             assert all(contains(seg, v) for v in cut.vertices)
-
-
-class TestLinearSubspace:
-    """The basis that ``intersect_subspace`` takes spans a subspace of the line."""
-
-    def test_dependent_basis_rejected(self):
-        seg = hull([(0,), (3,)])
-        for basis in ([(1,), (2,)], [(0,)], [(1, 1)]):
-            with pytest.raises(ValueError):
-                intersect_subspace(seg, basis)
 
 
 @st.composite
@@ -157,8 +150,8 @@ def test_contains_is_interval_membership(p, x):
 @given(polytopes)
 @settings(deadline=None)
 def test_intersection_inside_polytope(p):
-    assert equals(intersect_subspace(p, AXIS), p)
-    cut = intersect_subspace(p, ORIGIN)
+    assert equals(AXIS.negated_cut(p), p)
+    cut = ORIGIN.negated_cut(p)
     assert all(contains(p, v) for v in cut.vertices)
     assert cut.vertices == (((F(0),),) if contains(p, (0,)) else ())
 

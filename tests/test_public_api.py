@@ -23,7 +23,6 @@ EXPECTED = {
     "classify_borel_orbit_closure",
     "clebsch_gordan_highest_weights",
     "contains",
-    "eigensplit",
     "enumerate_polytope_catalog",
     "equals",
     "fixed_subspace",
@@ -31,8 +30,6 @@ EXPECTED = {
     "highest_weight_vector",
     "hull",
     "identity_involution",
-    "intersect_subspace",
-    "involution_eigenspaces",
     "is_lagrangian",
     "kernel",
     "membership_in_C",

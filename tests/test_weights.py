@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix
+from mplab.exactlin import GaussianRational
+from mplab.polytope import RationalPolytope, hull
 from mplab.weights import (
     ExactGroupElement2x2,
     InvolutionSpec,
     identity_involution,
-    involution_eigenspaces,
     negation_involution,
 )
 
@@ -15,43 +15,26 @@ F = Fraction
 
 
 class TestInvolutionEigenspaces:
+    """An involution of the weight axis is a sign; its -1 eigenspace is the
+    whole axis for negation and the origin for the identity."""
+
     def test_negation_rank1(self):
-        fixed, negated = involution_eigenspaces(negation_involution())
-        assert fixed == []
-        assert negated == [(F(1),)]  # whole torus dual is negated
+        neg = negation_involution()
+        assert (neg.sign, neg.label) == (-1, "negation")
+        seg = hull([(1,), (3,)])
+        assert neg.negated_cut(seg) == seg  # whole torus dual is negated
 
     def test_identity(self):
-        fixed, negated = involution_eigenspaces(identity_involution())
-        assert fixed == [(F(1),)]
-        assert negated == []
-
-    def test_swap_rank2(self):
-        swap = InvolutionSpec(LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]])), "swap")
-        fixed, negated = involution_eigenspaces(swap)
-        assert fixed == [(F(1), F(1))]
-        assert negated == [(F(1), F(-1))]
-
-    def test_dimensions_sum_to_rank(self):
-        for matrix in (-RatMatrix.identity(2), RatMatrix.identity(2),
-                       RatMatrix.from_rows([[0, 1], [1, 0]])):
-            spec = InvolutionSpec(LinearInvolution(matrix))
-            fixed, negated = involution_eigenspaces(spec)
-            assert len(fixed) + len(negated) == spec.rank
-
-    def test_eigenbasis_clears_to_lattice(self):
-        swap = InvolutionSpec(LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]])))
-        for basis in involution_eigenspaces(swap):
-            for vec in basis:
-                denom = 1
-                for c in vec:
-                    denom = denom * c.denominator
-                assert all((c * denom).denominator == 1 for c in vec)
+        ident = identity_involution()
+        assert (ident.sign, ident.label) == (1, "identity")
+        assert ident.negated_cut(hull([(-1,), (3,)])) == hull([(0,)])
+        assert ident.negated_cut(hull([(1,), (3,)])) == RationalPolytope.empty()
 
     def test_lattice_preservation_enforced(self):
-        half = RatMatrix.from_rows([[F(1, 2), F(3, 2)], [F(1, 2), F(-1, 2)]])
-        inv = LinearInvolution(half)  # valid involution, but not integral
-        with pytest.raises(ValueError, match="lattice"):
-            InvolutionSpec(inv)
+        # the only lattice-preserving involutions of the line are w -> -w and w -> w
+        for sign in (0, 2, -2, F(1, 2)):
+            with pytest.raises(ValueError, match="sign"):
+                InvolutionSpec(sign)
 
 
 class TestExactGroupElement2x2:
