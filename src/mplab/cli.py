@@ -90,14 +90,23 @@ def _text(value) -> str:
 def _int_pair(value) -> list[int]:
     if not isinstance(value, list) or len(value) != 2:
         raise TypeError("not a pair")
-    return [int(v) for v in value]
+    return [wire.json_int(v) for v in value]
+
+
+def _load_json(path: str):
+    """The JSON value in a file; nesting too deep to parse is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
 class _Config:
     """Flag resolution: explicit flag > config file > default.
 
     Flags arrive typed by argparse.  A config-file value is converted by the
-    option's ``kind`` (``int``, ``_text`` or ``_int_pair``), and a
+    option's ``kind`` (``wire.json_int``, ``_text`` or ``_int_pair``), and a
     value of the wrong JSON type raises a one-line ``ValueError`` naming the
     option.
     """
@@ -107,8 +116,7 @@ class _Config:
         self.table = {}
         path = getattr(args, "config", None)
         if path:
-            with open(path) as fh:
-                self.table = json.load(fh)
+            self.table = _load_json(path)
             if not isinstance(self.table, dict):
                 raise ValueError("config file must hold a JSON object")
 
@@ -144,10 +152,10 @@ class _Config:
         elif gamma is not None:
             gamma = wire.parse_gamma(gamma)
         return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma,
-                        seed=self.get("seed", int, _default_seed()))
+                        seed=self.get("seed", wire.json_int, _default_seed()))
 
     def section_spec(self, case: CaseSpec) -> SectionSpaceSpec:
-        return _limited(SectionSpaceSpec(self.get("r", int, 1), case.lam1, case.lam2))
+        return _limited(SectionSpaceSpec(self.get("r", wire.json_int, 1), case.lam1, case.lam2))
 
 
 def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
@@ -235,7 +243,7 @@ def cmd_hwv(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
     spec = cfg.section_spec(case)
-    k = cfg.require("k", int)
+    k = cfg.require("k", wire.json_int)
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     d1, d2 = spec.bidegree
@@ -262,7 +270,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=False)
     spec = cfg.section_spec(case)
-    weight = cfg.require("weight", int)
+    weight = cfg.require("weight", wire.json_int)
     basis = n_invariant_subspace(spec, weight)
     _emit({"r": spec.r, "weights": [case.lam1, case.lam2], "weight": weight,
            "dimension": len(basis), "basis": [b.pretty() for b in basis]})
@@ -273,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks  # NumPy and SciPy load only for the numeric subcommands
 
     cfg = _Config(args)
-    seed = cfg.get("seed", int, _default_seed())
+    seed = cfg.get("seed", wire.json_int, _default_seed())
     try:
         results = checks.run_suite(args.suite, seed)
     except ValueError as exc:
@@ -292,7 +300,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True)
     subgroup = cfg.get("subgroup", _text, "H")
-    n = cfg.get("n", int, 1000)
+    n = cfg.get("n", wire.json_int, 1000)
     if n > MAX_SAMPLES:
         raise ValueError(f"--n {n} exceeds the limit {MAX_SAMPLES}")
     from . import numeric
@@ -311,8 +319,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     src = args.infile
     if src.endswith(".json"):
-        with open(src) as fh:
-            obj = json.load(fh)
+        obj = _load_json(src)
         poly = wire.polytope_from_json(obj.get("polytope", obj) if isinstance(obj, dict) else obj)
         svg = svgplot.render_polytope_svg(poly)
     elif src.endswith(".csv"):

@@ -31,19 +31,19 @@ def rational_to_pair(x: Fraction) -> list[str]:
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
-def _wire_int(value) -> int:
+def json_int(value) -> int:
     """A JSON integer or a decimal-integer string; floats and booleans are rejected."""
     if type(value) is int:
         return value
     if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
         return int(value)
-    raise ValueError(f"polytope JSON value {json.dumps(value)} is not an integer "
+    raise ValueError(f"JSON value {json.dumps(value)} is not an integer "
                      "or a decimal-integer string")
 
 
 def pair_to_rational(pair) -> Fraction:
     num, den = pair
-    return Fraction(_wire_int(num), _wire_int(den))
+    return Fraction(json_int(num), json_int(den))
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:
@@ -55,7 +55,7 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise ValueError('polytope JSON must be an object with "dim" and "vertices"')
     try:
-        dim = _wire_int(obj["dim"])
+        dim = json_int(obj["dim"])
         if dim != 1:
             raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
         verts = tuple(sorted((pair_to_rational(v),) for v in obj["vertices"]))

@@ -162,6 +162,45 @@ class TestMalformedInput:
         # refused while parsing --gamma, with one line
         assert captured.err == f"error: involution matrix {literal!r} is not [[-1]] or [[1]]\n"
 
+    @pytest.mark.parametrize("command,bad", [
+        (["decompose"], {"weights": [2.7, True], "r": 1.5}),
+        (["decompose"], {"weights": [2, 1.0]}),
+        (["decompose"], {"r": True}),
+        (["decompose"], {"r": 1.5}),
+        (["hwv"], {"k": 0.0}),
+        (["oracle"], {"weight": False}),
+        (["sample", "--point", "0/1,1/1;1/1,1/1"], {"n": 10.0}),
+        (["sample", "--point", "0/1,1/1;1/1,1/1"], {"seed": True}),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v[0])
+    def test_config_integer_not_an_integer(self, tmp_path, capsys, command, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"weights": [2, 1], "r": 1, "k": 0, "weight": 1, **bad}))
+        code = cli.main([*command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        name = next(iter(bad))
+        assert captured.err == (f"error: bad value for --{name} in config file: "
+                                f"{json.dumps(bad[name])}\n")
+
+    def test_config_integer_strings_still_read(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"weights": ["2", 1], "r": "1"}))
+        assert cli.main(["decompose", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["weights"] == [2, 1]
+
+    @pytest.mark.parametrize("command", [
+        lambda path: ["polytope", "--config", path],
+        lambda path: ["plot", "--in", path, "--out", path + ".svg"],
+    ], ids=["polytope-config", "plot-in"])
+    def test_deeply_nested_json_file(self, tmp_path, capsys, command):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100_000)
+        code = cli.main(command(str(src)))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {src} is nested too deeply to read as JSON\n"
+        assert not (tmp_path / "deep.json.svg").exists()
+
     def test_deeply_nested_gamma_literal(self, capsys):
         code = cli.main(["catalog", "--weights", "2", "1", "--gamma", "[" * 100_000])
         captured = capsys.readouterr()
@@ -221,7 +260,7 @@ class TestInputLimits:
 
 
 class TestImportLayering:
-    """The exact subcommands must not load NumPy or SciPy."""
+    """The exact subcommands load neither NumPy nor SciPy, and verify loads no SciPy."""
 
     def run_python(self, code, tmp_path):
         env = os.environ.copy()
@@ -253,6 +292,17 @@ class TestImportLayering:
                 m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))}))
             """, tmp_path)
         assert loaded == {"codes": [0] * 7, "modules": []}
+
+    def test_verify_loads_no_scipy(self, tmp_path):
+        loaded = self.run_python("""
+            import contextlib, io, json, sys
+            from mplab import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["verify", "--suite", "all"])
+            print(json.dumps({"code": code, "modules": sorted(
+                m for m in sys.modules if m.split(".")[0] == "scipy")}))
+            """, tmp_path)
+        assert loaded == {"code": 0, "modules": []}
 
     def test_numeric_loads_numpy_only(self, tmp_path):
         loaded = self.run_python("""

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from mplab import numeric
+from mplab import checks, numeric
 from mplab.orbits import OrbitClass, orbit_representatives
 from mplab.reps import SectionSpaceSpec
 
@@ -210,6 +210,162 @@ def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane)
     assert np.array_equal(seen[0][0], cut)
     assert np.array_equal(seen[0][1], orbit)
     assert dist == _reference_hausdorff(cut, orbit)
+
+
+def _sweep(a, b):
+    """The sweep alone: no probe and no hand-over to cKDTree."""
+    a, b = numeric._distinct_rows(a), numeric._distinct_rows(b)
+    floor = numeric._sweep_max_sq(a, *numeric._sorted_along_spread(b), -np.inf)
+    return float(np.sqrt(numeric._sweep_max_sq(b, *numeric._sorted_along_spread(a), floor)))
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Count the cKDTree builds hausdorff_distance makes."""
+    import scipy.spatial
+    builds = []
+    tree = scipy.spatial.cKDTree
+
+    def counting_tree(data):
+        builds.append(len(data))
+        return tree(data)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+    return builds
+
+
+def _shell(seed):
+    # the G-orbit image of the dense point fills the shell 1 <= |Phi| <= 3
+    return numeric.sample_orbit(REPS[OrbitClass.DENSE], "G", 10_000, seed, 2, 1).phis
+
+
+class TestHausdorffSweep:
+    """The sweep equals the cKDTree reference bit for bit, on every cloud shape."""
+
+    @pytest.mark.parametrize("lam,seed,plane", [(1, 0, "q"), (2, 1, "q"), (3, 7, "q"),
+                                                (2, 1601, "q"), (1, 0, "k"), (3, 401, "k")])
+    def test_coadjoint_clouds_are_swept(self, tree_builds, lam, seed, plane):
+        cut, orbit = _reference_coadjoint_clouds(lam, 10_000, seed, plane)
+        # distinct rows keep the reference's trees small on the control
+        want = _reference_hausdorff(np.unique(cut, axis=0), np.unique(orbit, axis=0))
+        tree_builds.clear()
+        assert numeric.hausdorff_distance(cut, orbit) == want
+        assert tree_builds == []
+        assert _sweep(cut, orbit) == want
+
+    def test_shell_is_handed_to_the_tree(self, tree_builds):
+        a, b = _shell(3), _shell(103)
+        want = _reference_hausdorff(a, b)
+        tree_builds.clear()
+        assert numeric.hausdorff_distance(a, b) == want
+        assert tree_builds == [10_000, 10_000]
+        assert _sweep(a, b) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plane_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(3000, 2)), rng.uniform(-2, 2, size=(2000, 2))
+        want = _reference_hausdorff(a, b)
+        assert _sweep(a, b) == want
+        assert numeric.hausdorff_distance(a, b) == want
+
+    def test_plane_curve_samples_are_swept(self, tree_builds):
+        th = np.random.default_rng(5).uniform(0, 2 * np.pi, (2, 4000))
+        a = np.stack([np.cos(th[0]), np.sin(th[0])], axis=1)
+        b = np.stack([np.cos(th[1]), np.sin(th[1])], axis=1)
+        want = _reference_hausdorff(a, b)
+        tree_builds.clear()
+        assert numeric.hausdorff_distance(a, b) == want
+        assert tree_builds == []
+
+    @pytest.mark.parametrize("levels", [1, 2, 5, 40])
+    def test_many_equal_coordinates_along_the_sort_axis(self, levels):
+        rng = np.random.default_rng(levels)
+        a, b = (np.column_stack([10.0 * rng.integers(0, levels, n),
+                                 rng.normal(size=n), 0.5 * rng.normal(size=n)])
+                for n in (1500, 1000))
+        want = _reference_hausdorff(a, b)
+        assert _sweep(a, b) == want
+        assert numeric.hausdorff_distance(a, b) == want
+
+    def test_integer_grid(self):
+        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), np.arange(3.0)),
+                        axis=-1).reshape(-1, 3)
+        shifted = grid[::7] + 0.25
+        assert _sweep(grid, shifted) == _reference_hausdorff(grid, shifted)
+        assert numeric.hausdorff_distance(grid, shifted) == _reference_hausdorff(grid, shifted)
+
+    def test_one_point_clouds(self):
+        rng = np.random.default_rng(21)
+        one, cloud = rng.normal(size=(1, 3)), rng.normal(size=(500, 3))
+        for a, b in ((one, cloud), (cloud, one), (one, one), (one, one + 1)):
+            assert _sweep(a, b) == _reference_hausdorff(a, b)
+            assert numeric.hausdorff_distance(a, b) == _reference_hausdorff(a, b)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(22)
+        point = rng.normal(size=(1, 3))
+        a = np.repeat(point, 700, axis=0)
+        b = rng.normal(size=(30, 3))[rng.integers(0, 30, 900)]
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert _sweep(x, y) == _reference_hausdorff(x, y)
+            assert numeric.hausdorff_distance(x, y) == _reference_hausdorff(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(400, 3)), rng.normal(size=(300, 3))
+        a[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            numeric.hausdorff_distance(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            numeric.hausdorff_distance(b, a)
+
+    def test_empty_and_mismatched_clouds_rejected(self):
+        with pytest.raises(ValueError):
+            numeric.hausdorff_distance(np.empty((0, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            numeric.hausdorff_distance(np.ones((2, 3)), np.ones((2, 2)))
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Record the arguments of every scipy.linalg.expm call."""
+    import scipy.linalg
+    calls = []
+    expm = scipy.linalg.expm
+
+    def recording_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+    return calls
+
+
+class TestPadeFlow:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 401, 1601])
+    def test_gradient_check_matches_the_expm_path(self, monkeypatch, expm_calls, seed):
+        pade = checks.check_gradient_identity(seed)
+        assert expm_calls == []
+        monkeypatch.setattr(numeric, "_PADE3_THETA", -1.0)  # every flow through expm
+        assert checks.check_gradient_identity(seed) == pade
+        assert expm_calls
+
+    def test_above_theta_goes_through_expm(self, expm_calls):
+        import scipy.linalg
+        a = np.array([[0.006, 0.01], [0.0, -0.006]], dtype=complex)  # |a|_1 = 0.016
+        assert np.abs(a).sum(axis=0).max() > numeric._PADE3_THETA
+        assert np.array_equal(numeric._flow_matrix(a), scipy.linalg.expm(a))
+        assert len(expm_calls) == 2
+
+    def test_below_theta_is_pade_and_upper_triangular(self, expm_calls):
+        import scipy.linalg
+        a = np.array([[0.004, 0.01 - 0.002j], [0.0, -0.004]], dtype=complex)
+        g = numeric._flow_matrix(a)
+        assert expm_calls == []
+        assert g[1, 0] == 0
+        assert np.allclose(g, scipy.linalg.expm(a), rtol=0, atol=4e-16)
 
 
 class TestGradientIdentity:
