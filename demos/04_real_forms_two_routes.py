@@ -23,7 +23,7 @@ from mplab import (
 
 neg, ident = negation_involution(), identity_involution()
 print("== involutions of the rank-1 torus dual are signs ==")
-seg = hull([(0,), (2,)])
+seg = hull([0, 2])
 for gamma in (neg, ident):
     print(f"  {gamma.label:>8s}: w -> {gamma.sign:+d} w, cut of {seg} by the "
           f"negated eigenspace: {gamma.negated_cut(seg)}")

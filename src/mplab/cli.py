@@ -9,8 +9,9 @@ JSON, human summaries to stderr.  Exit codes: 0 success, 1 check failure,
 
 A JSON config file passed with ``--config`` may hold any long-option value
 (keys use underscores, e.g. ``{"weights": [2, 1], "gamma": "negation"}``);
-explicit flags win over the file.  The environment variable ``MPLAB_SEED``
-overrides the default seed.
+explicit flags win over the file, and a subcommand ignores the keys it does
+not use.  Only ``sample`` and ``verify`` take a seed: ``--seed``, then the
+config file, then the environment variable ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
@@ -65,16 +66,10 @@ class CaseSpec:
     lam2: int
     point: FlagPoint | None = None
     gamma: InvolutionSpec | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam1 < 1 or self.lam2 < 1:
             raise ValueError("weights must be integers >= 1")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("MPLAB_SEED")
-    return int(env) if env else 0
 
 
 def _emit(obj) -> None:
@@ -141,18 +136,22 @@ class _Config:
 
     def case_spec(self, need_point: bool = True, need_gamma: bool = False) -> CaseSpec:
         lam1, lam2 = self.require("weights", _int_pair)
-        point = self.get("point", _text)
-        if need_point:
-            point = wire.parse_point_literal(self.require("point", _text))
-        elif point is not None:
-            point = wire.parse_point_literal(point)
-        gamma = self.get("gamma", _text)
-        if need_gamma:
-            gamma = wire.parse_gamma(self.require("gamma", _text))
-        elif gamma is not None:
-            gamma = wire.parse_gamma(gamma)
-        return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma,
-                        seed=self.get("seed", wire.json_int, _default_seed()))
+        point = wire.parse_point_literal(self.require("point", _text)) if need_point else None
+        gamma = wire.parse_gamma(self.require("gamma", _text)) if need_gamma else None
+        return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma)
+
+    def seed(self) -> int:
+        """The RNG seed: flag, then config file, then ``MPLAB_SEED``, then 0."""
+        seed = self.get("seed", wire.json_int)
+        if seed is None:
+            env = os.environ.get("MPLAB_SEED") or "0"
+            try:
+                seed = int(env)
+            except ValueError:
+                raise ValueError(f"MPLAB_SEED={env!r} is not an integer") from None
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
+        return seed
 
     def section_spec(self, case: CaseSpec) -> SectionSpaceSpec:
         return _limited(SectionSpaceSpec(self.get("r", wire.json_int, 1), case.lam1, case.lam2))
@@ -278,15 +277,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    seed = _Config(args).seed()
     from . import checks  # NumPy and SciPy load only for the numeric subcommands
 
-    cfg = _Config(args)
-    seed = cfg.get("seed", wire.json_int, _default_seed())
-    try:
-        results = checks.run_suite(args.suite, seed)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    results = checks.run_suite(args.suite, seed)
     passed = all(r.passed for r in results)
     _emit({"suite": args.suite, "seed": seed, "passed": passed,
            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -299,13 +293,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     case = cfg.case_spec(need_point=True)
+    seed = cfg.seed()
     subgroup = cfg.get("subgroup", _text, "H")
     n = cfg.get("n", wire.json_int, 1000)
     if n > MAX_SAMPLES:
         raise ValueError(f"--n {n} exceeds the limit {MAX_SAMPLES}")
     from . import numeric
-    samples = numeric.sample_orbit(case.point, subgroup, n, case.seed,
-                                   case.lam1, case.lam2)
+    samples = numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2)
     out = cfg.get("out", _text)
     if out:
         with open(out, "w", newline="") as fh:
@@ -346,7 +340,6 @@ def _add_common(sub: argparse.ArgumentParser, point: bool = False,
     sub.add_argument("--weights", nargs=2, type=int, metavar=("L1", "L2"),
                      help="the two positive integer weights")
     sub.add_argument("--config", help="JSON file with default option values")
-    sub.add_argument("--seed", type=int, help="RNG seed (default: MPLAB_SEED or 0)")
     if point:
         sub.add_argument("--point", help="flag point literal 'a1,c1;a2,c2'")
     if gamma:
@@ -399,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="sample an orbit and dump CSV")
     _add_common(p, point=True)
+    p.add_argument("--seed", type=int, help="RNG seed (default: MPLAB_SEED or 0)")
     p.add_argument("--subgroup", choices=["B", "H", "G", "G'"],
                    help="which group to sample (default H)")
     p.add_argument("--n", type=int, help=f"number of samples (default 1000, at most {MAX_SAMPLES})")

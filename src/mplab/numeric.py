@@ -32,9 +32,7 @@ import numpy as np
 from .orbits import FlagPoint
 from .reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 
-CHAMBER_AXIS = np.array([0.0, 0.0, 1.0])
-KSTAR_AXIS = 1           # coordinate fixed by the conjugation involution
-QSTAR_PLANE = (0, 2)     # coordinates negated by it
+KSTAR_AXIS = 1  # coordinate fixed by the conjugation involution
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -410,6 +408,23 @@ def _check_borel(xi: np.ndarray):
         raise ValueError("xi must be upper triangular and traceless")
 
 
+def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int,
+                    step: float) -> tuple[float, float, float, float]:
+    """The terms of the derivative identity for section k at (point, xi).
+
+    Returns the central difference of |s|^2 along the exp(-t*xi) flow, |s|^2,
+    w(pr xi) / 4 pi and <Phi, pr xi>.
+    """
+    vec = highest_weight_vector(spec, k)
+    norm2 = section_norm_sq(vec, spec, point)
+    derivative = (_flow_norm_sq(vec, spec, point, xi, step)
+                  - _flow_norm_sq(vec, spec, point, xi, -step)) / (2 * step)
+    theta = su2_coordinates(borel_imaginary_part(xi))
+    weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 2 * k) / spec.r
+    pairing = float(np.dot(moment_map(point, spec.lam1, spec.lam2), theta))
+    return derivative, norm2, weight_alpha * theta[2] / (4 * np.pi), pairing
+
+
 def calibrate_gradient_normalization() -> float:
     """Fix the pairing constant from one closed-form datum and freeze it.
 
@@ -418,22 +433,12 @@ def calibrate_gradient_normalization() -> float:
     scalar making the derivative identity exact there.
     """
     spec = SectionSpaceSpec(1, 2, 1)
-    vec = highest_weight_vector(spec, 0)
     point = ((1.0 + 0j, 2.0 + 0j), (1.0 + 0j, 3.0 + 0j))
     xi = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
-    h = 1e-5
-    lhs = (_flow_norm_sq(vec, spec, point, xi, h)
-           - _flow_norm_sq(vec, spec, point, xi, -h)) / (2 * h)
-    eta = borel_imaginary_part(xi)
-    theta = su2_coordinates(eta)
-    weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 0) / spec.r
-    phi = moment_map(point, spec.lam1, spec.lam2)
-    denom = float(np.dot(phi, theta))
-    if abs(denom) < 1e-9:
+    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, 0, 1e-5)
+    if abs(pairing) < 1e-9:
         raise RuntimeError("degenerate calibration datum")
-    norm2 = section_norm_sq(vec, spec, point)
-    return float((lhs / (4 * np.pi * spec.r * norm2)
-                  + weight_alpha * theta[2] / (4 * np.pi)) / denom)
+    return float((derivative / (4 * np.pi * spec.r * norm2) + weight_term) / pairing)
 
 
 def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
@@ -449,18 +454,11 @@ def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
         raise NormalizationUncalibratedError(
             "run calibrate_gradient_normalization() first and pass its value")
     _check_borel(xi)
-    vec = highest_weight_vector(spec, k)
-    norm2 = section_norm_sq(vec, spec, point)
+    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k, step)
     if norm2 <= 0:
         raise ValueError("section vanishes at the point; residual undefined")
-    lhs = (_flow_norm_sq(vec, spec, point, xi, step)
-           - _flow_norm_sq(vec, spec, point, xi, -step)) / (2 * step)
-    theta = su2_coordinates(borel_imaginary_part(xi))
-    weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 2 * k) / spec.r
-    phi = moment_map(point, spec.lam1, spec.lam2)
-    rhs = 4 * np.pi * spec.r * (-weight_alpha * theta[2] / (4 * np.pi)
-                                + kappa * float(np.dot(phi, theta))) * norm2
-    return float(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    rhs = 4 * np.pi * spec.r * (-weight_term + kappa * pairing) * norm2
+    return float(abs(derivative - rhs) / max(1.0, abs(rhs)))
 
 
 CSV_COLUMNS = ("a1re", "a1im", "c1re", "c1im", "a2re", "a2im",

@@ -176,13 +176,13 @@ def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:
     _check_weights(lam1, lam2)
     cls = classify_borel_orbit_closure(x)
     if cls is OrbitClass.DENSE:
-        return hull([(abs(lam1 - lam2),), (lam1 + lam2,)])
+        return hull([abs(lam1 - lam2), lam1 + lam2])
     if cls is OrbitClass.DIAGONAL:
-        return hull([(lam1 + lam2,)])
+        return hull([lam1 + lam2])
     if cls is OrbitClass.FIRST_FACTOR:
-        return hull([(lam1 - lam2,)]) if lam1 >= lam2 else RationalPolytope.empty()
+        return hull([lam1 - lam2]) if lam1 >= lam2 else RationalPolytope.empty()
     if cls is OrbitClass.SECOND_FACTOR:
-        return hull([(lam2 - lam1,)]) if lam2 >= lam1 else RationalPolytope.empty()
+        return hull([lam2 - lam1]) if lam2 >= lam1 else RationalPolytope.empty()
     return RationalPolytope.empty()
 
 
@@ -216,13 +216,13 @@ def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -
     tuple; a projectively equal point written with other coordinates is a
     miss, which is still correct.
     """
-    achieved: list[tuple[Fraction, ...]] = []
+    achieved: list[Fraction] = []
     for r in range(1, REPRESENTATION_R_MAX + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for k in range(spec.k_max + 1):
             vec = highest_weight_vector(spec, k)
             if not vec.evaluate(coords).is_zero:
-                achieved.append((Fraction(r * (lam1 + lam2) - 2 * k, r),))
+                achieved.append(Fraction(r * (lam1 + lam2) - 2 * k, r))
     return hull(achieved)
 
 

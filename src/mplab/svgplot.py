@@ -23,7 +23,7 @@ def render_polytope_svg(p: RationalPolytope) -> str:
     width, height, pad = 420, 90, 30
     axis_y = 55.0
     try:
-        vals = [float(v[0]) for v in p.vertices]
+        vals = [float(v) for v in p.vertices]
         lo = min(vals + [0.0])
         hi = max(vals + [1.0])
         span = hi - lo
@@ -54,7 +54,7 @@ def render_polytope_svg(p: RationalPolytope) -> str:
         x = sx(vals[0])
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(axis_y)}" r="4" fill="crimson"/>')
         parts.append(f'<text x="{_fmt(x)}" y="25" font-size="12" '
-                     f'text-anchor="middle">{{{p.vertices[0][0]}}}</text>')
+                     f'text-anchor="middle">{{{p.vertices[0]}}}</text>')
     else:
         x0, x1 = sx(vals[0]), sx(vals[-1])
         parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(axis_y)}" x2="{_fmt(x1)}" '
@@ -62,7 +62,7 @@ def render_polytope_svg(p: RationalPolytope) -> str:
         for v in vals:
             parts.append(f'<circle cx="{_fmt(sx(v))}" cy="{_fmt(axis_y)}" r="4" fill="crimson"/>')
         parts.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="25" font-size="12" '
-                     f'text-anchor="middle">[{p.vertices[0][0]}, {p.vertices[-1][0]}]</text>')
+                     f'text-anchor="middle">[{p.vertices[0]}, {p.vertices[-1]}]</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -34,8 +34,7 @@ class InvolutionSpec:
         """
         if self.sign == -1:
             return p
-        origin = (0,)
-        return hull([origin]) if contains(p, origin) else RationalPolytope.empty()
+        return hull([0]) if contains(p, 0) else RationalPolytope.empty()
 
 
 def negation_involution() -> InvolutionSpec:

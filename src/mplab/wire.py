@@ -47,7 +47,7 @@ def pair_to_rational(pair) -> Fraction:
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:
-    return {"dim": p.dim, "vertices": [rational_to_pair(v[0]) for v in p.vertices]}
+    return {"dim": 1, "vertices": [rational_to_pair(v) for v in p.vertices]}
 
 
 def polytope_from_json(obj: dict) -> RationalPolytope:
@@ -58,7 +58,7 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
         dim = json_int(obj["dim"])
         if dim != 1:
             raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
-        verts = tuple(sorted((pair_to_rational(v),) for v in obj["vertices"]))
+        verts = tuple(sorted(pair_to_rational(v) for v in obj["vertices"]))
     except ZeroDivisionError:
         raise ValueError("zero denominator in polytope JSON") from None
     except TypeError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mplab import cli, svgplot, wire
+from mplab import checks, cli, numeric, svgplot, wire
 from mplab.orbits import orbit_representatives
 from mplab.polytope import equals, hull
 
@@ -33,7 +33,7 @@ class TestPolytopeCommand:
     def test_json_round_trip(self):
         p = run_cli("polytope", "--weights", "3", "2", "--point", "0/1,1/1;1/1,1/1")
         poly = wire.polytope_from_json(json.loads(p.stdout))
-        assert equals(poly, hull([(1,), (5,)]))
+        assert equals(poly, hull([1, 5]))
 
     def test_membership_table(self):
         p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
@@ -89,18 +89,21 @@ class TestMalformedInput:
         assert_usage_error(run_cli("plot", "--in", str(src),
                                    "--out", str(tmp_path / "x.svg")))
 
-    @pytest.mark.parametrize("bad", [
-        {"weights": 5},
-        {"weights": [[1], 1]},
-        {"point": 5},
-        {"gamma": 3},
-        {"seed": [1]},
-    ], ids=lambda bad: json.dumps(bad))
-    def test_config_value_of_wrong_type(self, tmp_path, bad):
+    WRONG_TYPE = [
+        ({"weights": 5}, "realpolytope"),
+        ({"weights": [[1], 1]}, "realpolytope"),
+        ({"point": 5}, "realpolytope"),
+        ({"gamma": 3}, "realpolytope"),
+        ({"seed": [1]}, "sample"),  # only sample and verify read a seed
+    ]
+
+    @pytest.mark.parametrize("bad, command", WRONG_TYPE,
+                             ids=[json.dumps(bad) for bad, _ in WRONG_TYPE])
+    def test_config_value_of_wrong_type(self, tmp_path, bad, command):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1",
-                                   "gamma": "negation", **bad}))
-        p = run_cli("realpolytope", "--config", str(cfg))
+                                   "gamma": "negation", "n": 1, **bad}))
+        p = run_cli(command, "--config", str(cfg))
         assert_usage_error(p)
         assert f"--{next(iter(bad)).replace('_', '-')}" in p.stderr
 
@@ -450,7 +453,7 @@ class TestSampleAndPlot:
 
     def test_plot_wide_polytope_ticks_by_powers_of_ten(self):
         # one tick per integer would draw a million; the span of 1.2e6 steps by 1e5
-        svg = svgplot.render_polytope_svg(hull([(0,), (10**6,)]))
+        svg = svgplot.render_polytope_svg(hull([0, 10**6]))
         assert svg.count("<text") == 1 + 13
         assert ">1000000</text>" in svg
 
@@ -486,12 +489,85 @@ class TestConfigFile:
         assert p.returncode == 0
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
 
+    @pytest.mark.parametrize("command, unused", [
+        (["polytope", "--point", "0/1,1/1;1/1,1/1"], {"gamma": "bogus"}),
+        (["decompose"], {"point": "garbage"}),
+    ], ids=["polytope-gamma", "decompose-point"])
+    def test_unused_keys_are_ignored(self, tmp_path, capsys, command, unused):
+        argv = [*command, "--weights", "2", "1"]
+        assert cli.main(argv) == 0
+        clean = capsys.readouterr()
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps(unused))
+        assert cli.main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == clean
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "1/1,0/1;1/1,0/1"}))
         p = run_cli("polytope", "--config", str(cfg),
                     "--point", "0/1,1/1;1/1,1/1")
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
+
+
+class TestSeedOption:
+    """Only sample and verify take a seed: the flag, then the config file,
+    then MPLAB_SEED, then 0.  A negative seed is refused before any work."""
+
+    @pytest.mark.parametrize("command", [
+        ["polytope", "--point", "0/1,1/1;1/1,1/1"],
+        ["realpolytope", "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation"],
+        ["catalog", "--gamma", "negation"],
+        ["decompose"],
+        ["hwv", "--k", "0"],
+        ["oracle", "--weight", "1"],
+    ], ids=lambda command: command[0])
+    def test_seed_is_unknown_elsewhere(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--weights", "2", "1", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    def test_bad_seed_environment_is_ignored_elsewhere(self, capsys, monkeypatch):
+        argv = ["polytope", "--weights", "2", "1", "--point", "0,1;1,1"]
+        assert cli.main(argv) == 0
+        clean = capsys.readouterr()
+        monkeypatch.setenv("MPLAB_SEED", "abc")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == clean
+
+    @pytest.mark.parametrize("source", ["flag", "config", "environment"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "all"],
+        ["verify", "--suite", "coadjoint"],
+        ["verify", "--suite", "lagrangian"],
+        ["sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1", "--n", "5"],
+    ], ids=["verify-all", "verify-coadjoint", "verify-lagrangian", "sample"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             command, source):
+        argv = [*command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("MPLAB_SEED", "-1")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the seed was refused after the work began")
+        monkeypatch.setattr(checks, "run_suite", no_work)
+        monkeypatch.setattr(numeric, "sample_orbit", no_work)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: seed -1 is negative; a seed is an integer >= 0\n"
+
+    def test_seed_environment_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPLAB_SEED", "abc")
+        assert cli.main(["verify", "--suite", "lagrangian"]) == 2
+        assert capsys.readouterr().err == "error: MPLAB_SEED='abc' is not an integer\n"
 
 
 class TestWireFormats:

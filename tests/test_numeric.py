@@ -109,8 +109,8 @@ class TestSampledDelta:
             if exact.is_empty:
                 assert interval is None
             else:
-                lo = float(min(v[0] for v in exact.vertices)) - 0.02
-                hi = float(max(v[0] for v in exact.vertices)) + 0.02
+                lo = float(min(exact.vertices)) - 0.02
+                hi = float(max(exact.vertices)) + 0.02
                 assert interval is not None
                 assert lo <= interval[0] <= interval[1] <= hi
 

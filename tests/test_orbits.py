@@ -44,7 +44,7 @@ NEG = negation_involution()
 
 
 def seg(lo, hi):
-    return hull([(F(lo),), (F(hi),)])
+    return hull([lo, hi])
 
 
 class TestFlagPoint:
@@ -149,24 +149,24 @@ class TestMembership:
                     for p in range(-top, top + 1):
                         lam = F(p, q)
                         member = membership_in_C(x, l1, l2, lam).member
-                        assert member == contains(poly, (lam,)), (cls, l1, l2, lam)
+                        assert member == contains(poly, lam), (cls, l1, l2, lam)
 
 
 class TestMomentPolytope:
     def test_worked_values(self):
         assert equals(moment_polytope(REPS[OrbitClass.DENSE], 2, 1), seg(1, 3))
-        assert equals(moment_polytope(REPS[OrbitClass.DIAGONAL], 2, 1), hull([(3,)]))
+        assert equals(moment_polytope(REPS[OrbitClass.DIAGONAL], 2, 1), hull([3]))
         assert moment_polytope(REPS[OrbitClass.POINT], 2, 1).is_empty
 
     def test_factor_cases_depend_on_weight_order(self):
         first = REPS[OrbitClass.FIRST_FACTOR]
         second = REPS[OrbitClass.SECOND_FACTOR]
-        assert equals(moment_polytope(first, 3, 1), hull([(2,)]))
+        assert equals(moment_polytope(first, 3, 1), hull([2]))
         assert moment_polytope(second, 3, 1).is_empty
         assert moment_polytope(first, 1, 3).is_empty
-        assert equals(moment_polytope(second, 1, 3), hull([(2,)]))
-        assert equals(moment_polytope(first, 2, 2), hull([(0,)]))
-        assert equals(moment_polytope(second, 2, 2), hull([(0,)]))
+        assert equals(moment_polytope(second, 1, 3), hull([2]))
+        assert equals(moment_polytope(first, 2, 2), hull([0]))
+        assert equals(moment_polytope(second, 2, 2), hull([0]))
 
     def test_hull_of_achieved_weights_r1(self):
         for l1, l2 in ((1, 1), (2, 1), (4, 3), (2, 4)):
@@ -176,7 +176,7 @@ class TestMomentPolytope:
                     lam = l1 + l2 - 2 * k
                     got = membership_in_C(x, l1, l2, lam)
                     if got.witness == 1:
-                        achieved.append((F(lam),))
+                        achieved.append(lam)
                 assert equals(hull(achieved), moment_polytope(x, l1, l2)), (cls, l1, l2)
 
     def test_monotonicity_in_dense_polytope(self):
@@ -211,7 +211,7 @@ class TestTwoRoutes:
 
     def test_diagonal_negation(self):
         case = RealFormCase(REPS[OrbitClass.DIAGONAL], NEG)
-        assert equals(gamma_highest_weight_polytope(case, 2, 1), hull([(3,)]))
+        assert equals(gamma_highest_weight_polytope(case, 2, 1), hull([3]))
 
     def test_zero_cut_is_empty_off_zero(self):
         case = RealFormCase(REPS[OrbitClass.DENSE], identity_involution())
@@ -219,12 +219,12 @@ class TestTwoRoutes:
 
     def test_zero_cut_keeps_zero(self):
         case = RealFormCase(REPS[OrbitClass.DENSE], identity_involution())
-        assert equals(real_moment_polytope(case, 1, 1), hull([(0,)]))
+        assert equals(real_moment_polytope(case, 1, 1), hull([0]))
 
     def test_factor_cases(self):
         first = RealFormCase(REPS[OrbitClass.FIRST_FACTOR], NEG)
         second = RealFormCase(REPS[OrbitClass.SECOND_FACTOR], NEG)
-        assert equals(real_moment_polytope(first, 3, 1), hull([(2,)]))
+        assert equals(real_moment_polytope(first, 3, 1), hull([2]))
         assert real_moment_polytope(second, 3, 1).is_empty
 
     def test_route_agreement_over_grid(self):
@@ -239,19 +239,19 @@ class TestTwoRoutes:
 class TestCatalog:
     def test_worked_catalog(self):
         cat = enumerate_polytope_catalog(2, 1, NEG)
-        expected = [RationalPolytope.empty(), hull([(1,)]), hull([(3,)]), seg(1, 3)]
+        expected = [RationalPolytope.empty(), hull([1]), hull([3]), seg(1, 3)]
         assert len(cat) == 4
         assert all(equals(a, b) for a, b in zip(cat, expected))
 
     def test_equal_weights(self):
         cat = enumerate_polytope_catalog(1, 1, NEG)
-        expected = [RationalPolytope.empty(), hull([(0,)]), hull([(2,)]), seg(0, 2)]
+        expected = [RationalPolytope.empty(), hull([0]), hull([2]), seg(0, 2)]
         assert len(cat) == 4
         assert all(equals(a, b) for a, b in zip(cat, expected))
 
     def test_identity_involution_collapses(self):
         cat = enumerate_polytope_catalog(1, 1, identity_involution())
-        expected = [RationalPolytope.empty(), hull([(0,)])]
+        expected = [RationalPolytope.empty(), hull([0])]
         assert len(cat) == 2
         assert all(equals(a, b) for a, b in zip(cat, expected))
 
@@ -268,11 +268,11 @@ def reference_representation_route(case, lam1, lam2, r_max=2):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for k in range(spec.k_max + 1):
             if not highest_weight_vector(spec, k).evaluate(case.x.coords).is_zero:
-                achieved.append((F(r * (lam1 + lam2) - 2 * k, r),))
+                achieved.append(F(r * (lam1 + lam2) - 2 * k, r))
     closure = hull(achieved)
     if case.gamma.sign == -1:  # the -1 eigenspace is the whole axis
         return closure
-    return hull([(0,)]) if contains(closure, (0,)) else RationalPolytope.empty()
+    return hull([0]) if contains(closure, 0) else RationalPolytope.empty()
 
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))

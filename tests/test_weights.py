@@ -21,14 +21,14 @@ class TestInvolutionEigenspaces:
     def test_negation_rank1(self):
         neg = negation_involution()
         assert (neg.sign, neg.label) == (-1, "negation")
-        seg = hull([(1,), (3,)])
+        seg = hull([1, 3])
         assert neg.negated_cut(seg) == seg  # whole torus dual is negated
 
     def test_identity(self):
         ident = identity_involution()
         assert (ident.sign, ident.label) == (1, "identity")
-        assert ident.negated_cut(hull([(-1,), (3,)])) == hull([(0,)])
-        assert ident.negated_cut(hull([(1,), (3,)])) == RationalPolytope.empty()
+        assert ident.negated_cut(hull([-1, 3])) == hull([0])
+        assert ident.negated_cut(hull([1, 3])) == RationalPolytope.empty()
 
     def test_lattice_preservation_enforced(self):
         # the only lattice-preserving involutions of the line are w -> -w and w -> w
