@@ -27,6 +27,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,14 +300,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if n > MAX_SAMPLES:
         raise ValueError(f"--n {n} exceeds the limit {MAX_SAMPLES}")
     from . import numeric
-    samples = numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2)
+    numeric.check_sample_args(subgroup, n)
     out = cfg.get("out", _text)
+    # opened before drawing, so an unwritable path fails before the work
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        numeric.write_samples_csv(
+            numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2), fh)
     if out:
-        with open(out, "w", newline="") as fh:
-            numeric.write_samples_csv(samples, fh)
         print(f"wrote {n} samples to {out}", file=sys.stderr)
-    else:
-        numeric.write_samples_csv(samples, sys.stdout)
     return 0
 
 

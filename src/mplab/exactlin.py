@@ -1,14 +1,15 @@
 """Exact rational linear algebra: kernels, involution fixed spaces, symplectic predicates.
 
 Everything here works over Q (``fractions.Fraction``) or Q(i) (:class:`GaussianRational`)
-with no rounding anywhere.  Products and elimination are fraction-free inside:
-each row or column is cleared of denominators once, the work runs over ``int``,
-and one ``Fraction`` is built per result entry.  Canonical forms follow
-reduced-echelon conventions so that outputs are directly comparable in tests:
+with no rounding anywhere.  A matrix is integer rows over one common
+denominator, so products, sums and elimination run over ``int``, and a
+``Fraction`` is built only where a value enters or leaves a matrix.
+Canonical forms follow reduced-echelon conventions so that outputs are
+directly comparable in tests:
 
 * null-space / fixed-space bases are normalized to leading coefficient 1 and
   ordered by pivot position,
-* matrices are immutable, equality is entry-wise.
+* matrices are immutable and kept in lowest terms, so equality is entry-wise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -30,103 +32,101 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vector(xs: Iterable) -> Vector:
-    return tuple(frac(x) for x in xs)
-
-
 def _integral(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers ``ns`` and the least positive ``d`` with ``xs == [n / d for n in ns]``."""
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    (iu, du), (iv, dv) = _integral(u), _integral(v)
-    return Fraction(sum(map(mul, iu, iv)), du * dv)
-
-
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rectangular matrix over Q."""
+    """Immutable rectangular matrix over Q: the integer rows ``ints`` over one
+    denominator ``den``, reduced at construction to lowest terms with ``den > 0``."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged rows")
+        if len(set(map(len, self.ints))) > 1:
+            raise ValueError("ragged rows")
+        if not self.den:
+            raise ZeroDivisionError("matrix denominator is zero")
+        g = gcd(self.den, *chain.from_iterable(self.ints)) * (1 if self.den > 0 else -1)
+        if g != 1:
+            object.__setattr__(self, "ints", tuple(tuple(a // g for a in row) for row in self.ints))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        return cls(tuple(vector(row) for row in rows))
+        rows = [_integral([frac(x) for x in row]) for row in rows]
+        d = lcm(*(rd for _, rd in rows))
+        return cls(tuple(tuple(a * (d // rd) for a in row) for row, rd in rows), d)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.ints)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.ints)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.ints[0]) if self.ints else 0
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return tuple(Fraction(row[j], self.den) for row in self.ints)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(self.col(j) for j in range(self.cols)))
+        return RatMatrix(tuple(zip(*self.ints)), self.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._shape_check(other)
-        return RatMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        d = lcm(self.den, other.den)
+        p, q = d // self.den, d // other.den
+        return RatMatrix(tuple(tuple(p * a + q * b for a, b in zip(r1, r2))
+                               for r1, r2 in zip(self.ints, other.ints)), d)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._shape_check(other)
-        return RatMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return RatMatrix(tuple(tuple(-a for a in row) for row in self.ints), self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [_integral(col) for col in zip(*other.entries)]
-        return RatMatrix(tuple(tuple(Fraction(sum(map(mul, row, col)), rd * cd) for col, cd in cols)
-                               for row, rd in map(_integral, self.entries)))
+        cols = tuple(zip(*other.ints))
+        return RatMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints),
+                         self.den * other.den)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         iv, dv = _integral(v)
-        return tuple(Fraction(sum(map(mul, row, iv)), d * dv)
-                     for row, d in map(_integral, self.entries))
-
-    def _shape_check(self, other: "RatMatrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        return tuple(Fraction(sum(map(mul, row, iv)), self.den * dv) for row in self.ints)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968): every row is scaled to integers,
-    and each elimination step ``row = (p * row - f * pivot_row) // prev`` divides
-    exactly by the previous pivot, so every entry stays an integer minor of the
-    scaled matrix.  All pivot entries end equal, and one division per entry
-    gives the reduced form, which is unique, hence equal to the rational one.
+    Fraction-free Gauss-Jordan (Bareiss 1968) on the integer rows of ``m``:
+    each elimination step ``row = (p * row - f * pivot_row) // prev`` divides
+    exactly by the previous pivot, so every entry stays an integer minor.
+    All pivot entries end equal to the last pivot, which becomes the
+    denominator; the reduced form is unique, hence equal to the rational one,
+    and in lowest terms every pivot entry equals ``den``.
     """
-    rows = [_integral(r)[0] for r in m.entries]
+    rows = [list(r) for r in m.ints]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     prev = 1
@@ -148,7 +148,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if r == nrows:
             break
     # rows past the rank are zero; pivot rows hold prev at each pivot
-    return RatMatrix(tuple(tuple(Fraction(a, prev) for a in row) for row in rows)), tuple(pivots)
+    return RatMatrix(tuple(map(tuple, rows)), prev), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -166,25 +166,20 @@ def kernel(m: RatMatrix) -> list[Vector]:
     free = [j for j in range(n) if j not in pivots]
     basis: list[Vector] = []
     for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
+        # den times the vector with 1 at j, as every pivot entry equals den
+        v = [0] * n
+        v[j] = reduced.den
         for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i][j]
+            v[p] = -reduced.ints[i][j]
         lead = next(a for a in v if a != 0)
-        basis.append(tuple(a / lead for a in v))
+        basis.append(tuple(Fraction(a, lead) for a in v))
     return basis
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:
     """Canonical (reduced echelon) basis of the column space."""
     reduced, pivots = rref(m.transpose())
-    return [reduced.entries[i] for i in range(len(pivots))]
-
-
-def span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    if not vectors:
-        return 0
-    return rank(RatMatrix.from_rows(vectors))
+    return [tuple(Fraction(a, reduced.den) for a in row) for row in reduced.ints[:len(pivots)]]
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,8 @@ class SymplecticForm:
         return self.matrix.rows
 
     def pairing(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return dot(u, self.matrix.apply(v))
+        row, col = RatMatrix.from_rows([u]), RatMatrix.from_rows([v]).transpose()
+        return (row @ self.matrix @ col).entries[0][0]
 
 
 def standard_symplectic_form(dim: int) -> SymplecticForm:
@@ -242,15 +238,8 @@ def standard_symplectic_form(dim: int) -> SymplecticForm:
     if dim % 2 != 0:
         raise ValueError("dimension must be even")
     n = dim // 2
-    rows = []
-    for i in range(dim):
-        row = [Fraction(0)] * dim
-        if i < n:
-            row[n + i] = Fraction(1)
-        else:
-            row[i - n] = Fraction(-1)
-        rows.append(row)
-    return SymplecticForm(RatMatrix.from_rows(rows))
+    return SymplecticForm(RatMatrix(tuple(tuple((j == i + n) - (j + n == i) for j in range(dim))
+                                          for i in range(dim))))
 
 
 def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], omega: SymplecticForm) -> bool:
@@ -258,15 +247,19 @@ def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], omega: Symplecti
     for v in subspace_basis:
         if len(v) != omega.dim:
             raise ValueError("basis vector dimension does not match the form")
-    if span_rank(subspace_basis) != omega.dim // 2:
+    # isotropic iff the Gram matrix B Omega B^T of the basis rows B is zero
+    basis = RatMatrix.from_rows(subspace_basis)
+    if rank(basis) != omega.dim // 2:
         return False
-    return all(omega.pairing(u, v) == 0
-               for i, u in enumerate(subspace_basis)
-               for v in subspace_basis[i:])
+    return not any(chain.from_iterable((basis @ omega.matrix @ basis.transpose()).ints))
 
 
 def _random_symplectic(dim: int, rng: random.Random, factors: int = 6) -> list[list[int]]:
-    """Product of elementary symplectic shears with small integer parameters."""
+    """Product of elementary symplectic shears with small integer parameters.
+
+    Each factor is I plus entries q at (src, dst) where no src is a dst, so
+    multiplying by it on the right adds q times column src to column dst.
+    """
     n = dim // 2
     t = [[int(r == c) for c in range(dim)] for r in range(dim)]
     for _ in range(factors):
@@ -274,20 +267,18 @@ def _random_symplectic(dim: int, rng: random.Random, factors: int = 6) -> list[l
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
-        factor = [[int(r == c) for c in range(dim)] for r in range(dim)]
         if kind < 2:
             # symmetric P: shear [[I, P], [0, I]] or [[I, 0], [P, I]]
             top, left = (0, n) if kind == 0 else (n, 0)
-            factor[top + i][left + j] += p
-            if i != j:
-                factor[top + j][left + i] += p
-        else:
+            shears = [(src, dst, p) for src, dst in {(top + i, left + j), (top + j, left + i)}]
+        elif i != j:
             # GL factor diag(A, A^-T) with A = I + p*e_ij, so A^-T = I - p*e_ji
-            if i == j:
-                continue
-            factor[i][j] = p
-            factor[n + j][n + i] = -p
-        t = [[sum(map(mul, row, col)) for col in zip(*factor)] for row in t]
+            shears = [(i, j, p), (n + j, n + i, -p)]
+        else:
+            continue
+        for row in t:
+            for src, dst, q in shears:
+                row[dst] += q * row[src]
     return t
 
 
@@ -303,15 +294,15 @@ def antisymplectic_involution_from_symplectic(t: RatMatrix) -> LinearInvolution:
     if not t.is_square or dim % 2 != 0:
         raise ValueError("symplectic matrix needs even square dimension")
     n = dim // 2
-    rows = t.entries
+    rows = t.ints
     # with T^T = [[A, B], [C, D]] in n x n blocks, T^-1 = [[D, -C], [-B, A]]
     t_inv = RatMatrix(tuple(
         tuple(rows[(j + n) % dim][(i + n) % dim] * (1 if (i < n) == (j < n) else -1)
               for j in range(dim))
-        for i in range(dim)))
+        for i in range(dim)), t.den)
     if t_inv @ t != RatMatrix.identity(dim):
         raise ValueError("matrix is not symplectic for the standard Darboux form")
-    d_t = RatMatrix(rows[:n] + tuple(tuple(-a for a in row) for row in rows[n:]))
+    d_t = RatMatrix(rows[:n] + tuple(tuple(-a for a in row) for row in rows[n:]), t.den)
     return LinearInvolution(t_inv @ d_t)
 
 
@@ -324,7 +315,7 @@ def random_antisymplectic_involution(dim: int, seed: int) -> LinearInvolution:
     if dim % 2 != 0 or dim < 2:
         raise ValueError("dimension must be even and >= 2")
     rng = random.Random(seed)
-    t = RatMatrix.from_rows(_random_symplectic(dim, rng))
+    t = RatMatrix(tuple(map(tuple, _random_symplectic(dim, rng))))
     return antisymplectic_involution_from_symplectic(t)
 
 

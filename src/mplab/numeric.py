@@ -109,19 +109,18 @@ def _draw_matrices(subgroup: str, n: int, rng: np.random.Generator
         return g, g
     if subgroup == "G":
         return _haar_su2(n, rng), _haar_su2(n, rng)
-    if subgroup == "G'":
-        theta = rng.uniform(-np.pi, np.pi, n)
-        t = rng.uniform(-2, 2, n)
-        s = np.tan(rng.uniform(-1.5, 1.5, n))
-        k = np.zeros((n, 2, 2), dtype=complex)
-        k[:, 0, 0] = np.cos(theta)
-        k[:, 0, 1] = np.sin(theta)
-        k[:, 1, 0] = -np.sin(theta)
-        k[:, 1, 1] = np.cos(theta)
-        an = _upper(np.exp(t).astype(complex), (np.exp(t) * s).astype(complex))
-        g = k @ an
-        return g, g
-    raise ValueError(f"unknown subgroup tag {subgroup!r}; expected B, H, G or G'")
+    # G', the only tag left after check_sample_args
+    theta = rng.uniform(-np.pi, np.pi, n)
+    t = rng.uniform(-2, 2, n)
+    s = np.tan(rng.uniform(-1.5, 1.5, n))
+    k = np.zeros((n, 2, 2), dtype=complex)
+    k[:, 0, 0] = np.cos(theta)
+    k[:, 0, 1] = np.sin(theta)
+    k[:, 1, 0] = -np.sin(theta)
+    k[:, 1, 1] = np.cos(theta)
+    an = _upper(np.exp(t).astype(complex), (np.exp(t) * s).astype(complex))
+    g = k @ an
+    return g, g
 
 
 def _upper(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -144,6 +143,14 @@ def _haar_su2(n: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
+def check_sample_args(subgroup: str, n: int) -> None:
+    """Refuse, before any work, a sample size below 1 or a tag other than B, H, G and G'."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if subgroup not in ("B", "H", "G", "G'"):
+        raise ValueError(f"unknown subgroup tag {subgroup!r}; expected B, H, G or G'")
+
+
 def sample_orbit(x, subgroup: str, n: int, seed: int,
                  lam1: int = 2, lam2: int = 1) -> SampleSet:
     """n orbit points g.x with g from a seeded parametrization of the subgroup.
@@ -153,8 +160,7 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     special-unitary elements acting factor-by-factor, and G' the real
     determinant-1 group; B, H, G' act by the same matrix on both factors.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_sample_args(subgroup, n)
     base = _as_complex_pairs(x)
     rng = np.random.default_rng(seed)
     g1, g2 = _draw_matrices(subgroup, n, rng)

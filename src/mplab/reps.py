@@ -298,9 +298,9 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
             equations.setdefault(key, {})[col] = val
     if not equations:
         return [BiHomogPoly.monomial(m) for m in monos]
-    rows = [[Fraction(cols.get(j, 0)) for j in range(len(monos))]
-            for _, cols in sorted(equations.items())]
-    basis = kernel(RatMatrix.from_rows(rows))
+    rows = tuple(tuple(cols.get(j, 0) for j in range(len(monos)))
+                 for _, cols in sorted(equations.items()))
+    basis = kernel(RatMatrix(rows))
     out = []
     for vec in basis:
         denom_lcm = lcm(*(entry.denominator for entry in vec))

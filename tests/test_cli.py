@@ -420,6 +420,33 @@ class TestVerifyCommand:
 
 
 class TestSampleAndPlot:
+    POINT = ["sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1"]
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled before the request and --out were checked")
+        monkeypatch.setattr(numeric, "sample_orbit", no_work)
+
+    def test_unwritable_out_fails_before_sampling(self, tmp_path, capsys, no_draw):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main([*self.POINT, "--n", "100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"subgroup": "K"}, "unknown subgroup tag 'K'; expected B, H, G or G'"),
+        ({"n": 0}, "need n >= 1"),
+    ])
+    def test_refused_request_leaves_out_untouched(self, tmp_path, capsys, no_draw,
+                                                  config, message):
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([*self.POINT, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out.read_text() == "kept\n"
+
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "samples.csv"
         p = run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",

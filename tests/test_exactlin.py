@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mplab import exactlin
 from mplab.exactlin import (
     GaussianRational,
     LinearInvolution,
@@ -16,8 +20,8 @@ from mplab.exactlin import (
     is_lagrangian,
     kernel,
     random_antisymplectic_involution,
+    rank,
     rref,
-    span_rank,
     standard_symplectic_form,
 )
 
@@ -184,6 +188,77 @@ class TestFractionFreeCore:
             assert got == reference_random_antisymplectic(dim, seed)
 
 
+class CountingFraction(Fraction):
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def in_lowest_terms(m):
+    return m.den > 0 and gcd(m.den, *chain.from_iterable(m.ints)) == 1
+
+
+# SHA-256 over repr(entries) of random_antisymplectic_involution(dim, seed) for
+# dims 2-10 and seeds 0-149, computed with the Fraction-entry RatMatrix that
+# the integer-backed one replaced.
+INVOLUTION_DIGEST = "f1bc90748e584be9eb1d562405a173e735a4b93b32ef522e723cb0b04a88115d"
+
+
+class TestIntegerBacking:
+    def test_random_involutions_pinned(self):
+        h = hashlib.sha256()
+        for dim in (2, 4, 6, 8, 10):
+            for seed in range(150):
+                h.update(repr(random_antisymplectic_involution(dim, seed).matrix.entries).encode())
+        assert h.hexdigest() == INVOLUTION_DIGEST
+
+    def test_integer_operations_build_no_fraction(self, monkeypatch):
+        a = RatMatrix.from_rows([[1, 2, 0], [3, -4, 5], [0, 6, 7]])
+        b = RatMatrix.from_rows([[F(1, 2), 0, 1], [2, F(-1, 3), 0], [1, 1, 1]])
+        omega = standard_symplectic_form(6)
+        monkeypatch.setattr(exactlin, "Fraction", CountingFraction)
+        CountingFraction.made = 0
+        a @ b, a + b, a - b, -a, a.transpose(), rref(a), rref(b), rref(a @ b - b)
+        s = random_antisymplectic_involution(6, 3)
+        assert is_antisymplectic(s, omega)
+        assert CountingFraction.made == 0
+        b.entries  # the counter does see the Fractions built where values leave
+        assert CountingFraction.made == 9
+
+    @given(rational_matrices(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_every_result_in_lowest_terms(self, m, data):
+        same = data.draw(st.lists(st.lists(rationals, min_size=m.cols, max_size=m.cols),
+                                  min_size=m.rows, max_size=m.rows))
+        other = RatMatrix.from_rows(same)
+        right = RatMatrix.from_rows([row[:1] for row in m.transpose().entries])
+        results = [m, other, m @ m.transpose(), m @ right, m + other, m - other, -m,
+                   m.transpose(), rref(m)[0], RatMatrix.identity(m.rows)]
+        assert all(in_lowest_terms(r) for r in results)
+        c = data.draw(st.integers(-30, 30).filter(bool))
+        scaled = RatMatrix(tuple(tuple(c * a for a in row) for row in m.ints), c * m.den)
+        assert scaled == m and hash(scaled) == hash(m)
+        assert RatMatrix.from_rows(m.entries) == m
+
+    def test_constructor_checks(self):
+        assert RatMatrix(((2, 4), (6, 0)), -4) == RatMatrix.from_rows([[F(-1, 2), -1], [F(-3, 2), 0]])
+        with pytest.raises(ValueError, match="ragged"):
+            RatMatrix(((1, 2), (3,)))
+        with pytest.raises(ZeroDivisionError):
+            RatMatrix(((1,),), 0)
+        with pytest.raises(TypeError):
+            RatMatrix(((F(1, 2),),))
+
+    def test_pairing(self):
+        omega = standard_symplectic_form(4)
+        assert omega.pairing((1, 0, 0, 0), (0, 0, 1, 0)) == 1
+        assert omega.pairing((0, 0, F(1, 2), 0), (F(2, 3), 0, 0, 5)) == F(-1, 3)
+        with pytest.raises(ValueError):
+            omega.pairing((1, 0), (1, 0, 0, 0))
+
+
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
         assert kernel(RatMatrix.identity(2)) == []
@@ -200,7 +275,7 @@ class TestKernel:
         assert len(basis) == 1
         for v in basis:
             assert m.apply(v) == (F(0),) * 3
-        assert span_rank(basis) == len(basis)
+        assert rank(RatMatrix.from_rows(basis)) == len(basis)
 
     def test_deterministic(self):
         m = RatMatrix.from_rows([[2, 4, 1, 3], [0, 0, 5, 5]])
@@ -247,7 +322,7 @@ class TestEigensplit:
         for seed in range(10):
             s = random_antisymplectic_involution(4, seed)
             plus, minus = eigensplit(s)
-            assert span_rank(list(plus) + list(minus)) == 4
+            assert rank(RatMatrix.from_rows(plus + minus)) == 4
 
 
 class TestLagrangian:

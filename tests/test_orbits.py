@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplab import orbits, wire
-from mplab.checks import check_two_routes
+from mplab import orbits, reps, wire
+from mplab.checks import check_two_routes, load_golden_cases
 from mplab.exactlin import GaussianRational
 from mplab.orbits import (
     ACHIEVED_HULL_CACHE_SIZE,
@@ -31,7 +31,7 @@ from mplab.polytope import (
     equals,
     hull,
 )
-from mplab.reps import SectionSpaceSpec, highest_weight_vector
+from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
     ExactGroupElement2x2,
     identity_involution,
@@ -359,3 +359,70 @@ class TestRouteDisagreement:
         assert not result.passed
         assert result.detail.startswith("80 cases x 2 routes, mismatches: [")
         assert "'dense@(2,1)'" in result.detail
+
+
+class RouteLeak(AssertionError):
+    """One route called a function that only the other route may use."""
+
+
+def forbid(monkeypatch, owner, names):
+    """Make each named attribute of ``owner`` raise :class:`RouteLeak` when called."""
+    for name in names:
+        def leak(*args, _name=name, **kwargs):
+            raise RouteLeak(f"{_name} was called")
+        monkeypatch.setattr(owner, name, leak)
+
+
+# the memoized hull itself, kept so a test can swap in a leaky stand-in
+HULL_MEMO = orbits._achieved_hull
+GOLDEN = [(wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
+           wire.polytope_from_json(c["delta_y"])) for c in load_golden_cases()]
+
+
+class TestRouteIndependence:
+    """The representation route never reads the orbit class, and the
+    intersection route never evaluates an invariant vector."""
+
+    INTERSECTION_ONLY = ("orbit_predicates", "classify_borel_orbit_closure",
+                         "moment_polytope", "membership_in_C")
+
+    @staticmethod
+    def unpatched_identity_cuts():
+        return [gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), l1, l2)
+                for x, l1, l2, _ in GOLDEN]
+
+    def representation_gate(self, monkeypatch):
+        """Both involutions over the 80 golden cases, memo cleared and the
+        intersection route's functions forbidden."""
+        unpatched = self.unpatched_identity_cuts()
+        HULL_MEMO.cache_clear()
+        forbid(monkeypatch, orbits, self.INTERSECTION_ONLY)
+        try:
+            for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
+                assert equals(gamma_highest_weight_polytope(RealFormCase(x, NEG), l1, l2), delta_y)
+                got = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), l1, l2)
+                assert equals(got, want)
+        finally:
+            HULL_MEMO.cache_clear()
+
+    def test_representation_route_reads_no_orbit_class(self, monkeypatch):
+        assert len(GOLDEN) == 80
+        self.representation_gate(monkeypatch)
+
+    def test_gate_catches_a_route_that_classifies(self, monkeypatch):
+        def leaky(coords, lam1, lam2):
+            orbits.classify_borel_orbit_closure(FlagPoint(*coords))
+            return HULL_MEMO.__wrapped__(coords, lam1, lam2)
+        monkeypatch.setattr(orbits, "_achieved_hull", leaky)
+        with pytest.raises(RouteLeak, match="classify_borel_orbit_closure was called"):
+            self.representation_gate(monkeypatch)
+
+    def test_intersection_route_evaluates_no_invariant_vector(self, monkeypatch):
+        unpatched = self.unpatched_identity_cuts()
+        forbid(monkeypatch, orbits, ("highest_weight_vector",))
+        forbid(monkeypatch, reps, ("highest_weight_vector",))
+        forbid(monkeypatch, BiHomogPoly, ("evaluate",))
+        for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
+            polytope = moment_polytope(x, l1, l2)
+            assert equals(NEG.negated_cut(polytope), delta_y)
+            assert equals(identity_involution().negated_cut(polytope), want)
