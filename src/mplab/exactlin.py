@@ -82,9 +82,6 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def col(self, j: int) -> Vector:
-        return tuple(Fraction(row[j], self.den) for row in self.ints)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.ints)), self.den)
 

@@ -309,21 +309,24 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     The distance is an exact NumPy sweep along each cloud's axis of largest
     spread, equal bit for bit to ``scipy.spatial.cKDTree``.  When a probe of
     the first round leaves most queries unresolved, as on clouds that fill a
-    volume, the call is computed with ``cKDTree`` instead.
+    volume, the call is computed with ``cKDTree`` where SciPy is installed;
+    without SciPy the sweep finishes it, with the same value.
     """
     a, b = _distinct_rows(a), _distinct_rows(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point clouds of dimensions {a.shape[1]} and {b.shape[1]}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("point clouds must be finite, with no nan or inf")
-    sorted_b = _sorted_along_spread(b)
-    if _probe_resolves(a, *sorted_b):
-        sorted_a = _sorted_along_spread(a)
-        if _probe_resolves(b, *sorted_a):
-            d_ab = _sweep_max_sq(a, *sorted_b, -np.inf)
-            return float(np.sqrt(_sweep_max_sq(b, *sorted_a, d_ab)))
-    from scipy.spatial import cKDTree
-    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+    sorted_a, sorted_b = _sorted_along_spread(a), _sorted_along_spread(b)
+    if not (_probe_resolves(a, *sorted_b) and _probe_resolves(b, *sorted_a)):
+        try:
+            from scipy.spatial import cKDTree
+        except ImportError:  # the sweep is exact on any cloud, only slower
+            pass
+        else:
+            return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+    d_ab = _sweep_max_sq(a, *sorted_b, -np.inf)
+    return float(np.sqrt(_sweep_max_sq(b, *sorted_a, d_ab)))
 
 
 def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> float:
@@ -380,23 +383,32 @@ def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
     return float(abs(val) ** 2 / (n1 ** (spec.r * spec.lam1) * n2 ** (spec.r * spec.lam2)))
 
 
-# Below this 1-norm, scipy.linalg.expm itself takes the order-3 Pade
-# approximant with no scaling (Al-Mohy & Higham, SIMAX 2009, theta_3).
+# theta_3 of Al-Mohy & Higham (SIMAX 2009): up to this 1-norm the order-3
+# Pade approximant of exp needs no scaling in double precision.
 _PADE3_THETA = 1.495585217958292e-2
 _EYE2 = np.eye(2, dtype=complex)
+_FLOW_STEP = 1e-5  # central-difference step of the gradient check along the flow
 
 
 def _flow_matrix(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a 2x2 matrix: Pade-3 in NumPy when |a|_1 <= theta_3, else SciPy."""
-    if np.abs(a).sum(axis=0).max() > _PADE3_THETA:
-        from scipy.linalg import expm
-        return expm(a)
+    """exp(a) of a 2x2 matrix by scaling and squaring (Higham, SIMAX 2005).
+
+    Takes the Pade-3 approximant of a / 2^s, with s the least integer that
+    brings the 1-norm to theta_3 or below, and squares it s times.  The
+    result of an upper triangular a is exactly upper triangular.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _PADE3_THETA))) if _PADE3_THETA < norm < np.inf else 0
+    if s:
+        a = a / 2 ** s
     a2 = a @ a
     u = a @ (a2 + 60 * _EYE2)
     v = 12 * a2 + 120 * _EYE2
     g = _EYE2 + 2 * np.linalg.solve(v - u, u)
-    if a[1, 0] == 0:  # upper triangular, as SciPy's triu returns it
+    if a[1, 0] == 0:  # squaring keeps this entry exactly 0
         g[1, 0] = 0
+    for _ in range(s):
+        g = g @ g
     return g
 
 
@@ -414,8 +426,8 @@ def _check_borel(xi: np.ndarray):
         raise ValueError("xi must be upper triangular and traceless")
 
 
-def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int,
-                    step: float) -> tuple[float, float, float, float]:
+def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int
+                    ) -> tuple[float, float, float, float]:
     """The terms of the derivative identity for section k at (point, xi).
 
     Returns the central difference of |s|^2 along the exp(-t*xi) flow, |s|^2,
@@ -423,8 +435,8 @@ def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int,
     """
     vec = highest_weight_vector(spec, k)
     norm2 = section_norm_sq(vec, spec, point)
-    derivative = (_flow_norm_sq(vec, spec, point, xi, step)
-                  - _flow_norm_sq(vec, spec, point, xi, -step)) / (2 * step)
+    derivative = (_flow_norm_sq(vec, spec, point, xi, _FLOW_STEP)
+                  - _flow_norm_sq(vec, spec, point, xi, -_FLOW_STEP)) / (2 * _FLOW_STEP)
     theta = su2_coordinates(borel_imaginary_part(xi))
     weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 2 * k) / spec.r
     pairing = float(np.dot(moment_map(point, spec.lam1, spec.lam2), theta))
@@ -441,15 +453,14 @@ def calibrate_gradient_normalization() -> float:
     spec = SectionSpaceSpec(1, 2, 1)
     point = ((1.0 + 0j, 2.0 + 0j), (1.0 + 0j, 3.0 + 0j))
     xi = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
-    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, 0, 1e-5)
+    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, 0)
     if abs(pairing) < 1e-9:
         raise RuntimeError("degenerate calibration datum")
     return float((derivative / (4 * np.pi * spec.r * norm2) + weight_term) / pairing)
 
 
 def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
-                               k: int, kappa: float | None,
-                               step: float = 1e-5) -> float:
+                               k: int, kappa: float | None) -> float:
     """Relative residual of the derivative identity at one (point, direction).
 
     Central finite difference of |s|^2 along the exp(-t*xi) flow against
@@ -460,7 +471,7 @@ def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
         raise NormalizationUncalibratedError(
             "run calibrate_gradient_normalization() first and pass its value")
     _check_borel(xi)
-    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k, step)
+    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k)
     if norm2 <= 0:
         raise ValueError("section vanishes at the point; residual undefined")
     rhs = 4 * np.pi * spec.r * (-weight_term + kappa * pairing) * norm2

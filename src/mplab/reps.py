@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import GaussianRational, RatMatrix, kernel
@@ -305,8 +305,6 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
     for vec in basis:
         denom_lcm = lcm(*(entry.denominator for entry in vec))
         ints = [int(entry * denom_lcm) for entry in vec]
-        g = gcd(*ints)
-        ints = [v // g for v in ints]
         poly = BiHomogPoly.from_terms(spec.bidegree,
                                       {m: c for m, c in zip(monos, ints) if c != 0})
         lead_exp, lead_coeff = max(poly.terms)

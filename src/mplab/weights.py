@@ -68,13 +68,6 @@ class ExactGroupElement2x2:
         one = GaussianRational(Fraction(1))
         return cls(alpha, beta, zero, one / alpha)
 
-    def in_borel(self) -> bool:
-        return self.c.is_zero
-
-    def in_real_borel_identity(self) -> bool:
-        return (self.c.is_zero and self.a.is_real and self.b.is_real
-                and self.d.is_real and self.a.re > 0)
-
     def apply(self, pair: tuple[GaussianRational, GaussianRational]
               ) -> tuple[GaussianRational, GaussianRational]:
         x, y = pair

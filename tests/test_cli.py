@@ -262,8 +262,51 @@ class TestInputLimits:
         assert p.returncode == 2
 
 
+DEMO_05 = SRC.parent / "demos" / "05_numeric_laboratory.py"
+
+NO_SCIPY_GATE = """
+import contextlib, hashlib, io, json, runpy, sys
+if sys.argv[1] == "without":
+    sys.modules["scipy"] = None  # every import of scipy or a submodule raises ImportError
+import numpy as np
+from mplab import cli, numeric
+from mplab.orbits import OrbitClass, orbit_representatives
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return [cli.main(argv), out.getvalue(), err.getvalue()]
+
+
+got = {"verify": run(["verify", "--suite", "all", "--seed", "0"])}
+for sub in ("B", "H", "G", "G'"):
+    got[sub] = run(["sample", "--weights", "2", "1", "--point", "1/2+1/3i,1;1,1",
+                    "--subgroup", sub, "--n", "2000", "--seed", "5", "--out", "s.csv"])
+    with open("s.csv", "rb") as fh:
+        got[sub].append(hashlib.sha256(fh.read()).hexdigest())
+xi = np.array([[0.3 + 0.1j, 0.4 - 0.2j], [0, -0.3 - 0.1j]])
+for norm in (0.016, 30):
+    a = xi * (norm / np.abs(xi).sum(axis=0).max())
+    got[f"flow {norm}"] = numeric._flow_matrix(a).tobytes().hex()
+dense = orbit_representatives()[OrbitClass.DENSE]
+a, b = (numeric.sample_orbit(dense, "G", 10_000, seed, 2, 1).phis for seed in (3, 103))
+got["hausdorff"] = numeric.hausdorff_distance(a, b)
+got["scipy"] = sorted(m for m, mod in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and mod is not None)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    runpy.run_path(sys.argv[2], run_name="__main__")
+got["demo 05"] = out.getvalue()
+if sys.argv[1] == "with":
+    from scipy.spatial import cKDTree
+    got["tree"] = float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+print(json.dumps(got))
+"""
+
+
 class TestImportLayering:
-    """The exact subcommands load neither NumPy nor SciPy, and verify loads no SciPy."""
+    """The exact subcommands load neither NumPy nor SciPy, verify loads no SciPy,
+    and without SciPy every command, check and demo gives the same results."""
 
     def run_python(self, code, tmp_path):
         env = os.environ.copy()
@@ -314,6 +357,29 @@ class TestImportLayering:
             print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})))
             """, tmp_path)
         assert loaded == ["numpy"]
+
+    def test_numpy_alone_gives_the_same_results(self, tmp_path):
+        # The same script runs with SciPy and with every SciPy import refused;
+        # the two processes run side by side.
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = {}
+        for side in ("with", "without"):
+            (tmp_path / side).mkdir()
+            runs[side] = subprocess.Popen(
+                [sys.executable, "-c", NO_SCIPY_GATE, side, str(DEMO_05)], cwd=tmp_path / side,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        got = {}
+        for side, p in runs.items():
+            out, err = p.communicate(timeout=300)
+            assert p.returncode == 0, err
+            got[side] = json.loads(out.strip().splitlines()[-1])
+        assert got["without"].pop("scipy") == []
+        assert "scipy.spatial" in got["with"].pop("scipy")  # the shells went to the tree
+        assert got["without"]["hausdorff"] == got["with"].pop("tree")
+        assert got["without"]["verify"][0] == 0
+        assert [got["without"][sub][0] for sub in ("B", "H", "G", "G'")] == [0] * 4
+        assert got["without"] == got["with"]
 
 
 class TestRealPolytopeCommand:

@@ -328,44 +328,52 @@ class TestHausdorffSweep:
             numeric.hausdorff_distance(np.ones((2, 3)), np.ones((2, 2)))
 
 
-@pytest.fixture
-def expm_calls(monkeypatch):
-    """Record the arguments of every scipy.linalg.expm call."""
-    import scipy.linalg
-    calls = []
-    expm = scipy.linalg.expm
-
-    def recording_expm(a):
-        calls.append(a)
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
-    return calls
+def _pade3(a):
+    """The unscaled order-3 Pade approximant: the flow's formula up to theta_3."""
+    eye = np.eye(2, dtype=complex)
+    a2 = a @ a
+    u = a @ (a2 + 60 * eye)
+    v = 12 * a2 + 120 * eye
+    g = eye + 2 * np.linalg.solve(v - u, u)
+    if a[1, 0] == 0:
+        g[1, 0] = 0
+    return g
 
 
 class TestPadeFlow:
     @pytest.mark.parametrize("seed", [0, 1, 7, 401, 1601])
-    def test_gradient_check_matches_the_expm_path(self, monkeypatch, expm_calls, seed):
-        pade = checks.check_gradient_identity(seed)
-        assert expm_calls == []
-        monkeypatch.setattr(numeric, "_PADE3_THETA", -1.0)  # every flow through expm
-        assert checks.check_gradient_identity(seed) == pade
-        assert expm_calls
-
-    def test_above_theta_goes_through_expm(self, expm_calls):
+    def test_gradient_check_matches_the_expm_path(self, monkeypatch, seed):
         import scipy.linalg
-        a = np.array([[0.006, 0.01], [0.0, -0.006]], dtype=complex)  # |a|_1 = 0.016
-        assert np.abs(a).sum(axis=0).max() > numeric._PADE3_THETA
-        assert np.array_equal(numeric._flow_matrix(a), scipy.linalg.expm(a))
-        assert len(expm_calls) == 2
+        pade = checks.check_gradient_identity(seed)
+        monkeypatch.setattr(numeric, "_flow_matrix", scipy.linalg.expm)
+        assert checks.check_gradient_identity(seed) == pade
 
-    def test_below_theta_is_pade_and_upper_triangular(self, expm_calls):
+    def test_above_theta_scales_and_squares(self):
+        import scipy.linalg
+        rng = np.random.default_rng(31)
+        for norm in np.geomspace(0.016, 300, 400):
+            x = rng.normal(size=2) + 1j * rng.normal(size=2)
+            xi = np.array([[x[0], x[1]], [0, -x[0]]])
+            a = xi * (norm / np.abs(xi).sum(axis=0).max())
+            assert np.abs(a).sum(axis=0).max() > numeric._PADE3_THETA
+            g, want = numeric._flow_matrix(a), scipy.linalg.expm(a)
+            assert g[1, 0] == 0
+            assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_below_theta_is_pade_and_upper_triangular(self):
         import scipy.linalg
         a = np.array([[0.004, 0.01 - 0.002j], [0.0, -0.004]], dtype=complex)
         g = numeric._flow_matrix(a)
-        assert expm_calls == []
         assert g[1, 0] == 0
         assert np.allclose(g, scipy.linalg.expm(a), rtol=0, atol=4e-16)
+        assert g.tobytes() == _pade3(a).tobytes()
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if rng.random() < 0.5:
+                a[1, 0] = 0
+            a *= rng.uniform(0, numeric._PADE3_THETA) / np.abs(a).sum(axis=0).max()
+            assert numeric._flow_matrix(a).tobytes() == _pade3(a).tobytes()
 
 
 class TestGradientIdentity:

@@ -164,15 +164,18 @@ class TestOracle:
         assert n_invariant_subspace(SectionSpaceSpec(1, 1, 1), -2) == []
 
     def test_oracle_matches_closed_form(self):
-        for r in (1, 2):
-            for l1, l2 in ((1, 1), (2, 1), (2, 2)):
-                spec = SectionSpaceSpec(r, l1, l2)
-                for k, w in enumerate(clebsch_gordan_highest_weights(spec)):
-                    basis = n_invariant_subspace(spec, w)
-                    assert len(basis) == 1
-                    f = highest_weight_vector(spec, k)
-                    g = basis[0]
-                    assert f.scale(g.terms[0][1]) == g.scale(f.terms[0][1])
+        # the 27 specs of check_hw_oracle
+        specs = [SectionSpaceSpec(r, l1, l2)
+                 for r in (1, 2, 3) for l1 in (1, 2, 3) for l2 in (1, 2, 3)]
+        for spec in specs:
+            for k, w in enumerate(clebsch_gordan_highest_weights(spec)):
+                basis = n_invariant_subspace(spec, w)
+                assert len(basis) == 1
+                f = highest_weight_vector(spec, k)
+                g = basis[0]
+                assert f.scale(g.terms[0][1]) == g.scale(f.terms[0][1])
+                # the oracle's integer vector is primitive, as the closed form is
+                assert g in (f, -f)
 
     def test_off_parity_weights_empty(self):
         spec = SectionSpaceSpec(1, 2, 1)

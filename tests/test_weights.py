@@ -42,7 +42,6 @@ class TestExactGroupElement2x2:
         two = GaussianRational.of(2)
         one = GaussianRational.of(1)
         g = ExactGroupElement2x2.upper(two, one)
-        assert g.in_borel() and g.in_real_borel_identity()
         out = g.apply((one, one))
         assert out[0] == GaussianRational.of(3)
         assert out[1] == GaussianRational.of(F(1, 2))
