@@ -24,7 +24,9 @@ alpha-units and pr is the imaginary-part projection onto the compact algebra.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -64,11 +66,17 @@ def hopf_vector(a: complex, c: complex) -> np.ndarray:
     return np.array([-2 * ac.real, -2 * ac.imag, abs(c) ** 2 - abs(a) ** 2]) / n
 
 
-def _hopf_batch(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    n = np.abs(a) ** 2 + np.abs(c) ** 2
+def _hopf_batch(a: np.ndarray, c: np.ndarray, lam: int) -> np.ndarray:
+    """lam times the unit vectors of the pairs (a, c), as an (n, 3) array."""
+    aa, cc = np.abs(a) ** 2, np.abs(c) ** 2
     ac = np.conj(a) * c
-    return np.stack([-2 * ac.real, -2 * ac.imag,
-                     np.abs(c) ** 2 - np.abs(a) ** 2], axis=-1) / n[:, None]
+    h = np.empty((len(a), 3))
+    np.multiply(ac.real, -2, out=h[:, 0])
+    np.multiply(ac.imag, -2, out=h[:, 1])
+    np.subtract(cc, aa, out=h[:, 2])
+    h /= (aa + cc)[:, None]
+    h *= lam
+    return h
 
 
 def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
@@ -93,23 +101,35 @@ class SampleSet:
     def count(self) -> int:
         return int(self.coords.shape[0])
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """|Phi| of every sample, computed once."""
+        return np.linalg.norm(self.phis, axis=1)
+
+
+# A 2x2 matrix per sample, as its four entries (g00, g01, g10, g11): each an
+# (n,) complex array or a complex scalar shared by every sample.
+_Entry = np.ndarray | complex
+Entries = tuple[_Entry, _Entry, _Entry, _Entry]
+
 
 def _draw_matrices(subgroup: str, n: int, rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[Entries, Entries]:
     """Per-sample 2x2 matrices (g1, g2) applied to the two factors."""
     if subgroup == "B":
         alpha = np.exp(rng.uniform(-3, 3, n) + 1j * rng.uniform(-np.pi, np.pi, n))
         beta = np.tan(rng.uniform(-1.55, 1.55, n)) + 1j * np.tan(rng.uniform(-1.55, 1.55, n))
-        g = _upper(alpha, beta)
+        g = (alpha, beta, 0j, 1 / alpha)
         return g, g
     if subgroup == "H":
         alpha = np.exp(rng.uniform(-3, 3, n)).astype(complex)
         beta = np.tan(rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01, n)).astype(complex)
-        g = _upper(alpha, beta)
+        g = (alpha, beta, 0j, 1 / alpha)
         return g, g
     if subgroup == "G":
         return _haar_su2(n, rng), _haar_su2(n, rng)
-    # G', the only tag left after check_sample_args
+    # G', the only tag left after check_sample_args.  Its product k @ an stays
+    # a batched matmul: BLAS rounds it differently from an entrywise product.
     theta = rng.uniform(-np.pi, np.pi, n)
     t = rng.uniform(-2, 2, n)
     s = np.tan(rng.uniform(-1.5, 1.5, n))
@@ -118,29 +138,33 @@ def _draw_matrices(subgroup: str, n: int, rng: np.random.Generator
     k[:, 0, 1] = np.sin(theta)
     k[:, 1, 0] = -np.sin(theta)
     k[:, 1, 1] = np.cos(theta)
-    an = _upper(np.exp(t).astype(complex), (np.exp(t) * s).astype(complex))
+    alpha = np.exp(t).astype(complex)
+    an = np.zeros((n, 2, 2), dtype=complex)
+    an[:, 0, 0] = alpha
+    an[:, 0, 1] = (np.exp(t) * s).astype(complex)
+    an[:, 1, 1] = 1 / alpha
     g = k @ an
+    g = (g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
     return g, g
 
 
-def _upper(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    n = alpha.shape[0]
-    g = np.zeros((n, 2, 2), dtype=complex)
-    g[:, 0, 0] = alpha
-    g[:, 0, 1] = beta
-    g[:, 1, 1] = 1 / alpha
-    return g
-
-
-def _haar_su2(n: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_su2(n: int, rng: np.random.Generator) -> Entries:
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    g = np.zeros((n, 2, 2), dtype=complex)
-    g[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
-    g[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
-    g[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
-    g[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
-    return g
+    return (q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3],
+            -q[:, 2] + 1j * q[:, 3], q[:, 0] - 1j * q[:, 1])
+
+
+def _apply(g: Entries, a: complex, c: complex, out: np.ndarray) -> None:
+    """Write g @ (a, c) into the two columns of out.
+
+    Each entry is summed from zero in matmul's order, (0 + g00*a) + g01*c,
+    so the result equals a batched ``g @ [a, c]`` bit for bit, signed zeros
+    included.
+    """
+    g00, g01, g10, g11 = g
+    np.add(0 + g00 * a, g01 * c, out=out[:, 0])
+    np.add(0 + g10 * a, g11 * c, out=out[:, 1])
 
 
 def check_sample_args(subgroup: str, n: int) -> None:
@@ -151,6 +175,23 @@ def check_sample_args(subgroup: str, n: int) -> None:
         raise ValueError(f"unknown subgroup tag {subgroup!r}; expected B, H, G or G'")
 
 
+def _check_base(base: ComplexFlagPoint) -> None:
+    for a, c in base:
+        if not (cmath.isfinite(a) and cmath.isfinite(c)):
+            raise ValueError("base point coordinates must be finite")
+        if a == 0 and c == 0:
+            raise ValueError("zero coordinate pair")
+
+
+def _orbit_coords(base: ComplexFlagPoint, subgroup: str, n: int, seed: int) -> np.ndarray:
+    """The (n, 4) complex coordinates of the drawn g.x; the matrices die here."""
+    g1, g2 = _draw_matrices(subgroup, n, np.random.default_rng(seed))
+    coords = np.empty((n, 4), dtype=complex)
+    _apply(g1, *base[0], coords[:, 0:2])
+    _apply(g2, *base[1], coords[:, 2:4])
+    return coords
+
+
 def sample_orbit(x, subgroup: str, n: int, seed: int,
                  lam1: int = 2, lam2: int = 1) -> SampleSet:
     """n orbit points g.x with g from a seeded parametrization of the subgroup.
@@ -159,17 +200,15 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     positive-diagonal identity component, G pairs of independently drawn
     special-unitary elements acting factor-by-factor, and G' the real
     determinant-1 group; B, H, G' act by the same matrix on both factors.
+    A zero coordinate pair or a non-finite coordinate is refused before
+    anything is drawn.
     """
     check_sample_args(subgroup, n)
     base = _as_complex_pairs(x)
-    rng = np.random.default_rng(seed)
-    g1, g2 = _draw_matrices(subgroup, n, rng)
-    (a1, c1), (a2, c2) = base
-    v1 = g1 @ np.array([a1, c1], dtype=complex)
-    v2 = g2 @ np.array([a2, c2], dtype=complex)
-    coords = np.stack([v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]], axis=1)
-    phis = lam1 * _hopf_batch(coords[:, 0], coords[:, 1]) \
-        + lam2 * _hopf_batch(coords[:, 2], coords[:, 3])
+    _check_base(base)
+    coords = _orbit_coords(base, subgroup, n, seed)
+    phis = _hopf_batch(coords[:, 0], coords[:, 1], lam1)
+    phis += _hopf_batch(coords[:, 2], coords[:, 3], lam2)
     return SampleSet(seed=seed, subgroup=subgroup, base_point=base,
                      lam1=lam1, lam2=lam2, coords=coords, phis=phis)
 
@@ -186,7 +225,7 @@ def sampled_delta(samples: SampleSet, mode: str = "radial",
     """
     if samples.count == 0:
         raise ValueError("empty sample set")
-    norms = np.linalg.norm(samples.phis, axis=1)
+    norms = samples.norms
     if mode == "radial":
         return (float(norms.min()), float(norms.max()))
     if mode == "angular":
@@ -422,6 +461,8 @@ def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
 
 
 def _check_borel(xi: np.ndarray):
+    if not np.isfinite(xi).all():
+        raise ValueError("xi must be finite, with no nan or inf")
     if abs(xi[1, 0]) > 1e-12 or abs(xi[0, 0] + xi[1, 1]) > 1e-12:
         raise ValueError("xi must be upper triangular and traceless")
 
@@ -496,6 +537,6 @@ def write_samples_csv(samples: SampleSet, stream: IO[str]) -> None:
     table[:, 0:8:2] = samples.coords.real
     table[:, 1:8:2] = samples.coords.imag
     table[:, 8:11] = samples.phis
-    table[:, 11] = np.linalg.norm(samples.phis, axis=1)
+    table[:, 11] = samples.norms
     stream.write(",".join(CSV_COLUMNS) + "\n")
     stream.writelines(_CSV_ROW % tuple(row) for row in table.tolist())

@@ -6,10 +6,15 @@ import textwrap
 import time
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mplab import checks, cli, numeric, svgplot, wire
-from mplab.orbits import orbit_representatives
+from mplab.exactlin import GaussianRational
+from mplab.orbits import FlagPoint, orbit_representatives
 from mplab.polytope import equals, hull
 
 
@@ -513,6 +518,11 @@ class TestSampleAndPlot:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert out.read_text() == "kept\n"
 
+    def test_zero_pair_point_exits_2_before_sampling(self, capsys, no_draw):
+        argv = ["sample", "--weights", "2", "1", "--point", "0,0;1,1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: first coordinate pair is (0, 0)\n"
+
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "samples.csv"
         p = run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
@@ -681,6 +691,20 @@ class TestWireFormats:
     def test_point_literal_round_trip(self):
         for x in orbit_representatives().values():
             assert wire.parse_point_literal(wire.format_point(x)) == x
+
+    @given(st.booleans(), st.lists(st.fractions(max_denominator=10 ** 6), min_size=8,
+                                   max_size=8))
+    @settings(deadline=None, max_examples=60)
+    def test_point_literal_round_trip_property(self, real, parts):
+        if real:
+            parts[1::2] = [Fraction(0)] * 4
+        coords = [GaussianRational(re, im) for re, im in zip(parts[0::2], parts[1::2])]
+        assume(not (coords[0].is_zero and coords[1].is_zero))
+        assume(not (coords[2].is_zero and coords[3].is_zero))
+        x = FlagPoint(*coords)
+        back = wire.parse_point_literal(wire.format_point(x))
+        assert back == x
+        assert back.coords == x.coords
 
     def test_gaussian_literals(self):
         g = wire.parse_gaussian("1/2-3/4i")

@@ -1,14 +1,21 @@
 import csv
 import io
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplab import checks, numeric
-from mplab.orbits import OrbitClass, orbit_representatives
+from mplab.orbits import (FlagPoint, OrbitClass, RealFormCase, orbit_representatives,
+                          real_moment_polytope)
 from mplab.reps import SectionSpaceSpec
+from mplab.weights import negation_involution
 
 REPS = orbit_representatives()
+SUBGROUPS = ("B", "H", "G", "G'")
 
 
 class TestMomentMap:
@@ -68,6 +75,145 @@ class TestSampleOrbit:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 0, 0)
+
+    @pytest.mark.parametrize("point, message", [
+        (((0j, 0j), (1, 0j)), "zero coordinate pair"),
+        (((1, 2), (-0.0, 0j)), "zero coordinate pair"),
+        (((float("inf"), 1), (1, 0)), "finite"),
+        (((1, 1), (complex(1, float("nan")), 1)), "finite"),
+        (((float("nan"), float("nan")), (1, 0)), "finite"),
+    ])
+    def test_bad_base_point_refused_before_drawing(self, monkeypatch, point, message):
+        def no_draw(*args):
+            raise AssertionError("drew matrices for a refused base point")
+        monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
+        with pytest.raises(ValueError, match=message):
+            numeric.sample_orbit(point, "B", 10, 0)
+
+
+def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
+    """The stacked-matmul sampler the entrywise one replaced."""
+    def upper(alpha, beta):
+        g = np.zeros((len(alpha), 2, 2), dtype=complex)
+        g[:, 0, 0], g[:, 0, 1], g[:, 1, 1] = alpha, beta, 1 / alpha
+        return g
+
+    def haar_su2():
+        q = rng.normal(size=(n, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        g = np.zeros((n, 2, 2), dtype=complex)
+        g[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
+        g[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
+        g[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
+        g[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
+        return g
+
+    def hopf(a, c):
+        n = np.abs(a) ** 2 + np.abs(c) ** 2
+        ac = np.conj(a) * c
+        return np.stack([-2 * ac.real, -2 * ac.imag,
+                         np.abs(c) ** 2 - np.abs(a) ** 2], axis=-1) / n[:, None]
+
+    rng = np.random.default_rng(seed)
+    if subgroup == "B":
+        alpha = np.exp(rng.uniform(-3, 3, n) + 1j * rng.uniform(-np.pi, np.pi, n))
+        beta = np.tan(rng.uniform(-1.55, 1.55, n)) + 1j * np.tan(rng.uniform(-1.55, 1.55, n))
+        g1 = g2 = upper(alpha, beta)
+    elif subgroup == "H":
+        alpha = np.exp(rng.uniform(-3, 3, n)).astype(complex)
+        beta = np.tan(rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01, n)).astype(complex)
+        g1 = g2 = upper(alpha, beta)
+    elif subgroup == "G":
+        g1, g2 = haar_su2(), haar_su2()
+    else:
+        theta = rng.uniform(-np.pi, np.pi, n)
+        t = rng.uniform(-2, 2, n)
+        s = np.tan(rng.uniform(-1.5, 1.5, n))
+        k = np.zeros((n, 2, 2), dtype=complex)
+        k[:, 0, 0], k[:, 0, 1] = np.cos(theta), np.sin(theta)
+        k[:, 1, 0], k[:, 1, 1] = -np.sin(theta), np.cos(theta)
+        g1 = g2 = k @ upper(np.exp(t).astype(complex), (np.exp(t) * s).astype(complex))
+    (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
+    v1 = g1 @ np.array([a1, c1], dtype=complex)
+    v2 = g2 @ np.array([a2, c2], dtype=complex)
+    coords = np.stack([v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]], axis=1)
+    phis = lam1 * hopf(coords[:, 0], coords[:, 1]) + lam2 * hopf(coords[:, 2], coords[:, 3])
+    return coords, phis
+
+
+def _bits(a):
+    """The raw bits of a float or complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_BIT_BASES = {
+    **{cls.value: x for cls, x in REPS.items()},
+    "complex": ((0.3 - 1.2j, -0.7 + 0.4j), (1.5 + 0.25j, -2.0 - 0.5j)),
+    "complex-small": ((1e-3 + 2e-3j, 1 - 1j), (-4j, 3 + 0j)),
+    "neg-zero-real": ((-0.0, 1.0), (1.0, -0.0)),
+    "neg-zero-both": ((-1.0, -0.0), (-0.0, -2.0)),
+    "neg-zero-imag": ((complex(-0.0, -0.0), complex(1, -0.0)),
+                      (complex(-2, 0.0), complex(-0.0, 1))),
+}
+
+
+@pytest.mark.parametrize("subgroup", SUBGROUPS)
+@pytest.mark.parametrize("base", list(_BIT_BASES))
+def test_sampler_matches_stacked_matmul_bit_for_bit(subgroup, base):
+    x = _BIT_BASES[base]
+    for seed, lam1, lam2 in ((0, 2, 1), (7, 3, 1), (401, 1, 1), (2024, 1, 4)):
+        samples = numeric.sample_orbit(x, subgroup, 2000, seed, lam1, lam2)
+        coords, phis = _reference_sample_orbit(x, subgroup, 2000, seed, lam1, lam2)
+        assert np.array_equal(_bits(samples.coords), _bits(coords))
+        assert np.array_equal(_bits(samples.phis), _bits(phis))
+        assert np.array_equal(_bits(samples.norms), _bits(np.linalg.norm(phis, axis=1)))
+
+
+def test_norms_are_computed_once(monkeypatch):
+    samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "B", 1000, 3, 2, 1)
+    first = samples.norms
+    monkeypatch.setattr(np.linalg, "norm", None)  # any second computation would fail
+    numeric.sampled_delta(samples, "radial")
+    numeric.sampled_delta(samples, "angular", 0.05)
+    numeric.write_samples_csv(samples, io.StringIO())
+    assert samples.norms is first
+
+
+_rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
+_nonzero_rationals = st.builds(F, st.integers(1, 50) | st.integers(-50, -1),
+                               st.integers(1, 20))
+
+
+@st.composite
+def _real_points(draw):
+    """Real flag points of every orbit class."""
+    a1, a2 = draw(_rationals), draw(_rationals)
+    c1, c2 = draw(_nonzero_rationals), draw(_nonzero_rationals)
+    shape = draw(st.sampled_from(["free", "diagonal", "first", "second", "point"]))
+    if shape == "diagonal":
+        a2, c2 = a1 * c2 / c1, c2
+    if shape in ("first", "point"):
+        a2, c2 = draw(_nonzero_rationals), F(0)
+    if shape in ("second", "point"):
+        a1, c1 = draw(_nonzero_rationals), F(0)
+    return FlagPoint.real(a1, c1, a2, c2)
+
+
+@given(_real_points(), st.sampled_from(SUBGROUPS), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None, max_examples=24)
+def test_sampled_images_lie_in_the_exact_polytope(x, subgroup, lam1, lam2, seed):
+    """The tolerances of check_sampled_agreement, for all four subgroups."""
+    samples = numeric.sample_orbit(x, subgroup, 20_000, seed, lam1, lam2)
+    lo, hi = numeric.sampled_delta(samples, "radial")
+    assert abs(lam1 - lam2) - 0.02 <= lo <= hi <= lam1 + lam2 + 0.02
+    if subgroup in ("B", "H"):  # both keep the orbit closure and its real form
+        cut = numeric.sampled_delta(samples, "angular", 0.05)
+        exact = real_moment_polytope(RealFormCase(x, negation_involution()), lam1, lam2)
+        if cut is not None:
+            assert not exact.is_empty
+            assert float(min(exact.vertices)) - 0.05 <= cut[0]
+            assert cut[1] <= float(max(exact.vertices)) + 0.05
 
 
 class TestSampledDelta:
@@ -414,6 +560,14 @@ class TestGradientIdentity:
         xi = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="upper triangular"):
             numeric.gradient_identity_residual(((1, 2), (1, 3)), xi, spec, 0, kappa)
+
+    @pytest.mark.parametrize("xi", [[[np.inf, 1], [0, -np.inf]], [[np.nan, 1], [0, 0]]])
+    def test_non_finite_direction_rejected(self, monkeypatch, xi):
+        kappa = numeric.calibrate_gradient_normalization()
+        monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
+        with pytest.raises(ValueError, match="finite"):
+            numeric.gradient_identity_residual(((1, 2), (1, 3)), np.array(xi, dtype=complex),
+                                               SectionSpaceSpec(1, 2, 1), 0, kappa)
 
     def test_random_directions_small_residual(self):
         kappa = numeric.calibrate_gradient_normalization()
