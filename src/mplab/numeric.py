@@ -25,6 +25,7 @@ alpha-units and pr is the imaginary-part projection onto the compact algebra.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
@@ -57,11 +58,25 @@ def _as_complex_pairs(point) -> ComplexFlagPoint:
     return ((complex(a1), complex(c1)), (complex(a2), complex(c2)))
 
 
+def _norm_sq(a: complex, c: complex) -> float:
+    """|a|^2 + |c|^2, refusing a zero pair and one whose squared modulus a
+    float cannot hold (0 or inf from a nonzero finite pair)."""
+    if a == 0 and c == 0:
+        raise ValueError("zero coordinate pair")
+    try:
+        n = abs(a) ** 2 + abs(c) ** 2
+    except OverflowError:
+        n = math.inf
+    if n == 0 or n == math.inf:
+        raise ValueError(f"squared modulus of the coordinate pair ({a}, {c}) "
+                         f"{'underflows to 0' if n == 0 else 'overflows'}; "
+                         "scale the pair toward 1")
+    return n
+
+
 def hopf_vector(a: complex, c: complex) -> np.ndarray:
     """Unit vector of a homogeneous coordinate pair; (0:1) -> +e3, (1:0) -> -e3."""
-    n = abs(a) ** 2 + abs(c) ** 2
-    if n == 0:
-        raise ValueError("zero coordinate pair")
+    n = _norm_sq(a, c)
     ac = np.conj(a) * c
     return np.array([-2 * ac.real, -2 * ac.imag, abs(c) ** 2 - abs(a) ** 2]) / n
 
@@ -179,8 +194,7 @@ def _check_base(base: ComplexFlagPoint) -> None:
     for a, c in base:
         if not (cmath.isfinite(a) and cmath.isfinite(c)):
             raise ValueError("base point coordinates must be finite")
-        if a == 0 and c == 0:
-            raise ValueError("zero coordinate pair")
+        _norm_sq(a, c)
 
 
 def _orbit_coords(base: ComplexFlagPoint, subgroup: str, n: int, seed: int) -> np.ndarray:
@@ -200,15 +214,21 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     positive-diagonal identity component, G pairs of independently drawn
     special-unitary elements acting factor-by-factor, and G' the real
     determinant-1 group; B, H, G' act by the same matrix on both factors.
-    A zero coordinate pair or a non-finite coordinate is refused before
-    anything is drawn.
+    A zero coordinate pair, a non-finite coordinate or a pair whose squared
+    modulus underflows to 0 or overflows is refused before anything is
+    drawn.  A drawn element can still scale a pair near either end out of
+    range, so a sample with a non-finite moment value is refused after.
     """
     check_sample_args(subgroup, n)
     base = _as_complex_pairs(x)
     _check_base(base)
-    coords = _orbit_coords(base, subgroup, n, seed)
-    phis = _hopf_batch(coords[:, 0], coords[:, 1], lam1)
-    phis += _hopf_batch(coords[:, 2], coords[:, 3], lam2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = _orbit_coords(base, subgroup, n, seed)
+        phis = _hopf_batch(coords[:, 0], coords[:, 1], lam1)
+        phis += _hopf_batch(coords[:, 2], coords[:, 3], lam2)
+    if not np.isfinite(phis).all():
+        raise ValueError("a drawn orbit point leaves the float range; "
+                         "scale the base point's pairs toward 1")
     return SampleSet(seed=seed, subgroup=subgroup, base_point=base,
                      lam1=lam1, lam2=lam2, coords=coords, phis=phis)
 

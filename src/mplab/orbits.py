@@ -219,23 +219,38 @@ def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -
     achieved: list[Fraction] = []
     for r in range(1, REPRESENTATION_R_MAX + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
-        for k in range(spec.k_max + 1):
-            vec = highest_weight_vector(spec, k)
-            if not vec.evaluate(coords).is_zero:
-                achieved.append(Fraction(r * (lam1 + lam2) - 2 * k, r))
+        # The weight falls as k grows, so the least and the greatest
+        # achieving k span the same hull as every achieving k does.
+        low = _first_nonzero(spec, range(spec.k_max + 1), coords)
+        if low is None:
+            continue
+        high = _first_nonzero(spec, range(spec.k_max, low, -1), coords)
+        achieved += [Fraction(r * (lam1 + lam2) - 2 * k, r)
+                     for k in (low, high) if k is not None]
     return hull(achieved)
+
+
+def _first_nonzero(spec: SectionSpaceSpec, ks: range,
+                   coords: tuple[GaussianRational, ...]) -> int | None:
+    """The first k in ``ks`` whose invariant vector is nonzero at ``coords``."""
+    return next((k for k in ks
+                 if not highest_weight_vector(spec, k).evaluate(coords).is_zero), None)
 
 
 def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:
     """Closure of the constrained weight set, by the representation route.
 
-    Evaluates the actual invariant vectors at the base point over bundle
+    Evaluates the expanded invariant vectors at the base point over bundle
     powers r <= ``REPRESENTATION_R_MAX``, hulls the achieved weights (exact
-    rationals), and cuts them by the negated eigenspace of gamma.  For
-    integer weights r = 1 already achieves the extreme points; r = 2 adds a
-    safety margin at trivial cost.  The hull is memoized per (coordinates,
-    weights) in a memo of ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by
-    gamma runs on every call.
+    rationals), and cuts them by the negated eigenspace of gamma.  The weight
+    (r(lam1+lam2) - 2k)/r falls as k grows, so each power is scanned from
+    both ends: k upward to the first vector that does not vanish, then
+    downward to the last, stopping short of the first; the k in between are
+    never evaluated.  A dense point costs two vectors per power; the other
+    classes achieve at most one k per power and cost every vector.
+    For integer weights r = 1 already achieves the extreme points.  The hull
+    is memoized per (coordinates, weights) in a memo of
+    ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by gamma runs on every call.
     """
     _check_weights(lam1, lam2)
     return case.gamma.negated_cut(_achieved_hull(case.x.coords, lam1, lam2))

@@ -113,10 +113,18 @@ class BiHomogPoly:
         return out
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4."""
+        """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4.
+
+        A term with a positive exponent on a zero coordinate is exactly 0,
+        so it is skipped; which coordinates are zero is noted once per call.
+        """
         x1, y1, x2, y2 = point
+        zeros = [i for i, g in enumerate(point) if g.is_zero]
         total = GaussianRational(Fraction(0))
-        for (a, b, c, d), coeff in self.terms:
+        for exp, coeff in self.terms:
+            if zeros and any(exp[i] for i in zeros):
+                continue
+            a, b, c, d = exp
             term = (x1 ** a) * (y1 ** b) * (x2 ** c) * (y2 ** d)
             total = total + term.scale(coeff)
         return total

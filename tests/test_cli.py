@@ -523,6 +523,16 @@ class TestSampleAndPlot:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: first coordinate pair is (0, 0)\n"
 
+    def test_pair_overflowing_a_float_exits_2_before_sampling(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew matrices for a refused base point")
+        monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
+        argv = ["sample", "--weights", "2", "1", "--point", f"{10 ** 200},1;1,1", "--n", "2"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: squared modulus of the coordinate pair") and "overflows" in err
+        assert err.count("\n") == 1
+
     def test_sample_csv(self, tmp_path):
         out = tmp_path / "samples.csv"
         p = run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",

@@ -38,6 +38,15 @@ class TestMomentMap:
         with pytest.raises(ValueError):
             numeric.hopf_vector(0, 0)
 
+    @pytest.mark.parametrize("a, c, message", [
+        (1e-200, 0, "underflows to 0"),
+        (10.0 ** 200, 1, "overflows"),
+        (complex(1e308, 1e308), 0, "overflows"),
+    ])
+    def test_pair_out_of_float_range_rejected(self, a, c, message):
+        with pytest.raises(ValueError, match=message):
+            numeric.hopf_vector(a, c)
+
     def test_identity_element_reproduces_value(self):
         x = REPS[OrbitClass.DENSE]
         (a1, c1), (a2, c2) = x.as_complex_pairs()
@@ -82,6 +91,8 @@ class TestSampleOrbit:
         (((float("inf"), 1), (1, 0)), "finite"),
         (((1, 1), (complex(1, float("nan")), 1)), "finite"),
         (((float("nan"), float("nan")), (1, 0)), "finite"),
+        (((1e-200, 0), (1, 1)), "underflows to 0"),
+        (((1, 1), (10.0 ** 200, 1)), "overflows"),
     ])
     def test_bad_base_point_refused_before_drawing(self, monkeypatch, point, message):
         def no_draw(*args):
@@ -89,6 +100,16 @@ class TestSampleOrbit:
         monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
         with pytest.raises(ValueError, match=message):
             numeric.sample_orbit(point, "B", 10, 0)
+
+    @pytest.mark.parametrize("subgroup", ["B", "H"])
+    def test_draw_scaled_out_of_float_range_refused(self, subgroup):
+        # |a|^2 = 1e306 is finite, but a drawn diagonal entry up to e^3 overflows it
+        with pytest.raises(ValueError, match="leaves the float range"):
+            numeric.sample_orbit(((1e153, 1), (1, 1)), subgroup, 1000, 0)
+
+    def test_pair_near_underflow_still_samples(self):
+        samples = numeric.sample_orbit(((1e-160, 0), (1, 1)), "H", 100, 0)
+        assert np.isfinite(samples.phis).all()
 
 
 def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):

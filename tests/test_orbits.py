@@ -261,13 +261,23 @@ class TestCatalog:
                 assert len(enumerate_polytope_catalog(l1, l2, NEG)) <= 5
 
 
+def sum_every_term(poly, coords):
+    """``poly`` at ``coords``, every term summed: no term skipped, no early stop."""
+    x1, y1, x2, y2 = coords
+    total = GaussianRational(F(0))
+    for (a, b, c, d), coeff in poly.terms:
+        total = total + (x1 ** a * y1 ** b * x2 ** c * y2 ** d).scale(coeff)
+    return total
+
+
 def reference_representation_route(case, lam1, lam2, r_max=2):
-    """The representation route evaluated afresh, with no memo."""
+    """The representation route evaluated afresh at every k, with no memo
+    and without ``BiHomogPoly.evaluate``."""
     achieved = []
     for r in range(1, r_max + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for k in range(spec.k_max + 1):
-            if not highest_weight_vector(spec, k).evaluate(case.x.coords).is_zero:
+            if not sum_every_term(highest_weight_vector(spec, k), case.x.coords).is_zero:
                 achieved.append(F(r * (lam1 + lam2) - 2 * k, r))
     closure = hull(achieved)
     if case.gamma.sign == -1:  # the -1 eigenspace is the whole axis
@@ -277,16 +287,22 @@ def reference_representation_route(case, lam1, lam2, r_max=2):
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
 nonzero_rationals = st.builds(F, st.integers(1, 50) | st.integers(-50, -1), st.integers(1, 20))
-weights = st.integers(1, 8)
+weights = st.integers(1, 12)
 gammas = st.sampled_from([NEG, identity_involution()])
 
 
 @st.composite
 def real_points(draw):
-    """Real flag points of every orbit class, most of them dense."""
+    """Real flag points of every orbit class, most of them dense, and the
+    zero coordinates that let ``evaluate`` skip terms."""
     a1, a2 = draw(rationals), draw(rationals)
     c1, c2 = draw(nonzero_rationals), draw(nonzero_rationals)
-    shape = draw(st.sampled_from(["free", "free", "diagonal", "first", "second", "point"]))
+    shape = draw(st.sampled_from(["free", "free", "diagonal", "first", "second", "point",
+                                  "a1 = 0", "a2 = 0", "a1 = a2 = 0"]))
+    if shape in ("a1 = 0", "a1 = a2 = 0"):
+        a1 = F(0)
+    if shape in ("a2 = 0", "a1 = a2 = 0"):
+        a2 = F(0)
     if shape == "diagonal":
         a2, c2 = a1 * c2 / c1, c2
     if shape in ("first", "point"):
@@ -338,6 +354,99 @@ class TestRepresentationMemo:
                           gamma_highest_weight_polytope(case, lam1, lam2))
             assert equals(real_moment_polytope(scaled, lam1, lam2),
                           real_moment_polytope(case, lam1, lam2))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Count ``BiHomogPoly.evaluate`` calls per bidegree, the memo cleared around."""
+    calls = {}
+    genuine = BiHomogPoly.evaluate
+
+    def counting(self, point):
+        calls[self.bidegree] = calls.get(self.bidegree, 0) + 1
+        return genuine(self, point)
+
+    orbits._achieved_hull.cache_clear()
+    monkeypatch.setattr(BiHomogPoly, "evaluate", counting)
+    yield calls
+    monkeypatch.undo()
+    orbits._achieved_hull.cache_clear()
+
+
+class TestRepresentationWork:
+    """How many invariant vectors the representation route evaluates: a
+    count of calls, not a timing."""
+
+    POWERS = range(1, orbits.REPRESENTATION_R_MAX + 1)
+
+    @pytest.mark.parametrize("x", [FlagPoint.real(F(2, 3), 1, -1, F(5, 7)),
+                                   REPS[OrbitClass.DENSE]])
+    def test_dense_point_evaluates_two_vectors_per_power(self, evaluations, x):
+        case = RealFormCase(x, NEG)
+        assert equals(gamma_highest_weight_polytope(case, 8, 8), seg(0, 16))
+        assert evaluations == {(8 * r, 8 * r): 2 for r in self.POWERS}
+
+    def test_point_class_evaluates_every_vector(self, evaluations):
+        case = RealFormCase(REPS[OrbitClass.POINT], NEG)
+        assert gamma_highest_weight_polytope(case, 8, 8).is_empty
+        assert evaluations == {(8 * r, 8 * r): 8 * r + 1 for r in self.POWERS}
+
+    def test_no_vector_is_evaluated_twice(self, evaluations):
+        for x in REPS.values():
+            orbits._achieved_hull.cache_clear()
+            evaluations.clear()
+            gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
+            assert all(evaluations[(3 * r, 5 * r)] <= 3 * r + 1 for r in self.POWERS)
+
+
+numbers = {"Q": st.builds(GaussianRational, rationals),
+           "Q(i)": st.builds(GaussianRational, rationals, rationals)}
+
+
+@st.composite
+def borel_moves(draw, field):
+    """A real flag point and an upper-triangular element over ``field``.
+
+    The element's corner entry is drawn or chosen to send a1 or a2 to 0, so
+    the moves make the zero coordinates ``evaluate`` skips on as well as
+    remove them.
+    """
+    x = draw(real_points())
+    alpha = draw(numbers[field].filter(lambda g: not g.is_zero))
+    target = draw(st.sampled_from(["drawn", "a1", "a2"]))
+    if target == "a1" and not x.c1.is_zero:
+        beta = -alpha * x.a1 / x.c1
+    elif target == "a2" and not x.c2.is_zero:
+        beta = -alpha * x.a2 / x.c2
+    else:
+        beta = draw(numbers[field])
+    return x, ExactGroupElement2x2.upper(alpha, beta)
+
+
+class TestBorelInvariance:
+    """The orbit closure, hence its class and polytopes, is the same from
+    every point of the orbit."""
+
+    @given(borel_moves("Q(i)"), weights, weights)
+    @settings(deadline=None, max_examples=80)
+    def test_gaussian_elements_keep_class_and_polytope(self, move, lam1, lam2):
+        x, g = move
+        y = borel_act(g, x)
+        assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
+        want = moment_polytope(x, lam1, lam2)
+        assert equals(moment_polytope(y, lam1, lam2), want)
+        # the representation route's hull, at the moved Q(i) coordinates
+        assert equals(orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2), want)
+
+    @given(borel_moves("Q"), weights, weights, gammas)
+    @settings(deadline=None, max_examples=80)
+    def test_rational_elements_keep_both_real_routes(self, move, lam1, lam2, gamma):
+        x, g = move
+        case, moved = RealFormCase(x, gamma), RealFormCase(borel_act(g, x), gamma)
+        assert equals(real_moment_polytope(moved, lam1, lam2),
+                      real_moment_polytope(case, lam1, lam2))
+        assert equals(gamma_highest_weight_polytope(moved, lam1, lam2),
+                      gamma_highest_weight_polytope(case, lam1, lam2))
 
 
 class TestRouteDisagreement:

@@ -199,6 +199,20 @@ class TestBiHomogPoly:
         # x1*y2 - x2*y1 at (1, 2, 3, 4) = 4 - 6
         assert f.evaluate(pt) == GaussianRational.of(-2)
 
+    @pytest.mark.parametrize("zeros", [(0,), (1,), (2, 3), (0, 2), (0, 1, 2, 3)])
+    def test_evaluation_at_zero_coordinates_sums_to_the_same_value(self, zeros):
+        # the terms skipped on a zero coordinate are exactly 0, including
+        # x^0 = 1 at x = 0, which is not skipped
+        f = highest_weight_vector(SectionSpaceSpec(2, 2, 1), 1) + poly(
+            (4, 2), {(0, 4, 0, 2): 3, (4, 0, 2, 0): -5, (2, 2, 1, 1): 7})
+        values = (GaussianRational.of(Fraction(2, 3), -1), GaussianRational.of(-3),
+                  GaussianRational.of(0, Fraction(1, 2)), GaussianRational.of(5, 2))
+        pt = tuple(GaussianRational.of(0) if i in zeros else v for i, v in enumerate(values))
+        every_term = GaussianRational.of(0)
+        for (a, b, c, d), coeff in f.terms:
+            every_term = every_term + (pt[0] ** a * pt[1] ** b * pt[2] ** c * pt[3] ** d).scale(coeff)
+        assert f.evaluate(pt) == every_term
+
     def test_pretty_deterministic(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
         assert f.pretty() == "x1*y2 - y1*x2"
