@@ -10,7 +10,6 @@ from fractions import Fraction
 from mplab import (
     RationalPolytope,
     contains,
-    equals,
     hull,
     identity_involution,
     negation_involution,
@@ -42,4 +41,4 @@ print("\n== the empty polytope is a value, not an error ==")
 nothing = RationalPolytope.empty()
 print(f"empty cut by either involution stays empty: {neg.negated_cut(nothing)}, "
       f"{ident.negated_cut(nothing)}")
-print(f"hull{{0,1}} equals hull{{0,1/2,1}}? {equals(segment, hull([0, 1]))}")
+print(f"hull{{0,1}} equals hull{{0,1/2,1}}? {segment == hull([0, 1])}")

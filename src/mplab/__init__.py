@@ -34,7 +34,7 @@ from .orbits import (
     orbit_representatives,
     real_moment_polytope,
 )
-from .polytope import RationalPolytope, contains, equals, hull
+from .polytope import RationalPolytope, contains, hull
 from .reps import (
     BiHomogPoly,
     MixedWeightsError,
@@ -73,7 +73,6 @@ __all__ = [
     "clebsch_gordan_highest_weights",
     "contains",
     "enumerate_polytope_catalog",
-    "equals",
     "fixed_subspace",
     "gamma_highest_weight_polytope",
     "highest_weight_vector",

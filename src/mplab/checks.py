@@ -32,7 +32,7 @@ from .orbits import (
     orbit_representatives,
     real_moment_polytope,
 )
-from .polytope import RationalPolytope, equals, hull
+from .polytope import RationalPolytope, hull
 from .reps import (
     BiHomogPoly,
     SectionSpaceSpec,
@@ -80,7 +80,7 @@ def check_polytope_table(seed: int = 0) -> CheckResult:
         x = wire.parse_point_literal(case["point"])
         got = moment_polytope(x, case["lam1"], case["lam2"])
         want = wire.polytope_from_json(case["delta_x"])
-        if not equals(got, want):
+        if got != want:
             bad.append(f"{case['orbit_class']}@({case['lam1']},{case['lam2']})")
     detail = f"{len(cases)} cases, mismatches: {bad if bad else 'none'}"
     return CheckResult("polytope-table", not bad, detail)
@@ -94,7 +94,7 @@ def check_two_routes(seed: int = 0) -> CheckResult:
         x = wire.parse_point_literal(case["point"])
         try:
             got = real_moment_polytope(RealFormCase(x, gamma), case["lam1"], case["lam2"])
-            agree = equals(got, wire.polytope_from_json(case["delta_y"]))
+            agree = got == wire.polytope_from_json(case["delta_y"])
         except RouteDisagreementError:
             agree = False
         if not agree:
@@ -263,7 +263,7 @@ def check_catalog(seed: int = 0) -> CheckResult:
             bad.append(f"({l1},{l2}) size {len(cat)}")
     cat21 = enumerate_polytope_catalog(2, 1, gamma)
     expected = [RationalPolytope.empty(), hull([1]), hull([3]), hull([1, 3])]
-    if len(cat21) != 4 or not all(equals(a, b) for a, b in zip(cat21, expected)):
+    if cat21 != expected:
         bad.append(f"(2,1) catalog {[str(p) for p in cat21]}")
     return CheckResult("catalog-finiteness", not bad,
                        f"16 grid cases, failures: {bad if bad else 'none'}")

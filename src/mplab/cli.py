@@ -16,8 +16,9 @@ config file, then the environment variable ``MPLAB_SEED``, then 0.
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
 ``catalog`` the same for the section space at the representation route's
-largest bundle power, and ``sample`` at most ``MAX_SAMPLES`` samples.  A
-larger input is a usage error (exit 2).
+largest bundle power, ``polytope --membership`` weights with L1 + L2 at most
+``MAX_MEMBERSHIP_WEIGHT_SUM``, and ``sample`` at most ``MAX_SAMPLES``
+samples.  A larger input is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ from .weights import InvolutionSpec
 # Largest ``sample --n``: the sampled-agreement check's own size.  A sample
 # costs about 0.75 KB of memory while the CSV is written.
 MAX_SAMPLES = 100_000
+
+# Largest L1 + L2 for ``polytope --membership``.  Its table has 2(L1 + L2) + 5
+# rows, one membership test each: 4005 rows at the limit.
+MAX_MEMBERSHIP_WEIGHT_SUM = 2000
 
 
 @dataclass(frozen=True)
@@ -167,14 +172,11 @@ def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
 
 
 def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
-    grid: list[Fraction] = []
+    if lam1 + lam2 > MAX_MEMBERSHIP_WEIGHT_SUM:
+        raise ValueError(f"--membership needs L1 + L2 <= {MAX_MEMBERSHIP_WEIGHT_SUM}, "
+                         f"got {lam1 + lam2}")
     top = lam1 + lam2 + 1
-    for den in (1, 2):
-        for num in range(-den, top * den + 1):
-            lam = Fraction(num, den)
-            if lam not in grid:
-                grid.append(lam)
-    grid.sort()
+    grid = sorted({Fraction(num, den) for den in (1, 2) for num in range(-den, top * den + 1)})
     table = []
     for lam in grid:
         member, witness = membership_in_C(x, lam1, lam2, lam)
@@ -279,7 +281,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _Config(args).seed()
-    from . import checks  # NumPy and SciPy load only for the numeric subcommands
+    from . import checks  # NumPy loads only for the numeric subcommands
 
     results = checks.run_suite(args.suite, seed)
     passed = all(r.passed for r in results)

@@ -93,9 +93,6 @@ class RatMatrix:
         return RatMatrix(tuple(tuple(p * a + q * b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.ints, other.ints)), d)
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + -other
-
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(-a for a in row) for row in self.ints), self.den)
 
@@ -105,12 +102,6 @@ class RatMatrix:
         cols = tuple(zip(*other.ints))
         return RatMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints),
                          self.den * other.den)
-
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        iv, dv = _integral(v)
-        return tuple(Fraction(sum(map(mul, row, iv)), self.den * dv) for row in self.ints)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -225,10 +216,6 @@ class SymplecticForm:
     def dim(self) -> int:
         return self.matrix.rows
 
-    def pairing(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        row, col = RatMatrix.from_rows([u]), RatMatrix.from_rows([v]).transpose()
-        return (row @ self.matrix @ col).entries[0][0]
-
 
 def standard_symplectic_form(dim: int) -> SymplecticForm:
     """Darboux form [[0, I], [-I, 0]] on Q^dim."""
@@ -251,15 +238,15 @@ def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], omega: Symplecti
     return not any(chain.from_iterable((basis @ omega.matrix @ basis.transpose()).ints))
 
 
-def _random_symplectic(dim: int, rng: random.Random, factors: int = 6) -> list[list[int]]:
-    """Product of elementary symplectic shears with small integer parameters.
+def _random_symplectic(dim: int, rng: random.Random) -> list[list[int]]:
+    """Product of at most six elementary symplectic shears with small integer parameters.
 
     Each factor is I plus entries q at (src, dst) where no src is a dst, so
     multiplying by it on the right adds q times column src to column dst.
     """
     n = dim // 2
     t = [[int(r == c) for c in range(dim)] for r in range(dim)]
-    for _ in range(factors):
+    for _ in range(6):
         p = rng.choice([k for k in range(-9, 10) if k != 0])
         kind = rng.randrange(3)
         i = rng.randrange(n)

@@ -37,18 +37,10 @@ from .reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 
 KSTAR_AXIS = 1  # coordinate fixed by the conjugation involution
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 ComplexPair = tuple[complex, complex]
 ComplexFlagPoint = tuple[ComplexPair, ComplexPair]
-
-
-class NormalizationUncalibratedError(RuntimeError):
-    """Gradient checks require the calibration constant to be fixed first."""
 
 
 def _as_complex_pairs(point) -> ComplexFlagPoint:
@@ -104,11 +96,6 @@ def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
 class SampleSet:
     """Reproducible orbit sample: identical (inputs, seed) give identical arrays."""
 
-    seed: int
-    subgroup: str
-    base_point: ComplexFlagPoint
-    lam1: int
-    lam2: int
     coords: np.ndarray   # (n, 4) complex: a1, c1, a2, c2
     phis: np.ndarray     # (n, 3) float
 
@@ -229,8 +216,7 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     if not np.isfinite(phis).all():
         raise ValueError("a drawn orbit point leaves the float range; "
                          "scale the base point's pairs toward 1")
-    return SampleSet(seed=seed, subgroup=subgroup, base_point=base,
-                     lam1=lam1, lam2=lam2, coords=coords, phis=phis)
+    return SampleSet(coords=coords, phis=phis)
 
 
 def sampled_delta(samples: SampleSet, mode: str = "radial",
@@ -411,7 +397,7 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
     else:
         raise ValueError(f"unknown plane {plane!r}")
     psi = rng.uniform(0, 2 * np.pi, n)
-    base = 0.5j * lam * _PAULI[2]  # algebra element with coordinates (0, 0, lam)
+    base = 0.5j * lam * _SIGMA3  # algebra element with coordinates (0, 0, lam)
     cos, sin = np.cos(psi), np.sin(psi)
     u = np.empty((n, 2, 2), dtype=complex)
     u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = cos, sin, -sin, cos
@@ -521,16 +507,14 @@ def calibrate_gradient_normalization() -> float:
 
 
 def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
-                               k: int, kappa: float | None) -> float:
+                               k: int, kappa: float) -> float:
     """Relative residual of the derivative identity at one (point, direction).
 
     Central finite difference of |s|^2 along the exp(-t*xi) flow against
-    4 pi r (-w(pr xi) + kappa * <Phi, pr xi>) |s|^2, relative to max(1, |rhs|).
-    Raises if the section vanishes at the point or kappa is not calibrated.
+    4 pi r (-w(pr xi) + kappa * <Phi, pr xi>) |s|^2, relative to max(1, |rhs|),
+    with kappa from :func:`calibrate_gradient_normalization`.  Raises if the
+    section vanishes at the point.
     """
-    if kappa is None:
-        raise NormalizationUncalibratedError(
-            "run calibrate_gradient_normalization() first and pass its value")
     _check_borel(xi)
     derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k)
     if norm2 <= 0:

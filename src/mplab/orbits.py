@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, frac
-from .polytope import RationalPolytope, equals, hull
+from .polytope import RationalPolytope, hull
 from .reps import SectionSpaceSpec, highest_weight_vector
 from .weights import ExactGroupElement2x2, InvolutionSpec
 
@@ -142,19 +142,20 @@ def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
     """Does some bundle power carry an invariant vector of weight r*lam
     that is nonzero on the orbit closure of x?
 
-    The witness search runs over multiples of den(lam) up to
-    2 * den(lam) * (lam1 + lam2); the closed-form vanishing conditions are
-    monotone in r, so larger witnesses are redundant (a denominator-clearing
-    r with the right parity exists within the bound whenever one exists at
-    all).
+    The witness is the least such r.  It is a multiple of den(lam), and at
+    r = m * den(lam) every condition but one is the same for all m: the
+    sign of lam, the range of k = r(lam1 + lam2 - lam)/2 relative to r*lam1
+    and r*lam2, and which closed-form factors vanish.  The one left is the
+    parity of r(lam1 + lam2 - lam), which m = 2 always meets, so the search
+    tries m = 1 and m = 2 only.
     """
     _check_weights(lam1, lam2)
     lam = frac(lam)
     q = lam.denominator
     z1, z2, d = orbit_predicates(x)
-    for r in range(q, 2 * q * (lam1 + lam2) + 1, q):
+    for r in (q, 2 * q):
         r_lam = lam * r
-        if r_lam < 0 or r_lam.denominator != 1:
+        if r_lam < 0:
             continue
         num = r * (lam1 + lam2) - int(r_lam)
         if num % 2 != 0:
@@ -289,7 +290,7 @@ def real_moment_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPo
     _check_weights(lam1, lam2)
     via_intersection = case.gamma.negated_cut(moment_polytope(case.x, lam1, lam2))
     via_representation = gamma_highest_weight_polytope(case, lam1, lam2)
-    if not equals(via_intersection, via_representation):
+    if via_intersection != via_representation:
         raise RouteDisagreementError(case, lam1, lam2, via_intersection, via_representation)
     return via_intersection
 
@@ -312,6 +313,6 @@ def enumerate_polytope_catalog(lam1: int, lam2: int,
     seen: list[RationalPolytope] = []
     for rep in orbit_representatives().values():
         poly = real_moment_polytope(RealFormCase(rep, gamma), lam1, lam2)
-        if not any(equals(poly, existing) for existing in seen):
+        if poly not in seen:
             seen.append(poly)
     return sorted(seen, key=lambda p: (len(p.vertices), p.vertices))

@@ -56,8 +56,3 @@ def contains(p: RationalPolytope, x) -> bool:
     """Exact membership ``lo <= x <= hi`` of a rational in the closed interval."""
     x = frac(x)
     return not p.is_empty and p.vertices[0] <= x <= p.vertices[-1]
-
-
-def equals(p: RationalPolytope, q: RationalPolytope) -> bool:
-    """Syntactic equality of canonical intervals."""
-    return p.vertices == q.vertices

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb, isqrt, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactlin import GaussianRational, RatMatrix, kernel
 
@@ -57,13 +57,8 @@ class BiHomogPoly:
             raise ValueError("terms must be sorted by exponent")
 
     @classmethod
-    def from_terms(cls, bidegree: tuple[int, int],
-                   terms: Mapping[Exponent, int] | Iterable[tuple[Exponent, int]]) -> "BiHomogPoly":
-        acc: dict[Exponent, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
-            acc[exp] = acc.get(exp, 0) + coeff
-        return cls(bidegree, tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+    def from_terms(cls, bidegree: tuple[int, int], terms: Mapping[Exponent, int]) -> "BiHomogPoly":
+        return cls(bidegree, tuple(sorted((e, c) for e, c in terms.items() if c != 0)))
 
     @classmethod
     def zero(cls, bidegree: tuple[int, int]) -> "BiHomogPoly":
@@ -77,14 +72,6 @@ class BiHomogPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "BiHomogPoly") -> "BiHomogPoly":
-        if self.bidegree != other.bidegree:
-            raise ValueError("bidegree mismatch in addition")
-        return BiHomogPoly.from_terms(self.bidegree, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "BiHomogPoly") -> "BiHomogPoly":
-        return self + (-other)
 
     def __neg__(self) -> "BiHomogPoly":
         return BiHomogPoly(self.bidegree, tuple((e, -c) for e, c in self.terms))
@@ -218,19 +205,13 @@ def hw_vector_sum_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
 
 _DET = BiHomogPoly.from_terms((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
+
 # k_max = min(d1, d2) < isqrt of the section-space dimension, so within the
-# command-line limit every power the product form needs is kept.
-_DET_MEMO_K = isqrt(MAX_SECTION_SPACE_DIM)
-
-
-@cache
-def _memo_det_power(k: int) -> BiHomogPoly:
-    return _DET ** k
-
-
+# command-line limit the cache holds every power the product form needs.
+@lru_cache(maxsize=isqrt(MAX_SECTION_SPACE_DIM) + 1)
 def _det_power(k: int) -> BiHomogPoly:
-    """(x1 y2 - x2 y1)^k by repeated multiplication, kept for k <= _DET_MEMO_K."""
-    return _memo_det_power(k) if k <= _DET_MEMO_K else _DET ** k
+    """(x1 y2 - x2 y1)^k by repeated multiplication."""
+    return _DET ** k
 
 
 def hw_vector_product_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:

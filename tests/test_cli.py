@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from mplab import checks, cli, numeric, svgplot, wire
 from mplab.exactlin import GaussianRational
 from mplab.orbits import FlagPoint, orbit_representatives
-from mplab.polytope import equals, hull
+from mplab.polytope import hull
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MEMBERSHIP_MAX = cli.MAX_MEMBERSHIP_WEIGHT_SUM
 
 
 def run_cli(*argv, env=None):
@@ -38,7 +39,7 @@ class TestPolytopeCommand:
     def test_json_round_trip(self):
         p = run_cli("polytope", "--weights", "3", "2", "--point", "0/1,1/1;1/1,1/1")
         poly = wire.polytope_from_json(json.loads(p.stdout))
-        assert equals(poly, hull([1, 5]))
+        assert poly == hull([1, 5])
 
     def test_membership_table(self):
         p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
@@ -260,6 +261,29 @@ class TestInputLimits:
         assert_usage_error(p)
         assert "limit 100000" in p.stderr
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("point,members", [("0/1,1/1;1/1,1/1", 2 * MEMBERSHIP_MAX + 1),
+                                               ("1/1,1/1;1/1,1/1", 1)], ids=["dense", "diagonal"])
+    def test_largest_membership_table_accepted(self, capsys, point, members):
+        half = MEMBERSHIP_MAX // 2
+        argv = ["polytope", "--membership", "--point", point,
+                "--weights", str(half), str(MEMBERSHIP_MAX - half)]
+        assert cli.main(argv) == 0
+        table = json.loads(capsys.readouterr().out)["membership"]
+        assert len(table) == 2 * MEMBERSHIP_MAX + 5
+        assert sum(row["member"] for row in table) == members
+        assert table[-1]["lambda"] == f"{MEMBERSHIP_MAX + 1}/1"
+
+    def test_oversized_membership_table(self, capsys):
+        half = MEMBERSHIP_MAX // 2
+        argv = ["polytope", "--point", "0/1,1/1;1/1,1/1",
+                "--weights", str(half), str(MEMBERSHIP_MAX - half + 1)]
+        assert cli.main([*argv, "--membership"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --membership needs L1 + L2 <= {MEMBERSHIP_MAX}, "
+                                f"got {MEMBERSHIP_MAX + 1}\n")
+        assert cli.main(argv) == 0  # the polytope alone has no such limit
 
     @pytest.mark.parametrize("flag", [["--r-max", "1"], ["--eps", "0.001"]])
     def test_removed_options_are_unknown(self, flag):
@@ -688,7 +712,7 @@ class TestWireFormats:
         from mplab.orbits import enumerate_polytope_catalog
         from mplab.weights import negation_involution
         for poly in enumerate_polytope_catalog(3, 2, negation_involution()):
-            assert equals(wire.polytope_from_json(wire.polytope_to_json(poly)), poly)
+            assert wire.polytope_from_json(wire.polytope_to_json(poly)) == poly
 
     def test_2d_polytope_json_rejected(self, tmp_path):
         square = {"dim": 2, "vertices": [[["0", "1"], ["0", "1"]], [["1", "1"], ["1", "1"]]]}

@@ -139,13 +139,11 @@ class TestFractionFreeCore:
 
     @given(rational_matrices(), st.data())
     @settings(deadline=None, max_examples=100)
-    def test_matmul_and_apply_equal_reference(self, m, data):
+    def test_matmul_equals_reference(self, m, data):
         k = data.draw(st.integers(1, 5))
         other = RatMatrix.from_rows(data.draw(st.lists(
             st.lists(rationals, min_size=k, max_size=k), min_size=m.cols, max_size=m.cols)))
         assert (m @ other).entries == reference_matmul(m.entries, other.entries)
-        v = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
-        assert m.apply(v) == tuple(row[0] for row in reference_matmul(m.entries, [[x] for x in v]))
 
     @given(st.sampled_from([2, 4, 6, 8]), st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), rationals),
@@ -220,7 +218,7 @@ class TestIntegerBacking:
         omega = standard_symplectic_form(6)
         monkeypatch.setattr(exactlin, "Fraction", CountingFraction)
         CountingFraction.made = 0
-        a @ b, a + b, a - b, -a, a.transpose(), rref(a), rref(b), rref(a @ b - b)
+        a @ b, a + b, a + -b, -a, a.transpose(), rref(a), rref(b), rref(a @ b + -b)
         s = random_antisymplectic_involution(6, 3)
         assert is_antisymplectic(s, omega)
         assert CountingFraction.made == 0
@@ -234,7 +232,7 @@ class TestIntegerBacking:
                                   min_size=m.rows, max_size=m.rows))
         other = RatMatrix.from_rows(same)
         right = RatMatrix.from_rows([row[:1] for row in m.transpose().entries])
-        results = [m, other, m @ m.transpose(), m @ right, m + other, m - other, -m,
+        results = [m, other, m @ m.transpose(), m @ right, m + other, m + -other, -m,
                    m.transpose(), rref(m)[0], RatMatrix.identity(m.rows)]
         assert all(in_lowest_terms(r) for r in results)
         c = data.draw(st.integers(-30, 30).filter(bool))
@@ -250,13 +248,6 @@ class TestIntegerBacking:
             RatMatrix(((1,),), 0)
         with pytest.raises(TypeError):
             RatMatrix(((F(1, 2),),))
-
-    def test_pairing(self):
-        omega = standard_symplectic_form(4)
-        assert omega.pairing((1, 0, 0, 0), (0, 0, 1, 0)) == 1
-        assert omega.pairing((0, 0, F(1, 2), 0), (F(2, 3), 0, 0, 5)) == F(-1, 3)
-        with pytest.raises(ValueError):
-            omega.pairing((1, 0), (1, 0, 0, 0))
 
 
 class TestKernel:
@@ -274,7 +265,7 @@ class TestKernel:
         basis = kernel(m)
         assert len(basis) == 1
         for v in basis:
-            assert m.apply(v) == (F(0),) * 3
+            assert m @ RatMatrix.from_rows([v]).transpose() == RatMatrix.from_rows([[0]] * 3)
         assert rank(RatMatrix.from_rows(basis)) == len(basis)
 
     def test_deterministic(self):
@@ -380,7 +371,7 @@ class TestAntisymplecticInvolutions:
         s = random_antisymplectic_involution(4, 3)
         neg = LinearInvolution(-s.matrix)
         assert is_antisymplectic(neg, omega)
-        minus = column_space_basis(RatMatrix.identity(4) - s.matrix)  # the -1 eigenspace of s
+        minus = column_space_basis(RatMatrix.identity(4) + -s.matrix)  # the -1 eigenspace of s
         assert fixed_subspace(neg) == minus
         assert is_lagrangian(fixed_subspace(neg), omega)
 

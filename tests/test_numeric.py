@@ -352,7 +352,7 @@ def _reference_coadjoint_clouds(lam, n, seed, plane):
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
     psi = rng.uniform(0, 2 * np.pi, n)
-    base = 0.5j * lam * numeric._PAULI[2]
+    base = 0.5j * lam * np.diag([1, -1])
     orbit = np.empty((n, 3))
     for i, p in enumerate(psi):
         u = np.array([[np.cos(p), np.sin(p)], [-np.sin(p), np.cos(p)]], dtype=complex)
@@ -544,12 +544,6 @@ class TestPadeFlow:
 
 
 class TestGradientIdentity:
-    def test_requires_calibration(self):
-        spec = SectionSpaceSpec(1, 2, 1)
-        xi = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(numeric.NormalizationUncalibratedError):
-            numeric.gradient_identity_residual(((1, 2), (1, 3)), xi, spec, 0, None)
-
     def test_zero_direction_zero_residual(self):
         kappa = numeric.calibrate_gradient_normalization()
         spec = SectionSpaceSpec(1, 2, 1)
@@ -635,8 +629,7 @@ class TestCsv:
         coords = np.array([[-0.0, 1e-05 - 0.0j, 1e16 + 5e-324j, -5e-324j],
                            [1 + 2j, -0.0 - 0.0j, 0.1, float("inf")]])
         phis = np.array([[-0.0, 1e-05, 1e16], [5e-324, -1e-05, 0.0]])
-        samples = numeric.SampleSet(seed=0, subgroup="H", base_point=((1, 0), (0, 1)),
-                                    lam1=2, lam2=1, coords=coords, phis=phis)
+        samples = numeric.SampleSet(coords=coords, phis=phis)
         text = _csv_text(samples)
         assert text == _reference_csv_text(samples)
         assert "-0.0,1e-05,1e+16" in text and "5e-324" in text

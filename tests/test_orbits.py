@@ -28,7 +28,6 @@ from mplab.orbits import (
 from mplab.polytope import (
     RationalPolytope,
     contains,
-    equals,
     hull,
 )
 from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
@@ -139,6 +138,35 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership_in_C(REPS[OrbitClass.DENSE], 0, 1, 1)
 
+    def test_witness_equals_the_full_search(self):
+        # the search the two-multiple one replaced: every multiple of den(lam)
+        # up to 2 * den(lam) * (lam1 + lam2)
+        def full_search(x, lam1, lam2, lam):
+            q = lam.denominator
+            z1, z2, d = orbit_predicates(x)
+            for r in range(q, 2 * q * (lam1 + lam2) + 1, q):
+                r_lam = lam * r
+                if r_lam < 0 or r_lam.denominator != 1:
+                    continue
+                num = r * (lam1 + lam2) - int(r_lam)
+                if num % 2 != 0:
+                    continue
+                k = num // 2
+                if not 0 <= k <= min(r * lam1, r * lam2):
+                    continue
+                if orbits._nonvanishing(k, r, lam1, lam2, z1, z2, d):
+                    return Membership(True, r)
+            return Membership(False, None)
+
+        for l1 in range(1, 5):
+            for l2 in range(1, 5):
+                for x in REPS.values():
+                    for q in (1, 2, 3, 4, 6):
+                        top = (l1 + l2 + 1) * q
+                        for p in range(-q, top + 1):
+                            lam = F(p, q)
+                            assert membership_in_C(x, l1, l2, lam) == full_search(x, l1, l2, lam)
+
     def test_membership_iff_polytope_membership(self):
         # rational grid with denominators up to 4 around each polytope
         for l1, l2 in ((1, 1), (2, 1), (3, 2)):
@@ -154,19 +182,19 @@ class TestMembership:
 
 class TestMomentPolytope:
     def test_worked_values(self):
-        assert equals(moment_polytope(REPS[OrbitClass.DENSE], 2, 1), seg(1, 3))
-        assert equals(moment_polytope(REPS[OrbitClass.DIAGONAL], 2, 1), hull([3]))
+        assert moment_polytope(REPS[OrbitClass.DENSE], 2, 1) == seg(1, 3)
+        assert moment_polytope(REPS[OrbitClass.DIAGONAL], 2, 1) == hull([3])
         assert moment_polytope(REPS[OrbitClass.POINT], 2, 1).is_empty
 
     def test_factor_cases_depend_on_weight_order(self):
         first = REPS[OrbitClass.FIRST_FACTOR]
         second = REPS[OrbitClass.SECOND_FACTOR]
-        assert equals(moment_polytope(first, 3, 1), hull([2]))
+        assert moment_polytope(first, 3, 1) == hull([2])
         assert moment_polytope(second, 3, 1).is_empty
         assert moment_polytope(first, 1, 3).is_empty
-        assert equals(moment_polytope(second, 1, 3), hull([2]))
-        assert equals(moment_polytope(first, 2, 2), hull([0]))
-        assert equals(moment_polytope(second, 2, 2), hull([0]))
+        assert moment_polytope(second, 1, 3) == hull([2])
+        assert moment_polytope(first, 2, 2) == hull([0])
+        assert moment_polytope(second, 2, 2) == hull([0])
 
     def test_hull_of_achieved_weights_r1(self):
         for l1, l2 in ((1, 1), (2, 1), (4, 3), (2, 4)):
@@ -177,7 +205,7 @@ class TestMomentPolytope:
                     got = membership_in_C(x, l1, l2, lam)
                     if got.witness == 1:
                         achieved.append(lam)
-                assert equals(hull(achieved), moment_polytope(x, l1, l2)), (cls, l1, l2)
+                assert hull(achieved) == moment_polytope(x, l1, l2), (cls, l1, l2)
 
     def test_monotonicity_in_dense_polytope(self):
         for l1, l2 in ((1, 1), (2, 1), (3, 4)):
@@ -206,12 +234,12 @@ class TestRealFormCase:
 class TestTwoRoutes:
     def test_dense_negation(self):
         case = RealFormCase(REPS[OrbitClass.DENSE], NEG)
-        assert equals(gamma_highest_weight_polytope(case, 2, 1), seg(1, 3))
-        assert equals(real_moment_polytope(case, 2, 1), seg(1, 3))
+        assert gamma_highest_weight_polytope(case, 2, 1) == seg(1, 3)
+        assert real_moment_polytope(case, 2, 1) == seg(1, 3)
 
     def test_diagonal_negation(self):
         case = RealFormCase(REPS[OrbitClass.DIAGONAL], NEG)
-        assert equals(gamma_highest_weight_polytope(case, 2, 1), hull([3]))
+        assert gamma_highest_weight_polytope(case, 2, 1) == hull([3])
 
     def test_zero_cut_is_empty_off_zero(self):
         case = RealFormCase(REPS[OrbitClass.DENSE], identity_involution())
@@ -219,12 +247,12 @@ class TestTwoRoutes:
 
     def test_zero_cut_keeps_zero(self):
         case = RealFormCase(REPS[OrbitClass.DENSE], identity_involution())
-        assert equals(real_moment_polytope(case, 1, 1), hull([0]))
+        assert real_moment_polytope(case, 1, 1) == hull([0])
 
     def test_factor_cases(self):
         first = RealFormCase(REPS[OrbitClass.FIRST_FACTOR], NEG)
         second = RealFormCase(REPS[OrbitClass.SECOND_FACTOR], NEG)
-        assert equals(real_moment_polytope(first, 3, 1), hull([2]))
+        assert real_moment_polytope(first, 3, 1) == hull([2])
         assert real_moment_polytope(second, 3, 1).is_empty
 
     def test_route_agreement_over_grid(self):
@@ -241,19 +269,19 @@ class TestCatalog:
         cat = enumerate_polytope_catalog(2, 1, NEG)
         expected = [RationalPolytope.empty(), hull([1]), hull([3]), seg(1, 3)]
         assert len(cat) == 4
-        assert all(equals(a, b) for a, b in zip(cat, expected))
+        assert cat == expected
 
     def test_equal_weights(self):
         cat = enumerate_polytope_catalog(1, 1, NEG)
         expected = [RationalPolytope.empty(), hull([0]), hull([2]), seg(0, 2)]
         assert len(cat) == 4
-        assert all(equals(a, b) for a, b in zip(cat, expected))
+        assert cat == expected
 
     def test_identity_involution_collapses(self):
         cat = enumerate_polytope_catalog(1, 1, identity_involution())
         expected = [RationalPolytope.empty(), hull([0])]
         assert len(cat) == 2
-        assert all(equals(a, b) for a, b in zip(cat, expected))
+        assert cat == expected
 
     def test_finiteness_bound(self):
         for l1 in range(1, 5):
@@ -287,6 +315,7 @@ def reference_representation_route(case, lam1, lam2, r_max=2):
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
 nonzero_rationals = st.builds(F, st.integers(1, 50) | st.integers(-50, -1), st.integers(1, 20))
+nonzero_gaussians = st.builds(GaussianRational, rationals, rationals).filter(lambda g: not g.is_zero)
 weights = st.integers(1, 12)
 gammas = st.sampled_from([NEG, identity_involution()])
 
@@ -323,7 +352,7 @@ class TestRepresentationMemo:
         hits = orbits._achieved_hull.cache_info().hits
         second = gamma_highest_weight_polytope(case, lam1, lam2)
         assert orbits._achieved_hull.cache_info().hits == hits + 1
-        assert equals(first, want) and equals(second, want)
+        assert first == want and second == want
 
     def test_memo_is_bounded(self):
         orbits._achieved_hull.cache_clear()
@@ -336,7 +365,7 @@ class TestRepresentationMemo:
     def test_gamma_cut_is_not_memoized(self):
         orbits._achieved_hull.cache_clear()
         x = REPS[OrbitClass.DENSE]
-        assert equals(gamma_highest_weight_polytope(RealFormCase(x, NEG), 2, 1), seg(1, 3))
+        assert gamma_highest_weight_polytope(RealFormCase(x, NEG), 2, 1) == seg(1, 3)
         cut = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), 2, 1)
         assert cut.is_empty
         assert orbits._achieved_hull.cache_info().hits == 1
@@ -350,10 +379,23 @@ class TestRepresentationMemo:
             assert y == x
             assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
             case, scaled = RealFormCase(x, gamma), RealFormCase(y, gamma)
-            assert equals(gamma_highest_weight_polytope(scaled, lam1, lam2),
-                          gamma_highest_weight_polytope(case, lam1, lam2))
-            assert equals(real_moment_polytope(scaled, lam1, lam2),
-                          real_moment_polytope(case, lam1, lam2))
+            assert (gamma_highest_weight_polytope(scaled, lam1, lam2)
+                    == gamma_highest_weight_polytope(case, lam1, lam2))
+            assert (real_moment_polytope(scaled, lam1, lam2)
+                    == real_moment_polytope(case, lam1, lam2))
+
+    @given(real_points(), nonzero_gaussians, nonzero_gaussians, weights, weights)
+    @settings(deadline=None, max_examples=60)
+    def test_gaussian_rescaling_of_either_pair_changes_nothing(self, x, t1, t2, lam1, lam2):
+        # a Q(i) factor makes the point complex, so the representation route
+        # is checked through its hull, which a real form only cuts
+        a1, c1, a2, c2 = x.coords
+        want = moment_polytope(x, lam1, lam2)
+        for y in (FlagPoint(t1 * a1, t1 * c1, a2, c2), FlagPoint(a1, c1, t2 * a2, t2 * c2)):
+            assert y == x
+            assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
+            assert moment_polytope(y, lam1, lam2) == want
+            assert orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2) == want
 
 
 @pytest.fixture
@@ -383,7 +425,7 @@ class TestRepresentationWork:
                                    REPS[OrbitClass.DENSE]])
     def test_dense_point_evaluates_two_vectors_per_power(self, evaluations, x):
         case = RealFormCase(x, NEG)
-        assert equals(gamma_highest_weight_polytope(case, 8, 8), seg(0, 16))
+        assert gamma_highest_weight_polytope(case, 8, 8) == seg(0, 16)
         assert evaluations == {(8 * r, 8 * r): 2 for r in self.POWERS}
 
     def test_point_class_evaluates_every_vector(self, evaluations):
@@ -434,19 +476,19 @@ class TestBorelInvariance:
         y = borel_act(g, x)
         assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
         want = moment_polytope(x, lam1, lam2)
-        assert equals(moment_polytope(y, lam1, lam2), want)
+        assert moment_polytope(y, lam1, lam2) == want
         # the representation route's hull, at the moved Q(i) coordinates
-        assert equals(orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2), want)
+        assert orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2) == want
 
     @given(borel_moves("Q"), weights, weights, gammas)
     @settings(deadline=None, max_examples=80)
     def test_rational_elements_keep_both_real_routes(self, move, lam1, lam2, gamma):
         x, g = move
         case, moved = RealFormCase(x, gamma), RealFormCase(borel_act(g, x), gamma)
-        assert equals(real_moment_polytope(moved, lam1, lam2),
-                      real_moment_polytope(case, lam1, lam2))
-        assert equals(gamma_highest_weight_polytope(moved, lam1, lam2),
-                      gamma_highest_weight_polytope(case, lam1, lam2))
+        assert (real_moment_polytope(moved, lam1, lam2)
+                == real_moment_polytope(case, lam1, lam2))
+        assert (gamma_highest_weight_polytope(moved, lam1, lam2)
+                == gamma_highest_weight_polytope(case, lam1, lam2))
 
 
 class TestRouteDisagreement:
@@ -456,8 +498,8 @@ class TestRouteDisagreement:
             real_moment_polytope(case, 2, 1)
         err = info.value
         assert isinstance(err, AssertionError)
-        assert equals(err.via_intersection, seg(1, 3))
-        assert equals(err.via_representation, seg(1, 2))
+        assert err.via_intersection == seg(1, 3)
+        assert err.via_representation == seg(1, 2)
         assert err.point == case.x and err.gamma is NEG
         assert (err.lam1, err.lam2) == (2, 1)
         assert err.orbit_class is OrbitClass.DENSE
@@ -508,9 +550,9 @@ class TestRouteIndependence:
         forbid(monkeypatch, orbits, self.INTERSECTION_ONLY)
         try:
             for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
-                assert equals(gamma_highest_weight_polytope(RealFormCase(x, NEG), l1, l2), delta_y)
+                assert gamma_highest_weight_polytope(RealFormCase(x, NEG), l1, l2) == delta_y
                 got = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), l1, l2)
-                assert equals(got, want)
+                assert got == want
         finally:
             HULL_MEMO.cache_clear()
 
@@ -533,5 +575,5 @@ class TestRouteIndependence:
         forbid(monkeypatch, BiHomogPoly, ("evaluate",))
         for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
             polytope = moment_polytope(x, l1, l2)
-            assert equals(NEG.negated_cut(polytope), delta_y)
-            assert equals(identity_involution().negated_cut(polytope), want)
+            assert NEG.negated_cut(polytope) == delta_y
+            assert identity_involution().negated_cut(polytope) == want

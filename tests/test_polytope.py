@@ -8,7 +8,6 @@ from mplab import wire
 from mplab.polytope import (
     RationalPolytope,
     contains,
-    equals,
     hull,
 )
 from mplab.weights import identity_involution, negation_involution
@@ -34,7 +33,7 @@ class TestHull:
 
     def test_empty_point_set_is_empty(self):
         assert hull([]).is_empty
-        assert equals(hull([]), RationalPolytope.empty())
+        assert hull([]) == RationalPolytope.empty()
 
     def test_str(self):
         assert str(RationalPolytope.empty()) == "{}"
@@ -73,11 +72,11 @@ class TestContains:
 
 class TestEquals:
     def test_redundant_generator(self):
-        assert equals(hull([0, 1]), hull([0, F(1, 2), 1]))
+        assert hull([0, 1]) == hull([0, F(1, 2), 1])
 
     def test_points(self):
-        assert equals(hull([3]), hull([3]))
-        assert not equals(hull([1, 3]), hull([3]))
+        assert hull([3]) == hull([3])
+        assert hull([1, 3]) != hull([3])
 
     def test_tuple_or_float_vertex_rejected(self):
         for vertex in ((F(1),), 1.0):
@@ -91,7 +90,7 @@ class TestIntersectSubspace:
 
     def test_full_space_is_identity(self):
         seg = hull([1, 3])
-        assert equals(AXIS.negated_cut(seg), seg)
+        assert AXIS.negated_cut(seg) == seg
 
     def test_zero_subspace(self):
         seg = hull([1, 3])
@@ -123,7 +122,7 @@ polytopes = st.lists(rationals, max_size=4).map(hull)
 @settings(deadline=None)
 def test_hull_idempotent_and_contains_vertices(points):
     p = hull(points)
-    assert equals(hull(p.vertices), p)
+    assert hull(p.vertices) == p
     for v in p.vertices:
         assert contains(p, v)
     for x in points:
@@ -149,7 +148,7 @@ def test_contains_is_interval_membership(p, x):
 @given(polytopes)
 @settings(deadline=None)
 def test_intersection_inside_polytope(p):
-    assert equals(AXIS.negated_cut(p), p)
+    assert AXIS.negated_cut(p) == p
     cut = ORIGIN.negated_cut(p)
     assert all(contains(p, v) for v in cut.vertices)
     assert cut.vertices == ((F(0),) if contains(p, 0) else ())

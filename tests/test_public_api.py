@@ -24,7 +24,6 @@ EXPECTED = {
     "clebsch_gordan_highest_weights",
     "contains",
     "enumerate_polytope_catalog",
-    "equals",
     "fixed_subspace",
     "gamma_highest_weight_polytope",
     "highest_weight_vector",
