@@ -89,8 +89,9 @@ def check_polytope_table(seed: int = 0) -> CheckResult:
 def check_two_routes(seed: int = 0) -> CheckResult:
     """Intersection route equals representation route, and the golden real polytopes."""
     gamma = negation_involution()
+    cases = load_golden_cases()
     bad = []
-    for case in load_golden_cases():
+    for case in cases:
         x = wire.parse_point_literal(case["point"])
         try:
             got = real_moment_polytope(RealFormCase(x, gamma), case["lam1"], case["lam2"])
@@ -100,7 +101,7 @@ def check_two_routes(seed: int = 0) -> CheckResult:
         if not agree:
             bad.append(f"{case['orbit_class']}@({case['lam1']},{case['lam2']})")
     return CheckResult("two-route-equality", not bad,
-                       f"80 cases x 2 routes, mismatches: {bad if bad else 'none'}")
+                       f"{len(cases)} cases x 2 routes, mismatches: {bad if bad else 'none'}")
 
 
 def check_cg_completeness(seed: int = 0) -> CheckResult:

@@ -130,24 +130,70 @@ def _draw_matrices(subgroup: str, n: int, rng: np.random.Generator
         return g, g
     if subgroup == "G":
         return _haar_su2(n, rng), _haar_su2(n, rng)
-    # G', the only tag left after check_sample_args.  Its product k @ an stays
-    # a batched matmul: BLAS rounds it differently from an entrywise product.
+    # G', the only tag left after check_sample_args: g = k @ an with the
+    # rotation k = [[cos, sin], [-sin, cos]] and an = [[alpha, beta],
+    # [0, 1/alpha]], all real.  The left column needs no sum, as an's
+    # lower-left entry is 0.  The right column is correctly rounded,
+    # fma(k_i1, 1/alpha, round(k_i0 * beta)), so the bytes are the same on
+    # every host and BLAS kernel.  _fma is exact only without overflow and
+    # underflow: every entry is at most e^2 * tan(1.5) ~ 105 in modulus, and
+    # every nonzero product at least about 1e-33.
     theta = rng.uniform(-np.pi, np.pi, n)
     t = rng.uniform(-2, 2, n)
     s = np.tan(rng.uniform(-1.5, 1.5, n))
-    k = np.zeros((n, 2, 2), dtype=complex)
-    k[:, 0, 0] = np.cos(theta)
-    k[:, 0, 1] = np.sin(theta)
-    k[:, 1, 0] = -np.sin(theta)
-    k[:, 1, 1] = np.cos(theta)
-    alpha = np.exp(t).astype(complex)
-    an = np.zeros((n, 2, 2), dtype=complex)
-    an[:, 0, 0] = alpha
-    an[:, 0, 1] = (np.exp(t) * s).astype(complex)
-    an[:, 1, 1] = 1 / alpha
-    g = k @ an
-    g = (g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
+    cos, sin = np.cos(theta), np.sin(theta)
+    alpha = np.exp(t)
+    beta = alpha * s
+    inv_alpha = 1 / alpha
+    g = (cos * alpha, _fma(sin, inv_alpha, cos * beta),
+         -sin * alpha, _fma(cos, inv_alpha, -sin * beta))
+    g = tuple(entry.astype(complex) for entry in g)
     return g, g
+
+
+_VELTKAMP = 2.0 ** 27 + 1  # splits a 53-bit significand into two 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = round(a + b) and the error e, so that a + b == s + e exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a * b + c rounded once to nearest, entrywise on float arrays.
+
+    Boldo & Melquiond, "Emulation of FMA and correctly rounded sums: proved
+    algorithms using rounding to odd", IEEE Trans. Computers 57(4), 2008:
+    Dekker's two-product gives a * b == p + e exactly, a TwoSum gives
+    c + p == hi + lo exactly, lo + e is rounded to odd, and one rounding to
+    nearest adds it to hi.  Exact only when no product, split or sum
+    overflows and no nonzero product underflows; the caller bounds its
+    inputs.
+    """
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    hi, lo = _two_sum(c, p)
+    v, err = _two_sum(lo, e)
+    # Round to odd: an inexact v with an even last bit steps one ulp toward
+    # err.  On the bits of a nonzero float, +1 moves |v| up and -1 down.
+    bits = v.view(np.int64)
+    step = ((bits & 1) == 0) & (err != 0)
+    up = np.signbit(v) == np.signbit(err)
+    bits += step & up
+    bits -= step & ~up
+    # 0 - v is -v, or +0 for either zero, and x - (+0) is x: where lo + e is
+    # exactly 0 the result is hi, its zero's sign included.
+    return hi - (0.0 - v)
 
 
 def _haar_su2(n: int, rng: np.random.Generator) -> Entries:

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 from fractions import Fraction
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mplab import checks, cli, numeric, svgplot, wire
+from mplab import checks, cli, numeric, orbits, reps, svgplot, wire
 from mplab.exactlin import GaussianRational
 from mplab.orbits import FlagPoint, orbit_representatives
 from mplab.polytope import hull
@@ -219,12 +218,27 @@ class TestMalformedInput:
 
 
 class TestInputLimits:
-    def test_oversized_oracle_fails_fast(self):
-        start = time.perf_counter()
-        p = run_cli("oracle", "--weights", "30", "30", "--r", "3", "--weight", "0")
-        assert time.perf_counter() - start < 1.0
+    @pytest.fixture
+    def no_representation_work(self, monkeypatch):
+        """Any brute-force invariant subspace or achieved hull fails the test."""
+        def forbidden(*args):
+            raise AssertionError("representation work before the input limit")
+        monkeypatch.setattr(cli, "n_invariant_subspace", forbidden)
+        monkeypatch.setattr(reps, "n_invariant_subspace", forbidden)
+        monkeypatch.setattr(orbits, "_achieved_hull", forbidden)
+
+    @staticmethod
+    def assert_refused_before_work(argv, capsys):
+        """In process the limit error comes first; a fresh process exits 2 with it."""
+        assert cli.main(argv) == 2
+        assert "limit 2500" in capsys.readouterr().err
+        p = run_cli(*argv)
         assert_usage_error(p)
         assert "limit 2500" in p.stderr
+
+    def test_oversized_oracle_fails_fast(self, no_representation_work, capsys):
+        self.assert_refused_before_work(
+            ["oracle", "--weights", "30", "30", "--r", "3", "--weight", "0"], capsys)
 
     @pytest.mark.parametrize("command", [["decompose"], ["hwv", "--k", "0"]])
     def test_oversized_section_space(self, command):
@@ -235,12 +249,9 @@ class TestInputLimits:
         assert p.returncode == 0
         assert json.loads(p.stdout)["section_dim"] == 2500
 
-    def test_oversized_catalog_fails_fast(self):
-        start = time.perf_counter()
-        p = run_cli("catalog", "--weights", "80", "80", "--gamma", "negation")
-        assert time.perf_counter() - start < 1.0
-        assert_usage_error(p)
-        assert "limit 2500" in p.stderr
+    def test_oversized_catalog_fails_fast(self, no_representation_work, capsys):
+        self.assert_refused_before_work(
+            ["catalog", "--weights", "80", "80", "--gamma", "negation"], capsys)
 
     @pytest.mark.parametrize("command", [["catalog"],
                                          ["realpolytope", "--point", "0/1,1/1;1/1,1/1"]])

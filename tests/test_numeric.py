@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 
 from fractions import Fraction as F
@@ -112,8 +113,40 @@ class TestSampleOrbit:
         assert np.isfinite(samples.phis).all()
 
 
+def _exact_fma(a, b, c):
+    """a * b + c rounded once to nearest, through exact rational arithmetic."""
+    exact = F(a) * F(b) + F(c)
+    if exact == 0 and a * b == 0 == c:  # a zero sum of zeros: the floats carry its sign
+        return a * b + c
+    return float(exact)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_real_group_draw(seed, n):
+    """The G' elements k @ an of the seeded draw as an (n, 2, 2) stack.
+
+    Entry (i, j) is fma(k_i1, an_1j, round(k_i0 * an_0j)), the product an
+    FMA kernel computes, taken here from exact rational arithmetic so that it
+    does not depend on the host's BLAS.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, n)
+    t = rng.uniform(-2, 2, n)
+    s = np.tan(rng.uniform(-1.5, 1.5, n)).tolist()
+    cos, sin, alpha = np.cos(theta).tolist(), np.sin(theta).tolist(), np.exp(t).tolist()
+    g = np.zeros((n, 2, 2), dtype=complex)
+    for m in range(n):
+        k = ((cos[m], sin[m]), (-sin[m], cos[m]))
+        an = ((alpha[m], alpha[m] * s[m]), (0.0, 1 / alpha[m]))
+        for i in range(2):
+            for j in range(2):
+                g[m, i, j] = _exact_fma(k[i][1], an[1][j], k[i][0] * an[0][j])
+    return g
+
+
 def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
-    """The stacked-matmul sampler the entrywise one replaced."""
+    """The stacked-matmul sampler the entrywise one replaced, with G' drawn
+    from exact arithmetic."""
     def upper(alpha, beta):
         g = np.zeros((len(alpha), 2, 2), dtype=complex)
         g[:, 0, 0], g[:, 0, 1], g[:, 1, 1] = alpha, beta, 1 / alpha
@@ -147,13 +180,7 @@ def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
     elif subgroup == "G":
         g1, g2 = haar_su2(), haar_su2()
     else:
-        theta = rng.uniform(-np.pi, np.pi, n)
-        t = rng.uniform(-2, 2, n)
-        s = np.tan(rng.uniform(-1.5, 1.5, n))
-        k = np.zeros((n, 2, 2), dtype=complex)
-        k[:, 0, 0], k[:, 0, 1] = np.cos(theta), np.sin(theta)
-        k[:, 1, 0], k[:, 1, 1] = -np.sin(theta), np.cos(theta)
-        g1 = g2 = k @ upper(np.exp(t).astype(complex), (np.exp(t) * s).astype(complex))
+        g1 = g2 = _exact_real_group_draw(seed, n)
     (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
     v1 = g1 @ np.array([a1, c1], dtype=complex)
     v2 = g2 @ np.array([a2, c2], dtype=complex)
@@ -188,6 +215,47 @@ def test_sampler_matches_stacked_matmul_bit_for_bit(subgroup, base):
         assert np.array_equal(_bits(samples.coords), _bits(coords))
         assert np.array_equal(_bits(samples.phis), _bits(phis))
         assert np.array_equal(_bits(samples.norms), _bits(np.linalg.norm(phis, axis=1)))
+
+
+def _fma_triples():
+    """Random triples of wide range, a third cancelling a * b to a few ulps,
+    and triples whose exact value sits at or just beside a rounding tie."""
+    rng = np.random.default_rng(16)
+    n = 3000
+    a, b, c = (rng.normal(size=n) * 2.0 ** rng.integers(-30, 31, n) for _ in range(3))
+    near = slice(0, n, 3)
+    c[near] = -(a[near] * b[near]) * (1 + rng.integers(-4, 5, len(c[near])) * 2.0 ** -52)
+    triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    for m in rng.integers(0, 2 ** 52, 40).tolist():
+        scale = 2.0 ** int(rng.integers(-20, 21))
+        for sign in (1, -1):
+            base = sign * scale * (1 + m * 2.0 ** -52)
+            half_ulp = sign * scale * 2.0 ** -53
+            triples.append((half_ulp, 1.0, base))  # an exact tie
+            for d in (2.0 ** -30, 2.0 ** -26, 2.0 ** -20):
+                triples.append((half_ulp * (1 + d), 1 - d, base))  # just below a tie
+                triples.append((half_ulp * (1 + d), 1 + d, base))  # just above
+    return triples
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (3.0, 5.0, -15.0),     # exact cancellation: +0
+    (-3.0, 5.0, 15.0),
+    (0.0, -2.0, -0.0),     # a zero product: -0 + -0 is -0
+    (-0.0, -2.0, -0.0),
+    (0.0, 2.0, -0.0),
+    (-0.0, 2.0, 5.5),
+    (0.0, 7.0, 0.0),
+])
+def test_fma_signed_zeros(a, b, c):
+    got = numeric._fma(np.array([a]), np.array([b]), np.array([c]))
+    assert _bits(got) == _bits(np.array([_exact_fma(a, b, c)]))
+
+
+def test_fma_matches_exact_arithmetic():
+    a, b, c = map(np.array, zip(*_fma_triples()))
+    want = np.array([_exact_fma(*t) for t in zip(a.tolist(), b.tolist(), c.tolist())])
+    assert np.array_equal(_bits(numeric._fma(a, b, c)), _bits(want))
 
 
 def test_norms_are_computed_once(monkeypatch):
