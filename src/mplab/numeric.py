@@ -37,8 +37,6 @@ from .reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 
 KSTAR_AXIS = 1  # coordinate fixed by the conjugation involution
 
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
 ComplexPair = tuple[complex, complex]
 ComplexFlagPoint = tuple[ComplexPair, ComplexPair]
 
@@ -74,10 +72,10 @@ def hopf_vector(a: complex, c: complex) -> np.ndarray:
 
 
 def _hopf_batch(a: np.ndarray, c: np.ndarray, lam: int) -> np.ndarray:
-    """lam times the unit vectors of the pairs (a, c), as an (n, 3) array."""
+    """lam times the unit vectors of the pairs (a, c), as a column-major (n, 3) array."""
     aa, cc = np.abs(a) ** 2, np.abs(c) ** 2
     ac = np.conj(a) * c
-    h = np.empty((len(a), 3))
+    h = np.empty((len(a), 3), order="F")
     np.multiply(ac.real, -2, out=h[:, 0])
     np.multiply(ac.imag, -2, out=h[:, 1])
     np.subtract(cc, aa, out=h[:, 2])
@@ -96,8 +94,8 @@ def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
 class SampleSet:
     """Reproducible orbit sample: identical (inputs, seed) give identical arrays."""
 
-    coords: np.ndarray   # (n, 4) complex: a1, c1, a2, c2
-    phis: np.ndarray     # (n, 3) float
+    coords: np.ndarray   # (n, 4) complex: a1, c1, a2, c2; column-major when sampled
+    phis: np.ndarray     # (n, 3) float; column-major when sampled
 
     @property
     def count(self) -> int:
@@ -105,8 +103,13 @@ class SampleSet:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """|Phi| of every sample, computed once."""
-        return np.linalg.norm(self.phis, axis=1)
+        """|Phi| of every sample, computed once.
+
+        Summed as (p0 p0 + p1 p1) + p2 p2, the order of ``np.linalg.norm``'s
+        reduction along a row of three, so the two agree bit for bit.
+        """
+        p0, p1, p2 = (self.phis[:, c] for c in range(3))
+        return np.sqrt((p0 * p0 + p1 * p1) + p2 * p2)
 
 
 # A 2x2 matrix per sample, as its four entries (g00, g01, g10, g11): each an
@@ -231,9 +234,10 @@ def _check_base(base: ComplexFlagPoint) -> None:
 
 
 def _orbit_coords(base: ComplexFlagPoint, subgroup: str, n: int, seed: int) -> np.ndarray:
-    """The (n, 4) complex coordinates of the drawn g.x; the matrices die here."""
+    """The column-major (n, 4) complex coordinates of the drawn g.x; the
+    matrices die here."""
     g1, g2 = _draw_matrices(subgroup, n, np.random.default_rng(seed))
-    coords = np.empty((n, 4), dtype=complex)
+    coords = np.empty((n, 4), dtype=complex, order="F")
     _apply(g1, *base[0], coords[:, 0:2])
     _apply(g2, *base[1], coords[:, 2:4])
     return coords
@@ -293,13 +297,31 @@ def sampled_delta(samples: SampleSet, mode: str = "radial",
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (n, d) float array, compared byte for byte."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("a point cloud must have shape (n, d)")
-    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return points[first]
+    """The distinct rows of an (n, d) float array, compared byte for byte.
+
+    Returns the first occurrence of each row, in input order, column-major.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.size == 0:
+        raise ValueError("a point cloud must have shape (n, d) with n, d >= 1")
+    bits = points.view(np.int64)  # int64 equality is byte equality
+    first = np.sort(bits[:, 0])
+    if (first[1:] != first[:-1]).all():  # no two rows share even their first entry
+        return np.asfortranarray(points)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return _gather_columns(points, np.sort(order[new]))
+
+
+def _gather_columns(points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """points[index] as a column-major array, gathered one column at a time."""
+    out = np.empty((len(index), points.shape[1]), order="F")
+    for c in range(points.shape[1]):
+        # every index is in range; "clip" spares the buffered bounds check
+        np.take(points[:, c], index, out=out[:, c], mode="clip")
+    return out
 
 
 # The exact sweep behind hausdorff_distance.  Every squared distance is summed
@@ -312,9 +334,10 @@ _CHUNK = 1 << 18       # candidate distances held at once by one round
 
 
 def _sorted_along_spread(targets: np.ndarray) -> tuple[np.ndarray, int]:
-    """The targets sorted along their axis of largest spread, and that axis."""
+    """The targets sorted along their axis of largest spread, column-major,
+    and that axis."""
     axis = int(np.argmax(np.ptp(targets, axis=0)))
-    return targets[np.argsort(targets[:, axis])], axis
+    return _gather_columns(targets, np.argsort(targets[:, axis])), axis
 
 
 def _sweep_round(queries: np.ndarray, pos: np.ndarray, targets: np.ndarray,
@@ -322,22 +345,24 @@ def _sweep_round(queries: np.ndarray, pos: np.ndarray, targets: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the sorted targets at offsets [-half, -inner) and [inner, half) of pos.
 
+    Each column of the column-major targets is gathered with one index array.
+
     Returns each query's best squared distance so far and whether it is
     resolved: no unscanned target is nearer along the axis than that best.
     Offsets beyond either end of the cloud are clamped to that end, a real
     target, so scanning it twice changes no minimum.
     """
-    n = len(targets)
+    n, d = targets.shape
     offsets = np.r_[np.arange(-half, -inner), np.arange(inner, half)]
     step = max(1, _CHUNK // len(offsets))
     scanned = np.empty(len(queries))
     for s in range(0, len(queries), step):
         rows = queries[s:s + step]
-        cand = targets[np.clip(pos[s:s + step, None] + offsets, 0, n - 1)]
-        diff = rows[:, None, 0] - cand[..., 0]
+        cand = np.clip(pos[s:s + step, None] + offsets, 0, n - 1)
+        diff = rows[:, 0, None] - targets[:, 0][cand]
         sq = diff * diff
-        for c in range(1, targets.shape[1]):
-            diff = rows[:, None, c] - cand[..., c]
+        for c in range(1, d):
+            diff = rows[:, c, None] - targets[:, c][cand]
             sq += diff * diff
         scanned[s:s + step] = sq.min(axis=1)
     best = np.minimum(best, scanned)
@@ -375,6 +400,7 @@ def _sweep_max_sq(queries: np.ndarray, targets: np.ndarray, axis: int,
     resolved.  A query whose best cannot raise the running maximum is
     dropped unresolved.
     """
+    queries = _gather_columns(queries, np.argsort(queries[:, axis]))
     pos = np.searchsorted(targets[:, axis], queries[:, axis])
     best = np.full(len(queries), np.inf)
     inner, half = 0, _FIRST_WINDOW // 2
@@ -420,6 +446,12 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(_sweep_max_sq(b, *sorted_a, d_ab)))
 
 
+# The largest radius coadjoint_fixed_check takes.  Its clouds lie on the sphere
+# of radius lam, so every squared distance is at most 12 lam^2 (about 1.2e301
+# here) and stays in the float range; from about 3.8e153 up it would overflow.
+COADJOINT_MAX_RADIUS = 1e150
+
+
 def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> float:
     """Hausdorff distance between a sphere-plane cut and a stabilizer orbit.
 
@@ -428,36 +460,51 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
     conjugation (computed by genuinely conjugating the algebra element, not
     by reusing the circle parametrization).  ``plane='k'`` is the negative
     control: the sphere is cut by the fixed axis instead, leaving two points.
+    A lam that is not a number in [0, COADJOINT_MAX_RADIUS] is refused before
+    anything is drawn.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if lam < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= lam <= COADJOINT_MAX_RADIUS:  # also refuses nan
+        raise ValueError(f"lam must be a radius in [0, {COADJOINT_MAX_RADIUS:g}], got {lam!r}")
     rng = np.random.default_rng(seed)
+    cut = np.zeros((n, 3), order="F")
     if plane == "q":
         th = rng.uniform(0, 2 * np.pi, n)
-        cut = np.stack([lam * np.cos(th), np.zeros(n), lam * np.sin(th)], axis=1)
+        np.multiply(lam, np.cos(th), out=cut[:, 0])
+        np.multiply(lam, np.sin(th), out=cut[:, 2])
     elif plane == "k":
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
+        cut[:, 1] = lam
+        cut[1::2, 1] = -lam
     else:
         raise ValueError(f"unknown plane {plane!r}")
+    # u = [[cos, sin], [-sin, cos]] conjugates the algebra element (i h) sigma3,
+    # h = lam/2, whose coordinates are (0, 0, lam).  Written out entry by
+    # entry, the first row of u (i h sigma3) is i (a, b) with (a, b) =
+    # h (cos, -sin), and su2_coordinates reads from u (i h sigma3) u^*:
+    # 2 Im(xi_01) = 2 (b cos + a (-sin)), 2 Re(xi_01) = 0 (u is real) and
+    # 2 Im(xi_00) = 2 (b sin + a cos).  Each sum is one fma over the rounded
+    # first product, as an FMA matmul kernel computes it, so it is correctly
+    # rounded on every host.  _fma is exact here from lam = COADJOINT_MAX_RADIUS
+    # (no split or product overflows) down to about 1e-259: below that, the
+    # smallest nonzero product, h times the square of the smallest nonzero
+    # |cos| or |sin| a draw can give (about 6e-17), falls under 2^-969, where
+    # Dekker's two-product stops being exact, and an entry can be off in its
+    # last bits.
     psi = rng.uniform(0, 2 * np.pi, n)
-    base = 0.5j * lam * _SIGMA3  # algebra element with coordinates (0, 0, lam)
     cos, sin = np.cos(psi), np.sin(psi)
-    u = np.empty((n, 2, 2), dtype=complex)
-    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = cos, sin, -sin, cos
-    orbit = su2_coordinates(u @ base @ u.conj().transpose(0, 2, 1))
+    h = lam / 2
+    a, b = cos * h, -sin * h
+    orbit = np.zeros((n, 3), order="F")
+    np.multiply(_fma(b, cos, a * -sin), 2, out=orbit[:, 0])
+    np.multiply(_fma(b, sin, a * cos), 2, out=orbit[:, 2])
     return hausdorff_distance(cut, orbit)
 
 
 def su2_coordinates(xi: np.ndarray) -> np.ndarray:
-    """Coordinates of an anti-hermitian traceless matrix in the (i/2)*Pauli basis.
-
-    Also takes a stack of matrices, shape (..., 2, 2), giving shape (..., 3).
-    """
-    p, q = xi[..., 0, 0], xi[..., 0, 1]
-    return np.stack([2 * q.imag, 2 * q.real, 2 * p.imag], axis=-1)
+    """Coordinates of an anti-hermitian traceless 2x2 matrix in the (i/2)*Pauli basis."""
+    p, q = xi[0, 0], xi[0, 1]
+    return np.array([2 * q.imag, 2 * q.real, 2 * p.imag])
 
 
 def borel_imaginary_part(xi: np.ndarray) -> np.ndarray:

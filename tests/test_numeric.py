@@ -1,8 +1,12 @@
 import csv
 import functools
 import io
+import os
+import subprocess
+import sys
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from mplab.weights import negation_involution
 
 REPS = orbit_representatives()
 SUBGROUPS = ("B", "H", "G", "G'")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestMomentMap:
@@ -146,7 +151,8 @@ def _exact_real_group_draw(seed, n):
 
 def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
     """The stacked-matmul sampler the entrywise one replaced, with G' drawn
-    from exact arithmetic."""
+    from exact arithmetic and each ``g @ v`` written out entry by entry, so
+    that no BLAS kernel takes part."""
     def upper(alpha, beta):
         g = np.zeros((len(alpha), 2, 2), dtype=complex)
         g[:, 0, 0], g[:, 0, 1], g[:, 1, 1] = alpha, beta, 1 / alpha
@@ -161,6 +167,10 @@ def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
         g[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
         g[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
         return g
+
+    def matvec(g, a, c):
+        # matmul's order, summed from zero: (0 + g_i0 * a) + g_i1 * c
+        return [(0 + g[:, i, 0] * a) + g[:, i, 1] * c for i in range(2)]
 
     def hopf(a, c):
         n = np.abs(a) ** 2 + np.abs(c) ** 2
@@ -182,9 +192,7 @@ def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
     else:
         g1 = g2 = _exact_real_group_draw(seed, n)
     (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
-    v1 = g1 @ np.array([a1, c1], dtype=complex)
-    v2 = g2 @ np.array([a2, c2], dtype=complex)
-    coords = np.stack([v1[:, 0], v1[:, 1], v2[:, 0], v2[:, 1]], axis=1)
+    coords = np.stack([*matvec(g1, a1, c1), *matvec(g2, a2, c2)], axis=1)
     phis = lam1 * hopf(coords[:, 0], coords[:, 1]) + lam2 * hopf(coords[:, 2], coords[:, 3])
     return coords, phis
 
@@ -378,6 +386,20 @@ class TestCoadjointFixedCheck:
         with pytest.raises(ValueError):
             numeric.coadjoint_fixed_check(1, 10, 0, plane="x")
 
+    def test_largest_radius_accepted(self):
+        lam = numeric.COADJOINT_MAX_RADIUS
+        dist = numeric.coadjoint_fixed_check(lam, 10_000, 0)
+        assert np.isfinite(dist) and dist < 0.05 * lam
+
+    @pytest.mark.parametrize("lam", [np.nextafter(numeric.COADJOINT_MAX_RADIUS, np.inf),
+                                     1e200, np.inf, -np.inf, np.nan, -1, -5e-324])
+    def test_radius_out_of_range_refused_before_drawing(self, monkeypatch, lam):
+        def no_draw(*args):
+            raise AssertionError("drew points for a refused radius")
+        monkeypatch.setattr(numeric.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="lam must be a radius"):
+            numeric.coadjoint_fixed_check(lam, 100, 0)
+
 
 def _reference_hausdorff(a, b):
     """Two trees over the clouds as given, duplicates and all."""
@@ -409,9 +431,60 @@ class TestHausdorffDistance:
         with pytest.raises(ValueError, match="shape"):
             numeric.hausdorff_distance(np.arange(5.0), np.arange(3.0))
 
+    def test_distinct_rows_are_first_occurrences_in_input_order(self):
+        rows = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [-0.0, 5.0], [0.0, 5.0],
+                         [1.0, 3.0]])
+        for x, first in ((rows, [0, 1, 3, 5]), (rows[[5, 3, 0]], [0, 1, 2])):
+            got = numeric._distinct_rows(x)
+            assert got.flags.f_contiguous
+            assert np.array_equal(_bits(got), _bits(x[first]))  # -0.0 and 0.0 differ
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("change", ["none", "permuted", "duplicated"])
+    @pytest.mark.parametrize("shape", ["curve", "shell"])
+    def test_row_order_duplicates_and_layout_keep_the_distance(self, shape, change, layout):
+        a, b = _layout_clouds(shape)
+        want = _reference_hausdorff(a, b)
+        rng = np.random.default_rng(24)
+        moved = []
+        for cloud in (a, b):
+            n = len(cloud)
+            if change == "permuted":
+                cloud = cloud[rng.permutation(n)]
+            elif change == "duplicated":
+                cloud = cloud[rng.permutation(np.r_[np.arange(n), rng.integers(0, n, n // 3)])]
+            moved.append(_laid_out(cloud, layout))
+        assert numeric.hausdorff_distance(*moved) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_clouds(shape):
+    """Two clouds the sweep serves (coadjoint curves) or hands to the tree (shells)."""
+    if shape == "curve":
+        return _reference_coadjoint_clouds(2, 3000, 9, "q")
+    return _shell(3), _shell(103)
+
+
+def _laid_out(cloud, layout):
+    """The cloud as a C-ordered, an F-ordered or a non-contiguous array."""
+    if layout == "C":
+        return np.ascontiguousarray(cloud)
+    if layout == "F":
+        return np.asfortranarray(cloud)
+    wide = np.zeros((2 * len(cloud), 2 * cloud.shape[1]))
+    wide[::2, ::2] = cloud
+    return wide[::2, ::2]
+
 
 def _reference_coadjoint_clouds(lam, n, seed, plane):
-    """The per-element loop the batched orbit replaced."""
+    """The clouds of coadjoint_fixed_check from a per-element loop.
+
+    The orbit point is u (i h sigma3) u^* with u = [[cos, sin], [-sin, cos]]
+    and h = lam/2.  The first row of u (i h sigma3) has the imaginary parts
+    (a, b) = (cos h, -sin h), and each entry of the product with u^* is the
+    exact rational fma of its second product over its rounded first, as an
+    FMA matmul kernel rounds it.
+    """
     rng = np.random.default_rng(seed)
     if plane == "q":
         th = rng.uniform(0, 2 * np.pi, n)
@@ -420,12 +493,12 @@ def _reference_coadjoint_clouds(lam, n, seed, plane):
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
     psi = rng.uniform(0, 2 * np.pi, n)
-    base = 0.5j * lam * np.diag([1, -1])
-    orbit = np.empty((n, 3))
-    for i, p in enumerate(psi):
-        u = np.array([[np.cos(p), np.sin(p)], [-np.sin(p), np.cos(p)]], dtype=complex)
-        xi = u @ base @ u.conj().T
-        orbit[i] = [2 * xi[0, 1].imag, 2 * xi[0, 1].real, 2 * xi[0, 0].imag]
+    h = lam / 2
+    orbit = np.zeros((n, 3))
+    for i, (cos, sin) in enumerate(zip(np.cos(psi).tolist(), np.sin(psi).tolist())):
+        a, b = cos * h, -sin * h
+        orbit[i, 0] = 2 * _exact_fma(b, cos, a * -sin)  # 2 Im xi_01
+        orbit[i, 2] = 2 * _exact_fma(b, sin, a * cos)   # 2 Im xi_00
     return cut, orbit
 
 
@@ -442,9 +515,31 @@ def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane)
     monkeypatch.setattr(numeric, "hausdorff_distance", recording_hausdorff)
     dist = numeric.coadjoint_fixed_check(lam, 2000, seed, plane)
     cut, orbit = _reference_coadjoint_clouds(lam, 2000, seed, plane)
-    assert np.array_equal(seen[0][0], cut)
-    assert np.array_equal(seen[0][1], orbit)
+    got_cut, got_orbit = seen[0]
+    assert np.array_equal(_bits(got_cut), _bits(cut))
+    assert np.array_equal(_bits(got_orbit[:, [0, 2]]), _bits(orbit[:, [0, 2]]))
+    assert np.array_equal(_bits(got_orbit[:, 1]), _bits(np.zeros(2000)))  # +0.0 throughout
+    # a genuine conjugation: u (i h sigma3) u^* sits at lam (-sin 2psi, 0, cos 2psi)
+    rng = np.random.default_rng(seed)
+    if plane == "q":
+        rng.uniform(0, 2 * np.pi, 2000)  # the cut's angles come first
+    psi = rng.uniform(0, 2 * np.pi, 2000)
+    circle = lam * np.stack([-np.sin(2 * psi), np.zeros(2000), np.cos(2 * psi)], axis=1)
+    assert np.abs(got_orbit - circle).max() < 1e-14
     assert dist == _reference_hausdorff(cut, orbit)
+
+
+def test_coadjoint_report_does_not_depend_on_the_blas_kernel():
+    env = {key: value for key, value in os.environ.items() if key != "MPLAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    reports = []
+    for coretype in ("Haswell", "Prescott"):
+        p = subprocess.run([sys.executable, "-m", "mplab", "verify", "--suite", "coadjoint",
+                            "--seed", "0"], env={**env, "OPENBLAS_CORETYPE": coretype},
+                           capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        reports.append(p.stdout)
+    assert reports[0] == reports[1]
 
 
 def _sweep(a, b):
@@ -557,8 +652,9 @@ class TestHausdorffSweep:
             numeric.hausdorff_distance(b, a)
 
     def test_empty_and_mismatched_clouds_rejected(self):
-        with pytest.raises(ValueError):
-            numeric.hausdorff_distance(np.empty((0, 3)), np.ones((2, 3)))
+        for empty in (np.empty((0, 3)), np.ones((2, 0))):
+            with pytest.raises(ValueError, match="shape"):
+                numeric.hausdorff_distance(empty, np.ones((2, 3)))
         with pytest.raises(ValueError):
             numeric.hausdorff_distance(np.ones((2, 3)), np.ones((2, 2)))
 
