@@ -296,25 +296,6 @@ def sampled_delta(samples: SampleSet, mode: str = "radial",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _distinct_rows(points: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (n, d) float array, compared byte for byte.
-
-    Returns the first occurrence of each row, in input order, column-major.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.size == 0:
-        raise ValueError("a point cloud must have shape (n, d) with n, d >= 1")
-    bits = points.view(np.int64)  # int64 equality is byte equality
-    first = np.sort(bits[:, 0])
-    if (first[1:] != first[:-1]).all():  # no two rows share even their first entry
-        return np.asfortranarray(points)
-    order = np.lexsort(bits.T)
-    ranked = bits[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return _gather_columns(points, np.sort(order[new]))
-
-
 def _gather_columns(points: np.ndarray, index: np.ndarray) -> np.ndarray:
     """points[index] as a column-major array, gathered one column at a time."""
     out = np.empty((len(index), points.shape[1]), order="F")
@@ -417,19 +398,15 @@ def _sweep_max_sq(queries: np.ndarray, targets: np.ndarray, axis: int,
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric sample-based Hausdorff distance between two point clouds.
 
-    Both clouds are reduced to their distinct points first, which leaves the
-    distance unchanged.  Both sides matter: when every point is equidistant
-    from the other cloud, as in the two-point negative control of
-    :func:`coadjoint_fixed_check`, no nearest-neighbour search can prune and
-    repeated query points cost as much as distinct ones.
-
     The distance is an exact NumPy sweep along each cloud's axis of largest
     spread, equal bit for bit to ``scipy.spatial.cKDTree``.  When a probe of
     the first round leaves most queries unresolved, as on clouds that fill a
     volume, the call is computed with ``cKDTree`` where SciPy is installed;
     without SciPy the sweep finishes it, with the same value.
     """
-    a, b = _distinct_rows(a), _distinct_rows(b)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.size == 0 or b.size == 0:
+        raise ValueError("a point cloud must have shape (n, d) with n, d >= 1")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point clouds of dimensions {a.shape[1]} and {b.shape[1]}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -468,29 +445,29 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
     if not 0 <= lam <= COADJOINT_MAX_RADIUS:  # also refuses nan
         raise ValueError(f"lam must be a radius in [0, {COADJOINT_MAX_RADIUS:g}], got {lam!r}")
     rng = np.random.default_rng(seed)
-    cut = np.zeros((n, 3), order="F")
     if plane == "q":
         th = rng.uniform(0, 2 * np.pi, n)
+        cut = np.zeros((n, 3), order="F")
         np.multiply(lam, np.cos(th), out=cut[:, 0])
         np.multiply(lam, np.sin(th), out=cut[:, 2])
-    elif plane == "k":
-        cut[:, 1] = lam
-        cut[1::2, 1] = -lam
+    elif plane == "k":  # the fixed axis meets the sphere in +-lam e2 alone
+        cut = np.zeros((2, 3), order="F")
+        cut[:, KSTAR_AXIS] = lam, -lam
     else:
         raise ValueError(f"unknown plane {plane!r}")
     # u = [[cos, sin], [-sin, cos]] conjugates the algebra element (i h) sigma3,
     # h = lam/2, whose coordinates are (0, 0, lam).  Written out entry by
     # entry, the first row of u (i h sigma3) is i (a, b) with (a, b) =
-    # h (cos, -sin), and su2_coordinates reads from u (i h sigma3) u^*:
-    # 2 Im(xi_01) = 2 (b cos + a (-sin)), 2 Re(xi_01) = 0 (u is real) and
-    # 2 Im(xi_00) = 2 (b sin + a cos).  Each sum is one fma over the rounded
-    # first product, as an FMA matmul kernel computes it, so it is correctly
-    # rounded on every host.  _fma is exact here from lam = COADJOINT_MAX_RADIUS
-    # (no split or product overflows) down to about 1e-259: below that, the
-    # smallest nonzero product, h times the square of the smallest nonzero
-    # |cos| or |sin| a draw can give (about 6e-17), falls under 2^-969, where
-    # Dekker's two-product stops being exact, and an entry can be off in its
-    # last bits.
+    # h (cos, -sin), and the coordinates of xi = u (i h sigma3) u^* in the
+    # (i/2) Pauli basis are 2 Im(xi_01) = 2 (b cos + a (-sin)), 2 Re(xi_01) = 0
+    # (u is real) and 2 Im(xi_00) = 2 (b sin + a cos).  Each sum is one fma
+    # over the rounded first product, as an FMA matmul kernel computes it, so
+    # it is correctly rounded on every host.  _fma is exact here from
+    # lam = COADJOINT_MAX_RADIUS (no split or product overflows) down to about
+    # 1e-259: below that, the smallest nonzero product, h times the square of
+    # the smallest nonzero |cos| or |sin| a draw can give (about 6e-17), falls
+    # under 2^-969, where Dekker's two-product stops being exact, and an entry
+    # can be off in its last bits.
     psi = rng.uniform(0, 2 * np.pi, n)
     cos, sin = np.cos(psi), np.sin(psi)
     h = lam / 2
@@ -499,17 +476,6 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
     np.multiply(_fma(b, cos, a * -sin), 2, out=orbit[:, 0])
     np.multiply(_fma(b, sin, a * cos), 2, out=orbit[:, 2])
     return hausdorff_distance(cut, orbit)
-
-
-def su2_coordinates(xi: np.ndarray) -> np.ndarray:
-    """Coordinates of an anti-hermitian traceless 2x2 matrix in the (i/2)*Pauli basis."""
-    p, q = xi[0, 0], xi[0, 1]
-    return np.array([2 * q.imag, 2 * q.real, 2 * p.imag])
-
-
-def borel_imaginary_part(xi: np.ndarray) -> np.ndarray:
-    """Projection (xi + xi*)/(2i) of an upper-triangular element onto the compact algebra."""
-    return (xi + xi.conj().T) / 2j
 
 
 def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
@@ -521,33 +487,22 @@ def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
     return float(abs(val) ** 2 / (n1 ** (spec.r * spec.lam1) * n2 ** (spec.r * spec.lam2)))
 
 
-# theta_3 of Al-Mohy & Higham (SIMAX 2009): up to this 1-norm the order-3
-# Pade approximant of exp needs no scaling in double precision.
-_PADE3_THETA = 1.495585217958292e-2
-_EYE2 = np.eye(2, dtype=complex)
 _FLOW_STEP = 1e-5  # central-difference step of the gradient check along the flow
 
 
 def _flow_matrix(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a 2x2 matrix by scaling and squaring (Higham, SIMAX 2005).
+    """exp(a) of an upper-triangular 2x2 a, in closed form.
 
-    Takes the Pade-3 approximant of a / 2^s, with s the least integer that
-    brings the 1-norm to theta_3 or below, and squares it s times.  The
-    result of an upper triangular a is exactly upper triangular.
+    exp([[u, b], [0, v]]) = [[e^u, b e^m sinh(h)/h], [0, e^v]] with
+    m = (u + v)/2, h = (u - v)/2 and sinh(h)/h = 1 at h = 0.  The entry of a
+    below the diagonal is not read; _check_borel bounds it by 1e-12.  Raises
+    OverflowError where an exponential leaves the float range.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    s = int(np.ceil(np.log2(norm / _PADE3_THETA))) if _PADE3_THETA < norm < np.inf else 0
-    if s:
-        a = a / 2 ** s
-    a2 = a @ a
-    u = a @ (a2 + 60 * _EYE2)
-    v = 12 * a2 + 120 * _EYE2
-    g = _EYE2 + 2 * np.linalg.solve(v - u, u)
-    if a[1, 0] == 0:  # squaring keeps this entry exactly 0
-        g[1, 0] = 0
-    for _ in range(s):
-        g = g @ g
-    return g
+    u, b, v = complex(a[0, 0]), complex(a[0, 1]), complex(a[1, 1])
+    h = (u - v) / 2
+    sinhc = cmath.sinh(h) / h if h else 1
+    return np.array([[cmath.exp(u), b * cmath.exp((u + v) / 2) * sinhc],
+                     [0, cmath.exp(v)]])
 
 
 def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
@@ -571,13 +526,23 @@ def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int
     """The terms of the derivative identity for section k at (point, xi).
 
     Returns the central difference of |s|^2 along the exp(-t*xi) flow, |s|^2,
-    w(pr xi) / 4 pi and <Phi, pr xi>.
+    w(pr xi) / 4 pi and <Phi, pr xi>.  Refuses an xi whose flow, or the
+    section norms along it, leave the float range.
     """
     vec = highest_weight_vector(spec, k)
     norm2 = section_norm_sq(vec, spec, point)
-    derivative = (_flow_norm_sq(vec, spec, point, xi, _FLOW_STEP)
-                  - _flow_norm_sq(vec, spec, point, xi, -_FLOW_STEP)) / (2 * _FLOW_STEP)
-    theta = su2_coordinates(borel_imaginary_part(xi))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            derivative = (_flow_norm_sq(vec, spec, point, xi, _FLOW_STEP)
+                          - _flow_norm_sq(vec, spec, point, xi, -_FLOW_STEP)) / (2 * _FLOW_STEP)
+    except ArithmeticError:  # an overflow, an underflow to a zero divisor or a nan
+        derivative = math.nan
+    if not math.isfinite(derivative):
+        raise ValueError(f"the flow of xi = {xi.tolist()} over t = +-{_FLOW_STEP:g}, "
+                         "or the section norms along it, leave the float range")
+    # pr xi = (xi + xi^*)/(2i) in the (i/2) Pauli basis, with w = xi_01 + conj(xi_10)
+    w = xi[0, 1] + xi[1, 0].conjugate()
+    theta = np.array([-w.real, w.imag, -2 * xi[0, 0].real])
     weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 2 * k) / spec.r
     pairing = float(np.dot(moment_map(point, spec.lam1, spec.lam2), theta))
     return derivative, norm2, weight_alpha * theta[2] / (4 * np.pi), pairing

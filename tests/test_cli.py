@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,12 +23,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MEMBERSHIP_MAX = cli.MAX_MEMBERSHIP_WEIGHT_SUM
 
 
-def run_cli(*argv, env=None):
-    full_env = os.environ.copy()
-    if env:
-        full_env.update(env)
-    return subprocess.run([sys.executable, "-m", "mplab", *argv],
-                          capture_output=True, text=True, env=full_env)
+def run_cli(*argv):
+    """A fresh ``python -m mplab`` process; it must end without a traceback."""
+    p = subprocess.run([sys.executable, "-m", "mplab", *argv], capture_output=True, text=True)
+    assert "Traceback" not in p.stderr, p.stderr
+    return p
+
+
+def run_main(*argv):
+    """``cli.main`` in this process, with the exit code and output a fresh
+    process would give; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(list(argv), code, out.getvalue(), err.getvalue())
 
 
 class TestPolytopeCommand:
@@ -36,13 +49,13 @@ class TestPolytopeCommand:
         assert p.stdout.strip() == '{"dim":1,"vertices":[["1","1"],["3","1"]]}'
 
     def test_json_round_trip(self):
-        p = run_cli("polytope", "--weights", "3", "2", "--point", "0/1,1/1;1/1,1/1")
+        p = run_main("polytope", "--weights", "3", "2", "--point", "0/1,1/1;1/1,1/1")
         poly = wire.polytope_from_json(json.loads(p.stdout))
         assert poly == hull([1, 5])
 
     def test_membership_table(self):
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
-                    "--membership")
+        p = run_main("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
+                     "--membership")
         payload = json.loads(p.stdout)
         assert payload["orbit_class"] == "dense"
         table = {row["lambda"]: row for row in payload["membership"]}
@@ -53,22 +66,22 @@ class TestPolytopeCommand:
         assert table["0/1"]["member"] is False
 
     def test_empty_polytope_round_trips(self):
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "1/1,0/1;1/1,0/1")
+        p = run_main("polytope", "--weights", "2", "1", "--point", "1/1,0/1;1/1,0/1")
         payload = json.loads(p.stdout)
         assert payload == {"dim": 1, "vertices": []}
         assert wire.polytope_from_json(payload).is_empty
 
     def test_gaussian_point_literal(self):
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "1/2+1/3i,1/1;1/1,1/1")
+        p = run_main("polytope", "--weights", "2", "1", "--point", "1/2+1/3i,1/1;1/1,1/1")
         assert p.returncode == 0
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
 
     def test_bad_literal_is_usage_error(self):
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "not-a-point")
+        p = run_main("polytope", "--weights", "2", "1", "--point", "not-a-point")
         assert p.returncode == 2
 
     def test_missing_subcommand_usage_error(self):
-        p = run_cli()
+        p = run_main()
         assert p.returncode == 2
 
 
@@ -81,18 +94,18 @@ def assert_usage_error(p):
 
 class TestMalformedInput:
     def test_zero_denominator_point(self):
-        assert_usage_error(run_cli("polytope", "--weights", "2", "1",
-                                   "--point", "1/0,1;1,1"))
+        assert_usage_error(run_main("polytope", "--weights", "2", "1",
+                                    "--point", "1/0,1;1,1"))
 
     def test_non_integer_gamma_matrix(self):
-        assert_usage_error(run_cli("realpolytope", "--weights", "2", "1",
-                                   "--point", "0/1,1/1;1/1,1/1", "--gamma", "[[0.5]]"))
+        assert_usage_error(run_main("realpolytope", "--weights", "2", "1",
+                                    "--point", "0/1,1/1;1/1,1/1", "--gamma", "[[0.5]]"))
 
     def test_polytope_json_without_dim(self, tmp_path):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"vertices": [["1", "1"]]}))
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "x.svg")))
 
     WRONG_TYPE = [
         ({"weights": 5}, "realpolytope"),
@@ -108,21 +121,21 @@ class TestMalformedInput:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1",
                                    "gamma": "negation", "n": 1, **bad}))
-        p = run_cli(command, "--config", str(cfg))
+        p = run_main(command, "--config", str(cfg))
         assert_usage_error(p)
         assert f"--{next(iter(bad)).replace('_', '-')}" in p.stderr
 
     def test_sample_csv_without_moment_columns(self, tmp_path):
         src = tmp_path / "s.csv"
         src.write_text("a,b\n1,2\n")
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "s.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "s.svg")))
 
     @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,-inf", "1.7e308,-1.7e308"])
     def test_sample_csv_with_unplottable_moment(self, tmp_path, row):
         src = tmp_path / "s.csv"
         src.write_text(f"phi1,phi3\n0.5,0.25\n{row}\n")
-        assert_usage_error(run_cli("plot", "--in", str(src), "--out", str(tmp_path / "s.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src), "--out", str(tmp_path / "s.svg")))
         assert not (tmp_path / "s.svg").exists()
 
     @pytest.mark.parametrize("vertices", [[[1.5, 1]], [["1", 2.0]], [[True, 1]]],
@@ -130,23 +143,23 @@ class TestMalformedInput:
     def test_polytope_json_coordinate_not_an_integer(self, tmp_path, vertices):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
 
     def test_polytope_json_with_three_vertices(self, tmp_path):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"dim": 1, "vertices": [["0", "1"], ["1", "1"], ["2", "1"]]}))
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("dim", [1.9, True], ids=json.dumps)
     def test_polytope_json_dim_not_an_integer(self, tmp_path, dim):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"dim": dim, "vertices": [["1", "1"]]}))
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("vertices", [
@@ -156,8 +169,8 @@ class TestMalformedInput:
     def test_polytope_json_vertex_out_of_float_range(self, tmp_path, vertices):
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
-        assert_usage_error(run_cli("plot", "--in", str(src),
-                                   "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src),
+                                    "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("literal", ["[[2]]", "[[1,0],[0,1]]", "[[true]]", "[[1.0]]", "[]"])
@@ -228,47 +241,45 @@ class TestInputLimits:
         monkeypatch.setattr(orbits, "_achieved_hull", forbidden)
 
     @staticmethod
-    def assert_refused_before_work(argv, capsys):
-        """In process the limit error comes first; a fresh process exits 2 with it."""
-        assert cli.main(argv) == 2
-        assert "limit 2500" in capsys.readouterr().err
-        p = run_cli(*argv)
+    def assert_refused_before_work(argv):
+        """The limit error comes first, as one line with exit 2."""
+        p = run_main(*argv)
         assert_usage_error(p)
         assert "limit 2500" in p.stderr
 
-    def test_oversized_oracle_fails_fast(self, no_representation_work, capsys):
+    def test_oversized_oracle_fails_fast(self, no_representation_work):
         self.assert_refused_before_work(
-            ["oracle", "--weights", "30", "30", "--r", "3", "--weight", "0"], capsys)
+            ["oracle", "--weights", "30", "30", "--r", "3", "--weight", "0"])
 
     @pytest.mark.parametrize("command", [["decompose"], ["hwv", "--k", "0"]])
     def test_oversized_section_space(self, command):
-        assert_usage_error(run_cli(*command, "--weights", "50", "49", "--r", "1"))
+        assert_usage_error(run_main(*command, "--weights", "50", "49", "--r", "1"))
 
     def test_largest_section_space_accepted(self):
-        p = run_cli("decompose", "--weights", "49", "49", "--r", "1")
+        p = run_main("decompose", "--weights", "49", "49", "--r", "1")
         assert p.returncode == 0
         assert json.loads(p.stdout)["section_dim"] == 2500
 
-    def test_oversized_catalog_fails_fast(self, no_representation_work, capsys):
+    def test_oversized_catalog_fails_fast(self, no_representation_work):
         self.assert_refused_before_work(
-            ["catalog", "--weights", "80", "80", "--gamma", "negation"], capsys)
+            ["catalog", "--weights", "80", "80", "--gamma", "negation"])
 
     @pytest.mark.parametrize("command", [["catalog"],
                                          ["realpolytope", "--point", "0/1,1/1;1/1,1/1"]])
     def test_oversized_representation_route(self, command):
         # r = 2 section space (2*25 + 1)(2*25 + 1) = 2601
-        assert_usage_error(run_cli(*command, "--weights", "25", "25", "--gamma", "negation"))
+        assert_usage_error(run_main(*command, "--weights", "25", "25", "--gamma", "negation"))
 
     def test_largest_representation_route_accepted(self):
         # r = 2 section space (2*24 + 1)(2*24 + 1) = 2401
-        p = run_cli("realpolytope", "--weights", "24", "24",
-                    "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation")
+        p = run_main("realpolytope", "--weights", "24", "24",
+                     "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation")
         assert p.returncode == 0
         assert json.loads(p.stdout)["equal"] is True
 
     def test_oversized_sample(self, tmp_path):
-        p = run_cli("sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
-                    "--n", "100001", "--out", str(tmp_path / "s.csv"))
+        p = run_main("sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
+                     "--n", "100001", "--out", str(tmp_path / "s.csv"))
         assert_usage_error(p)
         assert "limit 100000" in p.stderr
         assert not (tmp_path / "s.csv").exists()
@@ -298,7 +309,7 @@ class TestInputLimits:
 
     @pytest.mark.parametrize("flag", [["--r-max", "1"], ["--eps", "0.001"]])
     def test_removed_options_are_unknown(self, flag):
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1", *flag)
+        p = run_main("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1", *flag)
         assert p.returncode == 2
 
 
@@ -432,8 +443,8 @@ class TestRealPolytopeCommand:
         assert payload["intersection_route"] == payload["membership_route"]
 
     def test_identity_involution(self):
-        p = run_cli("realpolytope", "--weights", "1", "1",
-                    "--point", "0/1,1/1;1/1,1/1", "--gamma", "identity")
+        p = run_main("realpolytope", "--weights", "1", "1",
+                     "--point", "0/1,1/1;1/1,1/1", "--gamma", "identity")
         payload = json.loads(p.stdout)
         assert payload["equal"] is True
         assert payload["intersection_route"] == {"dim": 1, "vertices": [["0", "1"]]}
@@ -450,8 +461,8 @@ class TestRealPolytopeCommand:
         assert captured.err == "routes DISAGREE: [1, 3]\n"
 
     def test_matrix_gamma_literal(self):
-        p = run_cli("realpolytope", "--weights", "2", "1",
-                    "--point", "0/1,1/1;1/1,1/1", "--gamma", "[[-1]]")
+        p = run_main("realpolytope", "--weights", "2", "1",
+                     "--point", "0/1,1/1;1/1,1/1", "--gamma", "[[-1]]")
         assert p.returncode == 0
         assert json.loads(p.stdout)["equal"] is True
 
@@ -503,13 +514,13 @@ class TestAlgebraCommands:
         assert payload["basis"] == ["x1*y2 - y1*x2"]
 
     def test_oracle_empty(self):
-        p = run_cli("oracle", "--weights", "1", "1", "--r", "1", "--weight", "-2")
+        p = run_main("oracle", "--weights", "1", "1", "--r", "1", "--weight", "-2")
         assert json.loads(p.stdout)["dimension"] == 0
 
 
 class TestVerifyCommand:
     def test_lagrangian_suite_passes(self):
-        p = run_cli("verify", "--suite", "lagrangian")
+        p = run_main("verify", "--suite", "lagrangian")
         assert p.returncode == 0
         payload = json.loads(p.stdout)
         assert payload["passed"] is True
@@ -521,7 +532,7 @@ class TestVerifyCommand:
         assert a.returncode == b.returncode == 0
 
     def test_unknown_suite_usage_error(self):
-        p = run_cli("verify", "--suite", "bogus")
+        p = run_main("verify", "--suite", "bogus")
         assert p.returncode == 2
 
 
@@ -577,18 +588,20 @@ class TestSampleAndPlot:
         assert lines[0].startswith("a1re,a1im,c1re")
         assert len(lines) == 26
 
-    def test_seed_env_override(self, tmp_path):
+    def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
-                "--n", "10", "--out", str(out1), env={"MPLAB_SEED": "99"})
-        run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
-                "--n", "10", "--seed", "99", "--out", str(out2))
+        with monkeypatch.context() as env:
+            env.setenv("MPLAB_SEED", "99")
+            run_main("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
+                     "--n", "10", "--out", str(out1))
+        run_main("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
+                 "--n", "10", "--seed", "99", "--out", str(out2))
         assert out1.read_text() == out2.read_text()
 
     def test_plot_polytope(self, tmp_path):
         src = tmp_path / "poly.json"
-        p = run_cli("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1")
+        p = run_main("polytope", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1")
         src.write_text(p.stdout)
         out = tmp_path / "poly.svg"
         q = run_cli("plot", "--in", str(src), "--out", str(out))
@@ -607,17 +620,17 @@ class TestSampleAndPlot:
 
     def test_plot_samples(self, tmp_path):
         csv_path = tmp_path / "s.csv"
-        run_cli("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
-                "--n", "50", "--seed", "0", "--out", str(csv_path))
+        run_main("sample", "--point", "0/1,1/1;1/1,1/1", "--weights", "2", "1",
+                 "--n", "50", "--seed", "0", "--out", str(csv_path))
         out = tmp_path / "s.svg"
-        q = run_cli("plot", "--in", str(csv_path), "--out", str(out))
+        q = run_main("plot", "--in", str(csv_path), "--out", str(out))
         assert q.returncode == 0
         assert out.read_text().count("<circle") == 50
 
     def test_plot_rejects_other_files(self, tmp_path):
         src = tmp_path / "x.txt"
         src.write_text("hello")
-        q = run_cli("plot", "--in", str(src), "--out", str(tmp_path / "x.svg"))
+        q = run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg"))
         assert q.returncode == 2
 
 
@@ -625,7 +638,7 @@ class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1"}))
-        p = run_cli("polytope", "--config", str(cfg))
+        p = run_main("polytope", "--config", str(cfg))
         assert p.returncode == 0
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
 
@@ -633,7 +646,7 @@ class TestConfigFile:
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "0/1,1/1;1/1,1/1",
                                    "r_max": None, "eps": [1]}))
-        p = run_cli("polytope", "--config", str(cfg))
+        p = run_main("polytope", "--config", str(cfg))
         assert p.returncode == 0
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
 
@@ -653,8 +666,8 @@ class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "case.json"
         cfg.write_text(json.dumps({"weights": [2, 1], "point": "1/1,0/1;1/1,0/1"}))
-        p = run_cli("polytope", "--config", str(cfg),
-                    "--point", "0/1,1/1;1/1,1/1")
+        p = run_main("polytope", "--config", str(cfg),
+                     "--point", "0/1,1/1;1/1,1/1")
         assert json.loads(p.stdout)["vertices"] == [["1", "1"], ["3", "1"]]
 
 
@@ -731,7 +744,7 @@ class TestWireFormats:
             wire.polytope_from_json(square)
         src = tmp_path / "square.json"
         src.write_text(json.dumps(square))
-        assert_usage_error(run_cli("plot", "--in", str(src), "--out", str(tmp_path / "x.svg")))
+        assert_usage_error(run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg")))
 
     def test_point_literal_round_trip(self):
         for x in orbit_representatives().values():

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -431,14 +432,6 @@ class TestHausdorffDistance:
         with pytest.raises(ValueError, match="shape"):
             numeric.hausdorff_distance(np.arange(5.0), np.arange(3.0))
 
-    def test_distinct_rows_are_first_occurrences_in_input_order(self):
-        rows = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [-0.0, 5.0], [0.0, 5.0],
-                         [1.0, 3.0]])
-        for x, first in ((rows, [0, 1, 3, 5]), (rows[[5, 3, 0]], [0, 1, 2])):
-            got = numeric._distinct_rows(x)
-            assert got.flags.f_contiguous
-            assert np.array_equal(_bits(got), _bits(x[first]))  # -0.0 and 0.0 differ
-
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("change", ["none", "permuted", "duplicated"])
     @pytest.mark.parametrize("shape", ["curve", "shell"])
@@ -490,8 +483,7 @@ def _reference_coadjoint_clouds(lam, n, seed, plane):
         th = rng.uniform(0, 2 * np.pi, n)
         cut = np.stack([lam * np.cos(th), np.zeros(n), lam * np.sin(th)], axis=1)
     else:
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
+        cut = np.array([[0.0, lam, 0.0], [0.0, -lam, 0.0]])
     psi = rng.uniform(0, 2 * np.pi, n)
     h = lam / 2
     orbit = np.zeros((n, 3))
@@ -502,9 +494,8 @@ def _reference_coadjoint_clouds(lam, n, seed, plane):
     return cut, orbit
 
 
-@pytest.mark.parametrize("lam,seed,plane", [(1, 0, "q"), (2, 1, "q"), (3, 7, "q"),
-                                            (2, 401, "q"), (1, 0, "k"), (1, 401, "k")])
-def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane):
+def _checked_clouds(monkeypatch, *args):
+    """coadjoint_fixed_check(*args) and the two clouds it hands to hausdorff_distance."""
     seen = []
     hausdorff = numeric.hausdorff_distance
 
@@ -513,9 +504,15 @@ def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane)
         return hausdorff(a, b)
 
     monkeypatch.setattr(numeric, "hausdorff_distance", recording_hausdorff)
-    dist = numeric.coadjoint_fixed_check(lam, 2000, seed, plane)
+    dist = numeric.coadjoint_fixed_check(*args)
+    return (dist, *seen[0])
+
+
+@pytest.mark.parametrize("lam,seed,plane", [(1, 0, "q"), (2, 1, "q"), (3, 7, "q"),
+                                            (2, 401, "q"), (1, 0, "k"), (1, 401, "k")])
+def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane):
+    dist, got_cut, got_orbit = _checked_clouds(monkeypatch, lam, 2000, seed, plane)
     cut, orbit = _reference_coadjoint_clouds(lam, 2000, seed, plane)
-    got_cut, got_orbit = seen[0]
     assert np.array_equal(_bits(got_cut), _bits(cut))
     assert np.array_equal(_bits(got_orbit[:, [0, 2]]), _bits(orbit[:, [0, 2]]))
     assert np.array_equal(_bits(got_orbit[:, 1]), _bits(np.zeros(2000)))  # +0.0 throughout
@@ -529,12 +526,32 @@ def test_coadjoint_orbit_matches_loop_bit_for_bit(monkeypatch, lam, seed, plane)
     assert dist == _reference_hausdorff(cut, orbit)
 
 
-def test_coadjoint_report_does_not_depend_on_the_blas_kernel():
+@pytest.mark.parametrize("lam", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+@pytest.mark.parametrize("seed", [0, 401])
+def test_control_equals_the_alternating_n_row_cut(monkeypatch, lam, n, seed):
+    """The two-point k-axis cut gives the distance of the n-row cut that
+    alternates its two points, as a tree over that cut computes it."""
+    from scipy.spatial import cKDTree
+    dist, got_cut, orbit = _checked_clouds(monkeypatch, lam, n, seed, "k")
+    # the orbit is checked against a loop above
+    assert np.array_equal(got_cut, [[0, lam, 0], [0, -lam, 0]])
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    cut = np.stack([np.zeros(n), signs * lam, np.zeros(n)], axis=1)
+    # The orbit tree answers a repeated query alike, so it is asked once per
+    # distinct cut point: every orbit point is equidistant from both, and
+    # 10 000 such queries prune nothing.
+    assert dist == float(max(cKDTree(orbit).query(cut[:2])[0].max(),
+                             cKDTree(cut).query(orbit)[0].max()))
+
+
+@pytest.mark.parametrize("suite", ["coadjoint", "gradcheck"])
+def test_coadjoint_report_does_not_depend_on_the_blas_kernel(suite):
     env = {key: value for key, value in os.environ.items() if key != "MPLAB_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     reports = []
     for coretype in ("Haswell", "Prescott"):
-        p = subprocess.run([sys.executable, "-m", "mplab", "verify", "--suite", "coadjoint",
+        p = subprocess.run([sys.executable, "-m", "mplab", "verify", "--suite", suite,
                             "--seed", "0"], env={**env, "OPENBLAS_CORETYPE": coretype},
                            capture_output=True, text=True, timeout=120)
         assert p.returncode == 0, p.stderr
@@ -544,7 +561,6 @@ def test_coadjoint_report_does_not_depend_on_the_blas_kernel():
 
 def _sweep(a, b):
     """The sweep alone: no probe and no hand-over to cKDTree."""
-    a, b = numeric._distinct_rows(a), numeric._distinct_rows(b)
     floor = numeric._sweep_max_sq(a, *numeric._sorted_along_spread(b), -np.inf)
     return float(np.sqrt(numeric._sweep_max_sq(b, *numeric._sorted_along_spread(a), floor)))
 
@@ -576,8 +592,7 @@ class TestHausdorffSweep:
                                                 (2, 1601, "q"), (1, 0, "k"), (3, 401, "k")])
     def test_coadjoint_clouds_are_swept(self, tree_builds, lam, seed, plane):
         cut, orbit = _reference_coadjoint_clouds(lam, 10_000, seed, plane)
-        # distinct rows keep the reference's trees small on the control
-        want = _reference_hausdorff(np.unique(cut, axis=0), np.unique(orbit, axis=0))
+        want = _reference_hausdorff(cut, orbit)
         tree_builds.clear()
         assert numeric.hausdorff_distance(cut, orbit) == want
         assert tree_builds == []
@@ -659,19 +674,7 @@ class TestHausdorffSweep:
             numeric.hausdorff_distance(np.ones((2, 3)), np.ones((2, 2)))
 
 
-def _pade3(a):
-    """The unscaled order-3 Pade approximant: the flow's formula up to theta_3."""
-    eye = np.eye(2, dtype=complex)
-    a2 = a @ a
-    u = a @ (a2 + 60 * eye)
-    v = 12 * a2 + 120 * eye
-    g = eye + 2 * np.linalg.solve(v - u, u)
-    if a[1, 0] == 0:
-        g[1, 0] = 0
-    return g
-
-
-class TestPadeFlow:
+class TestClosedFormFlow:
     @pytest.mark.parametrize("seed", [0, 1, 7, 401, 1601])
     def test_gradient_check_matches_the_expm_path(self, monkeypatch, seed):
         import scipy.linalg
@@ -679,32 +682,16 @@ class TestPadeFlow:
         monkeypatch.setattr(numeric, "_flow_matrix", scipy.linalg.expm)
         assert checks.check_gradient_identity(seed) == pade
 
-    def test_above_theta_scales_and_squares(self):
+    def test_closed_form_matches_expm(self):
         import scipy.linalg
         rng = np.random.default_rng(31)
-        for norm in np.geomspace(0.016, 300, 400):
+        for norm in np.geomspace(1e-8, 300, 2000):
             x = rng.normal(size=2) + 1j * rng.normal(size=2)
             xi = np.array([[x[0], x[1]], [0, -x[0]]])
             a = xi * (norm / np.abs(xi).sum(axis=0).max())
-            assert np.abs(a).sum(axis=0).max() > numeric._PADE3_THETA
             g, want = numeric._flow_matrix(a), scipy.linalg.expm(a)
             assert g[1, 0] == 0
-            assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max()
-
-    def test_below_theta_is_pade_and_upper_triangular(self):
-        import scipy.linalg
-        a = np.array([[0.004, 0.01 - 0.002j], [0.0, -0.004]], dtype=complex)
-        g = numeric._flow_matrix(a)
-        assert g[1, 0] == 0
-        assert np.allclose(g, scipy.linalg.expm(a), rtol=0, atol=4e-16)
-        assert g.tobytes() == _pade3(a).tobytes()
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            if rng.random() < 0.5:
-                a[1, 0] = 0
-            a *= rng.uniform(0, numeric._PADE3_THETA) / np.abs(a).sum(axis=0).max()
-            assert numeric._flow_matrix(a).tobytes() == _pade3(a).tobytes()
+            assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestGradientIdentity:
@@ -747,6 +734,29 @@ class TestGradientIdentity:
         with pytest.raises(ValueError, match="finite"):
             numeric.gradient_identity_residual(((1, 2), (1, 3)), np.array(xi, dtype=complex),
                                                SectionSpaceSpec(1, 2, 1), 0, kappa)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_large_finite_direction_still_checked(self, r):
+        kappa = numeric.calibrate_gradient_normalization()
+        xi = np.array([[1e6, 1], [0, -1e6]], dtype=complex)
+        res = numeric.gradient_identity_residual(((1, 2), (1, 3)), xi,
+                                                 SectionSpaceSpec(r, 2, 1), 0, kappa)
+        assert np.isfinite(res)
+
+    @pytest.mark.parametrize("xi", [
+        [[3e7, 1], [0, -3e7]],
+        [[1e8, 1], [0, -1e8]],
+        [[1e200, 1], [0, -1e200]],
+        [[7.09e7, 1], [0, -7.09e7]],  # a finite flow that sends the point out of range
+        [[2e6, 1e308], [0, -2e6]],    # a flow with an infinite entry
+    ], ids=lambda xi: f"{xi[0][0]:g},{xi[0][1]:g}")
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_direction_leaving_the_float_range_rejected(self, r, xi):
+        kappa = numeric.calibrate_gradient_normalization()
+        xi = np.array(xi, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"the flow of xi = {xi.tolist()}")):
+            numeric.gradient_identity_residual(((1, 2), (1, 3)), xi,
+                                               SectionSpaceSpec(r, 2, 1), 0, kappa)
 
     def test_random_directions_small_residual(self):
         kappa = numeric.calibrate_gradient_normalization()
