@@ -10,13 +10,13 @@ agreement), ``lagrangian``, ``coadjoint``, ``gradcheck``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import numeric, wire
 from .exactlin import (
+    Value,
     fixed_subspace,
     is_antisymplectic,
     is_lagrangian,
@@ -50,11 +50,15 @@ from .weights import negation_involution
 WEIGHT_GRID = [(l1, l2) for l1 in range(1, 5) for l2 in range(1, 5)]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def load_golden_cases() -> list[dict]:

@@ -24,15 +24,14 @@ samples.  A larger input is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import svgplot, wire
+from . import wire
+from .exactlin import Value
 from .orbits import (
     REPRESENTATION_R_MAX,
     FlagPoint,
@@ -64,18 +63,22 @@ MAX_SAMPLES = 100_000
 MAX_MEMBERSHIP_WEIGHT_SUM = 2000
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(Value):
     """Validated parameters of one computation case; defaults are explicit."""
 
     lam1: int
     lam2: int
-    point: FlagPoint | None = None
-    gamma: InvolutionSpec | None = None
+    point: FlagPoint | None
+    gamma: InvolutionSpec | None
 
-    def __post_init__(self):
-        if self.lam1 < 1 or self.lam2 < 1:
+    def __init__(self, lam1: int, lam2: int, point: FlagPoint | None = None,
+                 gamma: InvolutionSpec | None = None):
+        if lam1 < 1 or lam2 < 1:
             raise ValueError("weights must be integers >= 1")
+        object.__setattr__(self, "lam1", lam1)
+        object.__setattr__(self, "lam2", lam2)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def _emit(obj) -> None:
@@ -314,6 +317,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    import csv  # csv and svgplot load only for plot
+
+    from . import svgplot
     src = args.infile
     if src.endswith(".json"):
         obj = _load_json(src)

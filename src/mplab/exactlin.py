@@ -15,7 +15,6 @@ directly comparable in tests:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -23,6 +22,44 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+class Value:
+    """Base of mplab's immutable value classes.
+
+    A subclass declares its fields as class annotations, in constructor
+    order, and its ``__init__`` sets each one with ``object.__setattr__``.
+    The base gives the repr ``Name(field=value, ...)``, equality and hashing
+    over the field tuple between instances of one class, and refuses
+    assignment and deletion with ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def frac(x) -> Fraction:
@@ -38,23 +75,24 @@ def _integral(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Value):
     """Immutable rectangular matrix over Q: the integer rows ``ints`` over one
     denominator ``den``, reduced at construction to lowest terms with ``den > 0``."""
 
     ints: tuple[tuple[int, ...], ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self):
-        if len(set(map(len, self.ints))) > 1:
+    def __init__(self, ints: tuple[tuple[int, ...], ...], den: int = 1):
+        if len(set(map(len, ints))) > 1:
             raise ValueError("ragged rows")
-        if not self.den:
+        if not den:
             raise ZeroDivisionError("matrix denominator is zero")
-        g = gcd(self.den, *chain.from_iterable(self.ints)) * (1 if self.den > 0 else -1)
+        g = gcd(den, *chain.from_iterable(ints)) * (1 if den > 0 else -1)
         if g != 1:
-            object.__setattr__(self, "ints", tuple(tuple(a // g for a in row) for row in self.ints))
-            object.__setattr__(self, "den", self.den // g)
+            ints = tuple(tuple(a // g for a in row) for row in ints)
+            den //= g
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
@@ -170,18 +208,17 @@ def column_space_basis(m: RatMatrix) -> list[Vector]:
     return [tuple(Fraction(a, reduced.den) for a in row) for row in reduced.ints[:len(pivots)]]
 
 
-@dataclass(frozen=True)
-class LinearInvolution:
+class LinearInvolution(Value):
     """Square rational matrix S with S^2 = I (validated at construction)."""
 
     matrix: RatMatrix
 
-    def __post_init__(self):
-        if not self.matrix.is_square:
+    def __init__(self, matrix: RatMatrix):
+        if not matrix.is_square:
             raise ValueError("involution matrix must be square")
-        n = self.matrix.rows
-        if self.matrix @ self.matrix != RatMatrix.identity(n):
+        if matrix @ matrix != RatMatrix.identity(matrix.rows):
             raise ValueError("not an involution: S^2 != I")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -197,20 +234,19 @@ def fixed_subspace(s: LinearInvolution) -> list[Vector]:
     return column_space_basis(RatMatrix.identity(s.dim) + s.matrix)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(Value):
     """Antisymmetric nondegenerate bilinear form on Q^(2n)."""
 
     matrix: RatMatrix
 
-    def __post_init__(self):
-        m = self.matrix
-        if not m.is_square or m.rows % 2 != 0:
+    def __init__(self, matrix: RatMatrix):
+        if not matrix.is_square or matrix.rows % 2 != 0:
             raise ValueError("symplectic form needs even square dimension")
-        if m.transpose() != -m:
+        if matrix.transpose() != -matrix:
             raise ValueError("form is not antisymmetric")
-        if rank(m) != m.rows:
+        if rank(matrix) != matrix.rows:
             raise ValueError("form is degenerate")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -307,12 +343,15 @@ def is_antisymplectic(s: LinearInvolution, omega: SymplecticForm) -> bool:
     return s.matrix.transpose() @ omega.matrix @ s.matrix == -omega.matrix
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Value):
     """Element of Q(i) with exact field arithmetic."""
 
     re: Fraction
-    im: Fraction = Fraction(0)
+    im: Fraction
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
 
 import numpy as np
 
+from .exactlin import Value
 from .orbits import FlagPoint
 from .reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 
@@ -90,12 +90,15 @@ def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
     return lam1 * hopf_vector(a1, c1) + lam2 * hopf_vector(a2, c2)
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Value):
     """Reproducible orbit sample: identical (inputs, seed) give identical arrays."""
 
     coords: np.ndarray   # (n, 4) complex: a1, c1, a2, c2; column-major when sampled
     phis: np.ndarray     # (n, 3) float; column-major when sampled
+
+    def __init__(self, coords: np.ndarray, phis: np.ndarray):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "phis", phis)
 
     @property
     def count(self) -> int:
@@ -514,6 +517,28 @@ def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
     return section_norm_sq(vec, spec, ((v1[0], v1[1]), (v2[0], v2[1])))
 
 
+def _check_gradient_point(point, spec: SectionSpaceSpec) -> None:
+    """Refuse, naming the point, what :func:`sample_orbit` refuses, and a
+    point where the divisor of :func:`section_norm_sq`, the product over both
+    pairs of the squared modulus to the power r*lam, underflows to 0 or
+    overflows."""
+    base = _as_complex_pairs(point)
+    try:
+        _check_base(base)
+        try:
+            divisor = math.prod(_norm_sq(a, c) ** (spec.r * lam)
+                                for (a, c), lam in zip(base, (spec.lam1, spec.lam2)))
+        except OverflowError:
+            divisor = math.inf
+        if not 0 < divisor < math.inf:
+            raise ValueError(f"the squared moduli of its pairs to the powers "
+                             f"{spec.r * spec.lam1} and {spec.r * spec.lam2} multiply to "
+                             f"{'0' if divisor == 0 else 'more than a float holds'}; "
+                             "scale the pairs toward 1")
+    except ValueError as exc:
+        raise ValueError(f"point {point}: {exc}") from None
+
+
 def _check_borel(xi: np.ndarray):
     if not np.isfinite(xi).all():
         raise ValueError("xi must be finite, with no nan or inf")
@@ -571,8 +596,10 @@ def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
     Central finite difference of |s|^2 along the exp(-t*xi) flow against
     4 pi r (-w(pr xi) + kappa * <Phi, pr xi>) |s|^2, relative to max(1, |rhs|),
     with kappa from :func:`calibrate_gradient_normalization`.  Raises if the
-    section vanishes at the point.
+    section vanishes at the point, or if the point or xi cannot be evaluated
+    in floating point.
     """
+    _check_gradient_point(point, spec)
     _check_borel(xi)
     derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k)
     if norm2 <= 0:

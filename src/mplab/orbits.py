@@ -30,13 +30,12 @@ independent routes, compared on every call; a disagreement raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactlin import GaussianRational, frac
+from .exactlin import GaussianRational, Value, frac
 from .polytope import RationalPolytope, hull
 from .reps import SectionSpaceSpec, highest_weight_vector
 from .weights import ExactGroupElement2x2, InvolutionSpec
@@ -50,8 +49,7 @@ class OrbitClass(Enum):
     POINT = "point"
 
 
-@dataclass(frozen=True, eq=False)
-class FlagPoint:
+class FlagPoint(Value):
     """Pair of homogeneous coordinate pairs over Q(i); equality is projective."""
 
     a1: GaussianRational
@@ -59,11 +57,16 @@ class FlagPoint:
     a2: GaussianRational
     c2: GaussianRational
 
-    def __post_init__(self):
-        if self.a1.is_zero and self.c1.is_zero:
+    def __init__(self, a1: GaussianRational, c1: GaussianRational,
+                 a2: GaussianRational, c2: GaussianRational):
+        if a1.is_zero and c1.is_zero:
             raise ValueError("first coordinate pair is (0, 0)")
-        if self.a2.is_zero and self.c2.is_zero:
+        if a2.is_zero and c2.is_zero:
             raise ValueError("second coordinate pair is (0, 0)")
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "c2", c2)
 
     @classmethod
     def real(cls, a1, c1, a2, c2) -> "FlagPoint":
@@ -187,16 +190,17 @@ def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:
     return RationalPolytope.empty()
 
 
-@dataclass(frozen=True)
-class RealFormCase:
+class RealFormCase(Value):
     """A conjugation-fixed (all-real) base point together with the torus involution."""
 
     x: FlagPoint
     gamma: InvolutionSpec
 
-    def __post_init__(self):
-        if not self.x.is_real:
+    def __init__(self, x: FlagPoint, gamma: InvolutionSpec):
+        if not x.is_real:
             raise ValueError("base point must have real coordinates")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "gamma", gamma)
 
 
 # Largest bundle power the representation route evaluates.

@@ -8,24 +8,23 @@ each a ``Fraction``, so equality is syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactlin import frac
+from .exactlin import Value, frac
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(Value):
     """Closed interval in Q given by its endpoints; construct via :func:`hull`."""
 
     vertices: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) > 2 or not all(isinstance(v, Fraction) for v in self.vertices):
+    def __init__(self, vertices: tuple[Fraction, ...]):
+        if len(vertices) > 2 or not all(isinstance(v, Fraction) for v in vertices):
             raise ValueError("a polytope on the line has at most two Fraction vertices")
-        if list(self.vertices) != sorted(set(self.vertices)):
+        if list(vertices) != sorted(set(vertices)):
             raise ValueError("vertices must be unique and sorted")
+        object.__setattr__(self, "vertices", vertices)
 
     @classmethod
     def empty(cls) -> "RationalPolytope":

@@ -14,13 +14,12 @@ N-invariant subspace at a given weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, lcm
 from typing import Mapping, Sequence
 
-from .exactlin import GaussianRational, RatMatrix, kernel
+from .exactlin import GaussianRational, RatMatrix, Value, kernel
 
 Exponent = tuple[int, int, int, int]
 
@@ -35,8 +34,7 @@ class MixedWeightsError(ValueError):
     """Raised when a polynomial is not a torus weight vector."""
 
 
-@dataclass(frozen=True)
-class BiHomogPoly:
+class BiHomogPoly(Value):
     """Integer-coefficient polynomial, bi-homogeneous of degree (d1, d2).
 
     Terms are stored as a sorted tuple of (exponent, coefficient) with no
@@ -46,15 +44,17 @@ class BiHomogPoly:
     bidegree: tuple[int, int]
     terms: tuple[tuple[Exponent, int], ...]
 
-    def __post_init__(self):
-        d1, d2 = self.bidegree
-        for (a, b, c, d), coeff in self.terms:
+    def __init__(self, bidegree: tuple[int, int], terms: tuple[tuple[Exponent, int], ...]):
+        d1, d2 = bidegree
+        for (a, b, c, d), coeff in terms:
             if coeff == 0:
                 raise ValueError("zero coefficient stored")
             if a + b != d1 or c + d != d2 or min(a, b, c, d) < 0:
-                raise ValueError(f"exponent {(a, b, c, d)} violates bidegree {self.bidegree}")
-        if list(self.terms) != sorted(self.terms):
+                raise ValueError(f"exponent {(a, b, c, d)} violates bidegree {bidegree}")
+        if list(terms) != sorted(terms):
             raise ValueError("terms must be sorted by exponent")
+        object.__setattr__(self, "bidegree", bidegree)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, bidegree: tuple[int, int], terms: Mapping[Exponent, int]) -> "BiHomogPoly":
@@ -159,17 +159,19 @@ class BiHomogPoly:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SectionSpaceSpec:
+class SectionSpaceSpec(Value):
     """Bundle power r and the two positive integer weights of the model."""
 
     r: int
     lam1: int
     lam2: int
 
-    def __post_init__(self):
-        if self.r < 1 or self.lam1 < 1 or self.lam2 < 1:
+    def __init__(self, r: int, lam1: int, lam2: int):
+        if r < 1 or lam1 < 1 or lam2 < 1:
             raise ValueError("r and both weights must be >= 1")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "lam1", lam1)
+        object.__setattr__(self, "lam2", lam2)
 
     @property
     def bidegree(self) -> tuple[int, int]:

@@ -8,23 +8,23 @@ are w -> -w and w -> w, so an involution is a sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import GaussianRational
+from .exactlin import GaussianRational, Value
 from .polytope import RationalPolytope, contains, hull
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
+class InvolutionSpec(Value):
     """Involution w -> sign * w of the torus dual, with a descriptive tag."""
 
     sign: int
-    label: str = ""
+    label: str
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"involution sign {self.sign} is not +1 or -1")
+    def __init__(self, sign: int, label: str = ""):
+        if sign not in (1, -1):
+            raise ValueError(f"involution sign {sign} is not +1 or -1")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "label", label)
 
     def negated_cut(self, p: RationalPolytope) -> RationalPolytope:
         """Exact cut of ``p`` by the -1 eigenspace of the involution.
@@ -45,8 +45,7 @@ def identity_involution() -> InvolutionSpec:
     return InvolutionSpec(1, "identity")
 
 
-@dataclass(frozen=True)
-class ExactGroupElement2x2:
+class ExactGroupElement2x2(Value):
     """2x2 matrix over Q(i) with determinant exactly 1."""
 
     a: GaussianRational
@@ -54,10 +53,15 @@ class ExactGroupElement2x2:
     c: GaussianRational
     d: GaussianRational
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: GaussianRational, b: GaussianRational,
+                 c: GaussianRational, d: GaussianRational):
+        det = a * d - b * c
         if not (det.re == 1 and det.im == 0):
             raise ValueError("determinant is not exactly 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def upper(cls, alpha: GaussianRational, beta: GaussianRational) -> "ExactGroupElement2x2":

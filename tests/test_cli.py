@@ -356,8 +356,10 @@ print(json.dumps(got))
 
 
 class TestImportLayering:
-    """The exact subcommands load neither NumPy nor SciPy, verify loads no SciPy,
-    and without SciPy every command, check and demo gives the same results."""
+    """The exact subcommands load neither NumPy nor SciPy nor ``dataclasses``,
+    ``svgplot`` and ``csv`` load only for ``plot``, verify loads no SciPy and
+    no ``dataclasses``, and without SciPy every command, check and demo gives
+    the same results."""
 
     def run_python(self, code, tmp_path):
         env = os.environ.copy()
@@ -380,15 +382,19 @@ class TestImportLayering:
                 ["hwv", *w, "--r", "1", "--k", "1"],
                 ["oracle", *w, "--r", "1", "--weight", "1"],
             ]
+            watched = ("numpy", "scipy", "dataclasses", "csv", "mplab.svgplot")
+            def modules():
+                return sorted(m for m in sys.modules
+                              if m in watched or m.split(".")[0] in ("numpy", "scipy"))
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 codes = [cli.main(c) for c in commands]
+            exact = modules()
             with open("poly.json", "w") as fh:
                 fh.write(out.getvalue().splitlines()[0])
             codes.append(cli.main(["plot", "--in", "poly.json", "--out", "poly.svg"]))
-            print(json.dumps({"codes": codes, "modules": sorted(
-                m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))}))
+            print(json.dumps({"codes": codes, "exact": exact, "plot": modules()}))
             """, tmp_path)
-        assert loaded == {"codes": [0] * 7, "modules": []}
+        assert loaded == {"codes": [0] * 7, "exact": [], "plot": ["csv", "mplab.svgplot"]}
 
     def test_verify_loads_no_scipy(self, tmp_path):
         loaded = self.run_python("""
@@ -397,7 +403,7 @@ class TestImportLayering:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["verify", "--suite", "all"])
             print(json.dumps({"code": code, "modules": sorted(
-                m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                m for m in sys.modules if m.split(".")[0] in ("scipy", "dataclasses"))}))
             """, tmp_path)
         assert loaded == {"code": 0, "modules": []}
 

@@ -758,6 +758,22 @@ class TestGradientIdentity:
             numeric.gradient_identity_residual(((1, 2), (1, 3)), xi,
                                                SectionSpaceSpec(r, 2, 1), 0, kappa)
 
+    @pytest.mark.parametrize("point", [
+        ((1e200, 1), (1, 3)),              # |z1|^2 overflows
+        ((0, 0), (1, 3)),                  # a zero pair
+        ((1e-200, 0), (1, 3)),             # |z1|^2 underflows to 0
+        ((float("nan"), 1), (1, 3)),
+        ((1, 2), (1, complex("inf"))),
+        ((1e77, 1), (1, 3)),               # |z1|^2 is finite, |z1|^4 is not
+        ((1e-78, 1e-78), (1e-78, 3e-78)),  # |z1|^4 |z2|^2 underflows to 0
+    ], ids=str)
+    def test_point_out_of_range_rejected(self, monkeypatch, point):
+        kappa = numeric.calibrate_gradient_normalization()
+        monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
+        xi = np.array([[1, 1], [0, -1]], dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"point {point}: ")):
+            numeric.gradient_identity_residual(point, xi, SectionSpaceSpec(1, 2, 1), 0, kappa)
+
     def test_random_directions_small_residual(self):
         kappa = numeric.calibrate_gradient_normalization()
         rng = np.random.default_rng(9)
