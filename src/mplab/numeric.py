@@ -49,10 +49,12 @@ def _as_complex_pairs(point) -> ComplexFlagPoint:
 
 
 def _norm_sq(a: complex, c: complex) -> float:
-    """|a|^2 + |c|^2, refusing a zero pair and one whose squared modulus a
-    float cannot hold (0 or inf from a nonzero finite pair)."""
+    """|a|^2 + |c|^2, refusing a zero pair, a nan entry and a pair whose
+    squared modulus a float cannot hold (0 or inf from a nonzero pair)."""
     if a == 0 and c == 0:
         raise ValueError("zero coordinate pair")
+    if cmath.isnan(a) or cmath.isnan(c):
+        raise ValueError(f"coordinate pair ({a}, {c}) holds a nan")
     try:
         n = abs(a) ** 2 + abs(c) ** 2
     except OverflowError:
@@ -482,12 +484,23 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
 
 
 def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
-    """Scale-invariant squared norm |F(z)|^2 / (|z1|^(2 r lam1) |z2|^(2 r lam2))."""
+    """Scale-invariant squared norm |F(z)|^2 / (|z1|^(2 r lam1) |z2|^(2 r lam2)).
+
+    A point that :func:`_check_gradient_point` refuses makes the quotient
+    raise or leave (0, inf); only then is the point checked, and refused.
+    """
     (a1, c1), (a2, c2) = _as_complex_pairs(point)
-    val = vec.evaluate_complex((a1, c1, a2, c2))
-    n1 = abs(a1) ** 2 + abs(c1) ** 2
-    n2 = abs(a2) ** 2 + abs(c2) ** 2
-    return float(abs(val) ** 2 / (n1 ** (spec.r * spec.lam1) * n2 ** (spec.r * spec.lam2)))
+    try:
+        val = vec.evaluate_complex((a1, c1, a2, c2))
+        n1 = abs(a1) ** 2 + abs(c1) ** 2
+        n2 = abs(a2) ** 2 + abs(c2) ** 2
+        out = float(abs(val) ** 2 / (n1 ** (spec.r * spec.lam1) * n2 ** (spec.r * spec.lam2)))
+    except ArithmeticError:
+        _check_gradient_point(point, spec)
+        raise
+    if not 0 < out < math.inf:
+        _check_gradient_point(point, spec)
+    return out
 
 
 _FLOW_STEP = 1e-5  # central-difference step of the gradient check along the flow
@@ -560,7 +573,7 @@ def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int
         with np.errstate(over="raise", invalid="raise"):
             derivative = (_flow_norm_sq(vec, spec, point, xi, _FLOW_STEP)
                           - _flow_norm_sq(vec, spec, point, xi, -_FLOW_STEP)) / (2 * _FLOW_STEP)
-    except ArithmeticError:  # an overflow, an underflow to a zero divisor or a nan
+    except (ArithmeticError, ValueError):  # out of range, or a flowed point refused
         derivative = math.nan
     if not math.isfinite(derivative):
         raise ValueError(f"the flow of xi = {xi.tolist()} over t = +-{_FLOW_STEP:g}, "

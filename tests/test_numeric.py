@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mplab import checks, numeric
 from mplab.orbits import (FlagPoint, OrbitClass, RealFormCase, orbit_representatives,
                           real_moment_polytope)
-from mplab.reps import SectionSpaceSpec
+from mplab.reps import SectionSpaceSpec, highest_weight_vector
 from mplab.weights import negation_involution
 
 REPS = orbit_representatives()
@@ -53,6 +53,17 @@ class TestMomentMap:
     def test_pair_out_of_float_range_rejected(self, a, c, message):
         with pytest.raises(ValueError, match=message):
             numeric.hopf_vector(a, c)
+
+    @pytest.mark.parametrize("a, c", [
+        (float("nan"), 1),
+        (1, complex(0, float("nan"))),
+        (complex(float("nan"), float("inf")), 0),
+    ], ids=str)
+    def test_nan_pair_rejected(self, a, c):
+        with pytest.raises(ValueError, match="holds a nan"):
+            numeric.hopf_vector(a, c)
+        with pytest.raises(ValueError, match="holds a nan"):
+            numeric.moment_map(((a, c), (1, 3)), 2, 1)
 
     def test_identity_element_reproduces_value(self):
         x = REPS[OrbitClass.DENSE]
@@ -758,7 +769,7 @@ class TestGradientIdentity:
             numeric.gradient_identity_residual(((1, 2), (1, 3)), xi,
                                                SectionSpaceSpec(r, 2, 1), 0, kappa)
 
-    @pytest.mark.parametrize("point", [
+    OUT_OF_RANGE_POINTS = [
         ((1e200, 1), (1, 3)),              # |z1|^2 overflows
         ((0, 0), (1, 3)),                  # a zero pair
         ((1e-200, 0), (1, 3)),             # |z1|^2 underflows to 0
@@ -766,13 +777,23 @@ class TestGradientIdentity:
         ((1, 2), (1, complex("inf"))),
         ((1e77, 1), (1, 3)),               # |z1|^2 is finite, |z1|^4 is not
         ((1e-78, 1e-78), (1e-78, 3e-78)),  # |z1|^4 |z2|^2 underflows to 0
-    ], ids=str)
+    ]
+
+    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=str)
     def test_point_out_of_range_rejected(self, monkeypatch, point):
         kappa = numeric.calibrate_gradient_normalization()
         monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
         xi = np.array([[1, 1], [0, -1]], dtype=complex)
         with pytest.raises(ValueError, match=re.escape(f"point {point}: ")):
             numeric.gradient_identity_residual(point, xi, SectionSpaceSpec(1, 2, 1), 0, kappa)
+
+    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=str)
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_section_norm_refuses_point_out_of_range(self, point, k):
+        spec = SectionSpaceSpec(1, 2, 1)
+        vec = highest_weight_vector(spec, k)
+        with pytest.raises(ValueError, match=re.escape(f"point {point}: ")):
+            numeric.section_norm_sq(vec, spec, point)
 
     def test_random_directions_small_residual(self):
         kappa = numeric.calibrate_gradient_normalization()

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mplab import reps
-from mplab.exactlin import GaussianRational
+from mplab.exactlin import GaussianRational, RatMatrix, kernel
 from mplab.reps import (
     BiHomogPoly,
     MixedWeightsError,
@@ -22,6 +25,49 @@ from mplab.reps import (
 
 def poly(bidegree, terms):
     return BiHomogPoly.from_terms(bidegree, terms)
+
+
+def shear_expansion(f):
+    """Coefficients of f(x1 - t*y1, y1, x2 - t*y2, y2) with t formal, keyed
+    (a, b, c, d, e) with e the power of t: the full expansion that the
+    raising operator D = y1 d/dx1 + y2 d/dx2 stands in for."""
+    out = {}
+    for (a, b, c, d), coeff in f.terms:
+        for i in range(a + 1):
+            for j in range(c + 1):
+                e = (a - i) + (c - j)
+                key = (i, b + a - i, j, d + c - j, e)
+                out[key] = out.get(key, 0) + coeff * comb(a, i) * comb(c, j) * (-1) ** e
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def reference_invariant(f):
+    """Every t^e coefficient of the shear expansion with e >= 1 vanishes."""
+    return all(e == 0 for (_, _, _, _, e) in shear_expansion(f))
+
+
+def reference_subspace(spec, weight):
+    """The invariant subspace from the shear expansion's equations, one per
+    (monomial, power of t), solved by ``kernel`` and normalized as
+    ``n_invariant_subspace`` normalizes its basis."""
+    d1, d2 = spec.bidegree
+    monos = [(a, d1 - a, c, d2 - c) for a in range(d1 + 1) for c in range(d2 + 1)
+             if (d1 - 2 * a) + (d2 - 2 * c) == weight]
+    equations = {}
+    for col, mono in enumerate(monos):
+        for key, val in shear_expansion(BiHomogPoly.monomial(mono)).items():
+            if key[4]:
+                equations.setdefault(key, {})[col] = val
+    if not equations:
+        return [BiHomogPoly.monomial(m) for m in monos]
+    rows = tuple(tuple(cols.get(j, 0) for j in range(len(monos)))
+                 for _, cols in sorted(equations.items()))
+    out = []
+    for vec in kernel(RatMatrix(rows)):
+        denom = lcm(*(entry.denominator for entry in vec))
+        f = poly(spec.bidegree, {m: int(x * denom) for m, x in zip(monos, vec)})
+        out.append(-f if max(f.terms)[1] < 0 else f)
+    return out
 
 
 class TestSectionSpace:
@@ -117,6 +163,23 @@ class TestNInvariance:
     def test_pure_y_monomial_invariant(self):
         assert verify_n_invariance(BiHomogPoly.monomial((0, 3, 0, 2)))
 
+    @given(st.data())
+    def test_raising_operator_agrees_with_the_shear_expansion(self, data):
+        # an invariant vector plus a random, possibly zero, combination of
+        # monomials of the same bidegree
+        spec = SectionSpaceSpec(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                                data.draw(st.integers(1, 4)))
+        k = data.draw(st.integers(0, spec.k_max))
+        terms = dict(highest_weight_vector(spec, k).scale(data.draw(st.integers(1, 3))).terms)
+        d1, d2 = spec.bidegree
+        monos = st.tuples(st.integers(0, d1), st.integers(0, d2)).map(
+            lambda ac: (ac[0], d1 - ac[0], ac[1], d2 - ac[1]))
+        for mono, coeff in data.draw(st.dictionaries(monos, st.integers(-2, 2),
+                                                     max_size=3)).items():
+            terms[mono] = terms.get(mono, 0) + coeff
+        f = poly(spec.bidegree, terms)
+        assert verify_n_invariance(f) == reference_invariant(f)
+
 
 class TestTorusWeight:
     def test_monomial_weight(self):
@@ -184,6 +247,36 @@ class TestOracle:
         spec = SectionSpaceSpec(1, 2, 1)
         assert n_invariant_subspace(spec, 2) == []   # wrong parity: no monomials
         assert n_invariant_subspace(spec, -1) == []  # right parity, not a top weight
+
+    @pytest.mark.parametrize("r, l1, l2", [(r, l1, l2) for r in (1, 2, 3)
+                                           for l1 in range(1, 5) for l2 in range(1, 5)])
+    def test_equals_the_shear_expansion_system(self, r, l1, l2):
+        spec = SectionSpaceSpec(r, l1, l2)
+        top = r * (l1 + l2)
+        for w in range(-top - 2, top + 3):
+            assert n_invariant_subspace(spec, w) == reference_subspace(spec, w)
+
+    def test_equals_the_shear_expansion_system_at_the_input_limit(self):
+        spec = SectionSpaceSpec(3, 16, 16)
+        assert n_invariant_subspace(spec, 0) == reference_subspace(spec, 0)
+
+
+class TestOracleWork:
+    """The size of the oracle's linear system: a count, not a timing."""
+
+    def test_one_row_per_raised_monomial_and_two_entries_per_column(self, monkeypatch):
+        seen = []
+
+        def recording_kernel(m):
+            seen.append(m)
+            return kernel(m)
+
+        monkeypatch.setattr(reps, "kernel", recording_kernel)
+        spec = SectionSpaceSpec(3, 16, 16)
+        assert len(n_invariant_subspace(spec, 0)) == 1
+        [m] = seen
+        assert m.rows <= weight_decomposition(spec)[2]
+        assert max(sum(1 for row in m.ints if row[j]) for j in range(m.cols)) <= 2
 
 
 class TestBiHomogPoly:
