@@ -105,10 +105,6 @@ class RatMatrix(Value):
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.ints)
-
-    @property
     def rows(self) -> int:
         return len(self.ints)
 

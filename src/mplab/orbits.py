@@ -310,13 +310,31 @@ def orbit_representatives() -> dict[OrbitClass, FlagPoint]:
     }
 
 
+# Bound of the catalog memo below.  The exact workload asks for the 64 pairs
+# of its 8 x 8 weight grid under one involution, verify's catalog check for
+# 16 pairs in 17 calls, the command line for one; 128 holds that grid under
+# both involutions.
+CATALOG_CACHE_SIZE = 128
+
+
 def enumerate_polytope_catalog(lam1: int, lam2: int,
                                gamma: InvolutionSpec) -> list[RationalPolytope]:
-    """Distinct real-form polytopes over the five orbit classes (at most 5)."""
+    """Distinct real-form polytopes over the five orbit classes (at most 5).
+
+    A pure function of its arguments, memoized per (lam1, lam2, gamma) in a
+    memo of ``CATALOG_CACHE_SIZE`` entries; the two routes are compared when
+    a key is first computed, and each call returns a new list.
+    """
     _check_weights(lam1, lam2)
+    return list(_catalog(lam1, lam2, gamma))
+
+
+# typed: a float weight equal to a cached int still reaches the refusal of hull
+@lru_cache(maxsize=CATALOG_CACHE_SIZE, typed=True)
+def _catalog(lam1: int, lam2: int, gamma: InvolutionSpec) -> tuple[RationalPolytope, ...]:
     seen: list[RationalPolytope] = []
     for rep in orbit_representatives().values():
         poly = real_moment_polytope(RealFormCase(rep, gamma), lam1, lam2)
         if poly not in seen:
             seen.append(poly)
-    return sorted(seen, key=lambda p: (len(p.vertices), p.vertices))
+    return tuple(sorted(seen, key=lambda p: (len(p.vertices), p.vertices)))

@@ -1,4 +1,5 @@
 import os
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -14,20 +15,42 @@ settings.register_profile("explore")
 settings.load_profile(os.environ.get("MPLAB_HYPOTHESIS_PROFILE", "gate"))
 
 
-@pytest.fixture
-def disagreeing_routes(monkeypatch):
+def clear_route_memos():
+    """Empty the memos of achieved hulls and of catalogs."""
+    orbits._achieved_hull.cache_clear()
+    orbits._catalog.cache_clear()
+
+
+@contextmanager
+def broken_representation_route():
     """Break the representation route: the k = 0 invariant vectors vanish.
 
-    The memo of achieved hulls is cleared on entry and exit, so no correct
-    hull is reused inside the test and no broken one leaks out of it.
+    The memos of achieved hulls and of catalogs are cleared on entry and
+    exit, so no correct answer is reused inside and no broken one leaks out.
     """
     genuine = orbits.highest_weight_vector
 
     def broken(spec, k):
         return BiHomogPoly.zero(spec.bidegree) if k == 0 else genuine(spec, k)
 
-    orbits._achieved_hull.cache_clear()
-    monkeypatch.setattr(orbits, "highest_weight_vector", broken)
-    yield
-    monkeypatch.undo()
-    orbits._achieved_hull.cache_clear()
+    clear_route_memos()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbits, "highest_weight_vector", broken)
+            yield
+    finally:
+        clear_route_memos()
+
+
+@pytest.fixture
+def disagreeing_routes():
+    """The representation route broken for the whole test."""
+    with broken_representation_route():
+        yield
+
+
+@pytest.fixture
+def break_representation_route():
+    """The context manager behind ``disagreeing_routes``, for a test that
+    looks at the memos after the route is mended."""
+    return broken_representation_route

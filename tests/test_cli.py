@@ -233,9 +233,11 @@ class TestMalformedInput:
 class TestInputLimits:
     @pytest.fixture
     def no_representation_work(self, monkeypatch):
-        """Any brute-force invariant subspace or achieved hull fails the test."""
+        """Any brute-force invariant subspace or achieved hull fails the test;
+        the catalog memo is emptied, so no cached catalog skips the hull."""
         def forbidden(*args):
             raise AssertionError("representation work before the input limit")
+        orbits._catalog.cache_clear()
         monkeypatch.setattr(cli, "n_invariant_subspace", forbidden)
         monkeypatch.setattr(reps, "n_invariant_subspace", forbidden)
         monkeypatch.setattr(orbits, "_achieved_hull", forbidden)

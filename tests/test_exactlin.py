@@ -31,13 +31,18 @@ F = Fraction
 # Reference implementations: the plain Fraction algorithms the fraction-free
 # core replaced.  RREF is unique, so both must give identical Fractions.
 
+def entries(m):
+    """``m`` as rows of Fractions, the form the references work in."""
+    return tuple(tuple(F(a, m.den) for a in row) for row in m.ints)
+
+
 def reference_matmul(a, b):
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b))
                  for row in a)
 
 
-def reference_rref(entries):
-    rows = [list(r) for r in entries]
+def reference_rref(matrix):
+    rows = [list(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     r = 0
@@ -59,9 +64,9 @@ def reference_rref(entries):
     return tuple(tuple(F(a) for a in row) for row in rows), tuple(pivots)
 
 
-def reference_invert(entries):
-    n = len(entries)
-    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(entries)]
+def reference_invert(matrix):
+    n = len(matrix)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
     reduced, pivots = reference_rref(aug)
     assert pivots == tuple(range(n))
     return tuple(row[n:] for row in reduced)
@@ -105,8 +110,21 @@ def reference_random_antisymplectic(dim, seed):
     return reference_matmul(reference_matmul(reference_invert(t), d), t)
 
 
-rationals = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
-                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+# The fractions of ``st.fractions(-20, 20, max_denominator=12)``: a denominator
+# d <= 12, then a numerator in [-20d, 20d].  ``st.fractions`` builds a new
+# numerator strategy on every draw, and that, not the algebra under test, was
+# most of the time of the properties below.
+DENOMINATORS = st.integers(1, 12)
+NUMERATORS = {d: st.integers(-20 * d, 20 * d) for d in range(1, 13)}
+
+
+@st.composite
+def bounded_fractions(draw):
+    d = draw(DENOMINATORS)
+    return F(draw(NUMERATORS[d]), d)
+
+
+rationals = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F), bounded_fractions())
 
 
 @st.composite
@@ -134,8 +152,8 @@ class TestFractionFreeCore:
     @settings(deadline=None, max_examples=200)
     def test_rref_equals_reference(self, m):
         reduced, pivots = rref(m)
-        assert (reduced.entries, pivots) == reference_rref(m.entries)
-        assert all(type(a) is F for row in reduced.entries for a in row)
+        assert (entries(reduced), pivots) == reference_rref(entries(m))
+        assert all(type(a) is int for row in reduced.ints for a in row)
 
     @given(rational_matrices(), st.data())
     @settings(deadline=None, max_examples=100)
@@ -143,7 +161,7 @@ class TestFractionFreeCore:
         k = data.draw(st.integers(1, 5))
         other = RatMatrix.from_rows(data.draw(st.lists(
             st.lists(rationals, min_size=k, max_size=k), min_size=m.cols, max_size=m.cols)))
-        assert (m @ other).entries == reference_matmul(m.entries, other.entries)
+        assert entries(m @ other) == reference_matmul(entries(m), entries(other))
 
     @given(st.sampled_from([2, 4, 6, 8]), st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), rationals),
@@ -154,7 +172,7 @@ class TestFractionFreeCore:
         t = RatMatrix.identity(dim)
         for kind, i, j, p in shears:
             i, j = i % n, j % n
-            rows = [list(row) for row in RatMatrix.identity(dim).entries]
+            rows = [list(row) for row in entries(RatMatrix.identity(dim))]
             if kind < 2:
                 top, left = (0, n) if kind == 0 else (n, 0)
                 rows[top + i][left + j] += p
@@ -169,8 +187,8 @@ class TestFractionFreeCore:
         s = antisymplectic_involution_from_symplectic(t)
         d = RatMatrix.from_rows([[int(r == c) * (1 if r < n else -1) for c in range(dim)]
                                  for r in range(dim)])
-        assert s.matrix.entries == reference_matmul(
-            reference_matmul(reference_invert(t.entries), d.entries), t.entries)
+        assert entries(s.matrix) == reference_matmul(
+            reference_matmul(reference_invert(entries(t)), entries(d)), entries(t))
         assert is_antisymplectic(s, standard_symplectic_form(dim))
 
     def test_non_symplectic_matrix_rejected(self):
@@ -182,7 +200,7 @@ class TestFractionFreeCore:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
     def test_random_involutions_equal_reference(self, dim):
         for seed in range(20):
-            got = random_antisymplectic_involution(dim, seed).matrix.entries
+            got = entries(random_antisymplectic_involution(dim, seed).matrix)
             assert got == reference_random_antisymplectic(dim, seed)
 
 
@@ -209,7 +227,8 @@ class TestIntegerBacking:
         h = hashlib.sha256()
         for dim in (2, 4, 6, 8, 10):
             for seed in range(150):
-                h.update(repr(random_antisymplectic_involution(dim, seed).matrix.entries).encode())
+                s = random_antisymplectic_involution(dim, seed)
+                h.update(repr(entries(s.matrix)).encode())
         assert h.hexdigest() == INVOLUTION_DIGEST
 
     def test_integer_operations_build_no_fraction(self, monkeypatch):
@@ -222,7 +241,7 @@ class TestIntegerBacking:
         s = random_antisymplectic_involution(6, 3)
         assert is_antisymplectic(s, omega)
         assert CountingFraction.made == 0
-        b.entries  # the counter does see the Fractions built where values leave
+        column_space_basis(b)  # the counter does see the Fractions built where values leave
         assert CountingFraction.made == 9
 
     @given(rational_matrices(), st.data())
@@ -231,14 +250,14 @@ class TestIntegerBacking:
         same = data.draw(st.lists(st.lists(rationals, min_size=m.cols, max_size=m.cols),
                                   min_size=m.rows, max_size=m.rows))
         other = RatMatrix.from_rows(same)
-        right = RatMatrix.from_rows([row[:1] for row in m.transpose().entries])
+        right = RatMatrix.from_rows([row[:1] for row in entries(m.transpose())])
         results = [m, other, m @ m.transpose(), m @ right, m + other, m + -other, -m,
                    m.transpose(), rref(m)[0], RatMatrix.identity(m.rows)]
         assert all(in_lowest_terms(r) for r in results)
         c = data.draw(st.integers(-30, 30).filter(bool))
         scaled = RatMatrix(tuple(tuple(c * a for a in row) for row in m.ints), c * m.den)
         assert scaled == m and hash(scaled) == hash(m)
-        assert RatMatrix.from_rows(m.entries) == m
+        assert RatMatrix.from_rows(entries(m)) == m
 
     def test_constructor_checks(self):
         assert RatMatrix(((2, 4), (6, 0)), -4) == RatMatrix.from_rows([[F(-1, 2), -1], [F(-3, 2), 0]])

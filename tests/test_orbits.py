@@ -1,5 +1,7 @@
 import itertools
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mplab.checks import check_two_routes, load_golden_cases
 from mplab.exactlin import GaussianRational
 from mplab.orbits import (
     ACHIEVED_HULL_CACHE_SIZE,
+    CATALOG_CACHE_SIZE,
     FlagPoint,
     Membership,
     OrbitClass,
@@ -33,6 +36,7 @@ from mplab.polytope import (
 from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
     ExactGroupElement2x2,
+    InvolutionSpec,
     identity_involution,
     negation_involution,
 )
@@ -289,6 +293,61 @@ class TestCatalog:
                 assert len(enumerate_polytope_catalog(l1, l2, NEG)) <= 5
 
 
+def closed_form_catalog(lam1, lam2, gamma):
+    """The catalog written out from the vertices of the five classes."""
+    classes = [(abs(lam1 - lam2), lam1 + lam2), (lam1 + lam2,),
+               (lam1 - lam2,) if lam1 >= lam2 else (), (lam2 - lam1,) if lam2 >= lam1 else (), ()]
+    if gamma.sign == 1:  # the identity negates the origin only
+        classes = [(0,) if v and v[0] <= 0 <= v[-1] else () for v in classes]
+    return [hull(list(v)) for v in sorted(set(classes), key=lambda v: (len(v), v))]
+
+
+class TestCatalogMemo:
+    def test_repeated_key_is_a_hit(self):
+        orbits._catalog.cache_clear()
+        first = enumerate_polytope_catalog(2, 1, NEG)
+        assert orbits._catalog.cache_info().hits == 0
+        assert enumerate_polytope_catalog(2, 1, NEG) == first
+        assert orbits._catalog.cache_info().hits == 1
+
+    def test_each_call_returns_a_new_list(self):
+        cat = enumerate_polytope_catalog(2, 1, NEG)
+        want = list(cat)
+        cat.append(hull([7]))
+        cat.reverse()
+        again = enumerate_polytope_catalog(2, 1, NEG)
+        assert again == want and again is not enumerate_polytope_catalog(2, 1, NEG)
+
+    def test_memo_is_bounded(self):
+        # distinct keys by the involution's label share one achieved hull per
+        # class, so the test pays for the memo and not for the routes
+        orbits._catalog.cache_clear()
+        for n in range(CATALOG_CACHE_SIZE + 20):
+            enumerate_polytope_catalog(1, 2, InvolutionSpec(-1, f"negation {n}"))
+            assert orbits._catalog.cache_info().currsize <= CATALOG_CACHE_SIZE
+        assert orbits._catalog.cache_info().currsize == CATALOG_CACHE_SIZE
+
+    @pytest.mark.parametrize("lam1,lam2", [(0, 1), (1, 0), (-2, 3)])
+    def test_weights_below_one_are_refused_and_never_cached(self, lam1, lam2):
+        orbits._catalog.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="weights must be integers >= 1"):
+                enumerate_polytope_catalog(lam1, lam2, NEG)
+        assert orbits._catalog.cache_info() == (0, 0, CATALOG_CACHE_SIZE, 0)
+
+    def test_float_weight_is_not_served_from_an_int_key(self):
+        enumerate_polytope_catalog(2, 1, NEG)
+        with pytest.raises(TypeError):
+            enumerate_polytope_catalog(2.0, 1, NEG)
+
+    def test_memo_equals_unmemoized_and_closed_form(self):
+        for l1, l2 in itertools.product(range(1, 9), repeat=2):
+            for gamma in (NEG, identity_involution()):
+                got = enumerate_polytope_catalog(l1, l2, gamma)
+                assert got == list(orbits._catalog.__wrapped__(l1, l2, gamma))
+                assert got == closed_form_catalog(l1, l2, gamma), (l1, l2, gamma)
+
+
 def sum_every_term(poly, coords):
     """``poly`` at ``coords``, every term summed: no term skipped, no early stop."""
     x1, y1, x2, y2 = coords
@@ -505,6 +564,14 @@ class TestRouteDisagreement:
         assert err.orbit_class is OrbitClass.DENSE
         assert str(err) == "route disagreement at ((0:1), (1:1)), weights (2,1): [1, 3] vs [1, 2]"
 
+    def test_cached_catalog_does_not_hide_the_broken_route(self, break_representation_route):
+        want = [RationalPolytope.empty(), hull([1]), hull([3]), seg(1, 3)]
+        assert enumerate_polytope_catalog(2, 1, NEG) == want  # now in the memo
+        with break_representation_route():
+            with pytest.raises(RouteDisagreementError):
+                enumerate_polytope_catalog(2, 1, NEG)
+        assert enumerate_polytope_catalog(2, 1, NEG) == want
+
     def test_check_two_routes_counts_a_mismatch(self, disagreeing_routes):
         result = check_two_routes()
         assert not result.passed
@@ -577,3 +644,83 @@ class TestRouteIndependence:
             polytope = moment_polytope(x, l1, l2)
             assert NEG.negated_cut(polytope) == delta_y
             assert identity_involution().negated_cut(polytope) == want
+
+
+# -- a third route, from the definition of the polytope -----------------------
+
+@lru_cache(maxsize=None)
+def oracle_basis(spec, w):
+    """The brute-force basis ``n_invariant_subspace(spec, w)``, solved once."""
+    return tuple(reps.n_invariant_subspace(spec, w))
+
+
+def oracle_hull(coords, lam1, lam2):
+    """The hull of w / r over every weight w that has an N-invariant vector
+    nonzero at ``coords`` in the r-th bundle power, r <= REPRESENTATION_R_MAX.
+
+    The invariant vectors are the oracle's, the kernel of the raising
+    operator at each weight of the decomposition; no orbit class and no
+    closed form of an invariant vector is read.
+    """
+    achieved = []
+    for r in range(1, orbits.REPRESENTATION_R_MAX + 1):
+        spec = SectionSpaceSpec(r, lam1, lam2)
+        for w in reps.weight_decomposition(spec):
+            if any(not f.evaluate(coords).is_zero for f in oracle_basis(spec, w)):
+                achieved.append(F(w, r))
+    return hull(achieved)
+
+
+nonzero_numbers = {"Q": st.builds(GaussianRational, nonzero_rationals),
+                   "Q(i)": st.builds(GaussianRational, nonzero_rationals, rationals)
+                   | st.builds(GaussianRational, rationals, nonzero_rationals)}
+
+
+@st.composite
+def gaussian_points(draw, cls):
+    """A Q(i) flag point built in the orbit class ``cls``; its coordinates
+    are real in about a third of the draws."""
+    field = draw(st.sampled_from(["Q(i)", "Q(i)", "Q"]))
+    a1, a2 = draw(numbers[field]), draw(numbers[field])
+    c1, c2, t = (draw(nonzero_numbers[field]) for _ in range(3))
+    zero = GaussianRational(F(0))
+    coords = {OrbitClass.DENSE: (a1, c1, (a1 * c2 - t) / c1, c2),  # a1 c2 - a2 c1 = t
+              OrbitClass.DIAGONAL: (a1, c1, t * a1, t * c1),
+              OrbitClass.FIRST_FACTOR: (a1, c1, t, zero),
+              OrbitClass.SECOND_FACTOR: (t, zero, a2, c2),
+              OrbitClass.POINT: (t, zero, c2, zero)}[cls]
+    return FlagPoint(*coords)
+
+
+class TestThirdRoute:
+    """Delta(X) from its definition: the closure of w / r over the invariant
+    sections of weight w in the r-th power that are nonzero on X."""
+
+    @pytest.mark.parametrize("cls", list(OrbitClass))
+    @given(data=st.data(), lam1=st.integers(1, 8), lam2=st.integers(1, 8))
+    @settings(deadline=None, max_examples=16)
+    def test_oracle_hull_equals_both_routes(self, cls, data, lam1, lam2):
+        x = data.draw(gaussian_points(cls))
+        assert classify_borel_orbit_closure(x) is cls
+        got = oracle_hull(x.coords, lam1, lam2)
+        assert got == moment_polytope(x, lam1, lam2)
+        if x.is_real:
+            for gamma in (NEG, identity_involution()):
+                assert gamma.negated_cut(got) == real_moment_polytope(
+                    RealFormCase(x, gamma), lam1, lam2)
+
+    FORBIDDEN = ("orbit_predicates", "classify_borel_orbit_closure", "moment_polytope",
+                 "membership_in_C", "highest_weight_vector", "real_moment_polytope",
+                 "gamma_highest_weight_polytope")
+
+    def test_oracle_hull_reads_no_orbit_class_and_no_closed_form(self, monkeypatch):
+        oracle_basis.cache_clear()
+        forbid(monkeypatch, orbits, self.FORBIDDEN + ("_nonvanishing", "_achieved_hull"))
+        forbid(monkeypatch, reps, ("highest_weight_vector", "hw_vector_sum_form",
+                                   "hw_vector_product_form"))
+        forbid(monkeypatch, sys.modules[__name__], self.FORBIDDEN)
+        try:
+            for x, l1, l2, delta_y in GOLDEN:
+                assert oracle_hull(x.coords, l1, l2) == delta_y
+        finally:
+            oracle_basis.cache_clear()
