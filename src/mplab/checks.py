@@ -56,9 +56,7 @@ class CheckResult(Value):
     detail: str
 
     def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 def load_golden_cases() -> list[dict]:

@@ -75,10 +75,7 @@ class CaseSpec(Value):
                  gamma: InvolutionSpec | None = None):
         if lam1 < 1 or lam2 < 1:
             raise ValueError("weights must be integers >= 1")
-        object.__setattr__(self, "lam1", lam1)
-        object.__setattr__(self, "lam2", lam2)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "gamma", gamma)
+        self.__dict__.update(lam1=lam1, lam2=lam2, point=point, gamma=gamma)
 
 
 def _emit(obj) -> None:

@@ -28,7 +28,8 @@ class Value:
     """Base of mplab's immutable value classes.
 
     A subclass declares its fields as class annotations, in constructor
-    order, and its ``__init__`` sets each one with ``object.__setattr__``.
+    order, and its ``__init__`` stores them after its checks with one
+    ``self.__dict__.update(...)``, as ``copy`` and ``pickle`` restore them.
     The base gives the repr ``Name(field=value, ...)``, equality and hashing
     over the field tuple between instances of one class, and refuses
     assignment and deletion with ``AttributeError``.
@@ -91,8 +92,7 @@ class RatMatrix(Value):
         if g != 1:
             ints = tuple(tuple(a // g for a in row) for row in ints)
             den //= g
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
+        self.__dict__.update(ints=ints, den=den)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
@@ -214,7 +214,7 @@ class LinearInvolution(Value):
             raise ValueError("involution matrix must be square")
         if matrix @ matrix != RatMatrix.identity(matrix.rows):
             raise ValueError("not an involution: S^2 != I")
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__.update(matrix=matrix)
 
     @property
     def dim(self) -> int:
@@ -242,7 +242,7 @@ class SymplecticForm(Value):
             raise ValueError("form is not antisymmetric")
         if rank(matrix) != matrix.rows:
             raise ValueError("form is degenerate")
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__.update(matrix=matrix)
 
     @property
     def dim(self) -> int:
@@ -346,8 +346,7 @@ class GaussianRational(Value):
     im: Fraction
 
     def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        self.__dict__.update(re=re, im=im)
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":

@@ -99,8 +99,7 @@ class SampleSet(Value):
     phis: np.ndarray     # (n, 3) float; column-major when sampled
 
     def __init__(self, coords: np.ndarray, phis: np.ndarray):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "phis", phis)
+        self.__dict__.update(coords=coords, phis=phis)
 
     @property
     def count(self) -> int:

@@ -63,10 +63,7 @@ class FlagPoint(Value):
             raise ValueError("first coordinate pair is (0, 0)")
         if a2.is_zero and c2.is_zero:
             raise ValueError("second coordinate pair is (0, 0)")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "c2", c2)
+        self.__dict__.update(a1=a1, c1=c1, a2=a2, c2=c2)
 
     @classmethod
     def real(cls, a1, c1, a2, c2) -> "FlagPoint":
@@ -129,6 +126,8 @@ class Membership(NamedTuple):
 
 
 def _check_weights(lam1: int, lam2: int):
+    if type(lam1) is not int or type(lam2) is not int:
+        raise TypeError(f"weights {lam1!r}, {lam2!r} must both be ints")
     if lam1 < 1 or lam2 < 1:
         raise ValueError("both weights must be integers >= 1")
 
@@ -199,8 +198,7 @@ class RealFormCase(Value):
     def __init__(self, x: FlagPoint, gamma: InvolutionSpec):
         if not x.is_real:
             raise ValueError("base point must have real coordinates")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "gamma", gamma)
+        self.__dict__.update(x=x, gamma=gamma)
 
 
 # Largest bundle power the representation route evaluates.
@@ -329,8 +327,7 @@ def enumerate_polytope_catalog(lam1: int, lam2: int,
     return list(_catalog(lam1, lam2, gamma))
 
 
-# typed: a float weight equal to a cached int still reaches the refusal of hull
-@lru_cache(maxsize=CATALOG_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=CATALOG_CACHE_SIZE)
 def _catalog(lam1: int, lam2: int, gamma: InvolutionSpec) -> tuple[RationalPolytope, ...]:
     seen: list[RationalPolytope] = []
     for rep in orbit_representatives().values():

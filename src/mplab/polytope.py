@@ -24,7 +24,7 @@ class RationalPolytope(Value):
             raise ValueError("a polytope on the line has at most two Fraction vertices")
         if list(vertices) != sorted(set(vertices)):
             raise ValueError("vertices must be unique and sorted")
-        object.__setattr__(self, "vertices", vertices)
+        self.__dict__.update(vertices=vertices)
 
     @classmethod
     def empty(cls) -> "RationalPolytope":

@@ -54,8 +54,7 @@ class BiHomogPoly(Value):
                 raise ValueError(f"exponent {(a, b, c, d)} violates bidegree {bidegree}")
         if list(terms) != sorted(terms):
             raise ValueError("terms must be sorted by exponent")
-        object.__setattr__(self, "bidegree", bidegree)
-        object.__setattr__(self, "terms", terms)
+        self.__dict__.update(bidegree=bidegree, terms=terms)
 
     @classmethod
     def from_terms(cls, bidegree: tuple[int, int], terms: Mapping[Exponent, int]) -> "BiHomogPoly":
@@ -153,11 +152,11 @@ class SectionSpaceSpec(Value):
     lam2: int
 
     def __init__(self, r: int, lam1: int, lam2: int):
+        if any(type(n) is not int for n in (r, lam1, lam2)):
+            raise TypeError(f"r={r!r}, lam1={lam1!r}, lam2={lam2!r} must all be ints")
         if r < 1 or lam1 < 1 or lam2 < 1:
             raise ValueError("r and both weights must be >= 1")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "lam1", lam1)
-        object.__setattr__(self, "lam2", lam2)
+        self.__dict__.update(r=r, lam1=lam1, lam2=lam2)
 
     @property
     def bidegree(self) -> tuple[int, int]:

@@ -23,8 +23,7 @@ class InvolutionSpec(Value):
     def __init__(self, sign: int, label: str = ""):
         if sign not in (1, -1):
             raise ValueError(f"involution sign {sign} is not +1 or -1")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "label", label)
+        self.__dict__.update(sign=sign, label=label)
 
     def negated_cut(self, p: RationalPolytope) -> RationalPolytope:
         """Exact cut of ``p`` by the -1 eigenspace of the involution.
@@ -58,10 +57,7 @@ class ExactGroupElement2x2(Value):
         det = a * d - b * c
         if not (det.re == 1 and det.im == 0):
             raise ValueError("determinant is not exactly 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @classmethod
     def upper(cls, alpha: GaussianRational, beta: GaussianRational) -> "ExactGroupElement2x2":

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -348,6 +349,31 @@ class TestCatalogMemo:
                 assert got == closed_form_catalog(l1, l2, gamma), (l1, l2, gamma)
 
 
+X = REPS[OrbitClass.DENSE]
+WEIGHT_TAKERS = {
+    "moment_polytope": lambda l1, l2: moment_polytope(X, l1, l2),
+    "membership_in_C": lambda l1, l2: membership_in_C(X, l1, l2, 1),
+    "real_moment_polytope": lambda l1, l2: real_moment_polytope(RealFormCase(X, NEG), l1, l2),
+    "gamma_highest_weight_polytope":
+        lambda l1, l2: gamma_highest_weight_polytope(RealFormCase(X, NEG), l1, l2),
+    "enumerate_polytope_catalog": lambda l1, l2: enumerate_polytope_catalog(l1, l2, NEG),
+    "SectionSpaceSpec": lambda l1, l2: SectionSpaceSpec(1, l1, l2),
+}
+
+
+@pytest.mark.parametrize("take", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS)
+@pytest.mark.parametrize("weight", [1.5, 2.0, F(3, 2)], ids=repr)
+def test_non_int_weight_is_refused(take, weight):
+    for l1, l2 in ((weight, 1), (1, weight)):
+        with pytest.raises(TypeError, match=re.escape(repr(weight))):
+            take(l1, l2)
+
+
+def test_non_int_bundle_power_is_refused():
+    with pytest.raises(TypeError, match="r=2.0"):
+        SectionSpaceSpec(2.0, 1, 1)
+
+
 def sum_every_term(poly, coords):
     """``poly`` at ``coords``, every term summed: no term skipped, no early stop."""
     x1, y1, x2, y2 = coords
@@ -374,7 +400,9 @@ def reference_representation_route(case, lam1, lam2, r_max=2):
 
 rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 20))
 nonzero_rationals = st.builds(F, st.integers(1, 50) | st.integers(-50, -1), st.integers(1, 20))
-nonzero_gaussians = st.builds(GaussianRational, rationals, rationals).filter(lambda g: not g.is_zero)
+nonzero_numbers = {"Q": st.builds(GaussianRational, nonzero_rationals),
+                   "Q(i)": st.builds(GaussianRational, nonzero_rationals, rationals)
+                   | st.builds(GaussianRational, rationals, nonzero_rationals)}
 weights = st.integers(1, 12)
 gammas = st.sampled_from([NEG, identity_involution()])
 
@@ -443,7 +471,7 @@ class TestRepresentationMemo:
             assert (real_moment_polytope(scaled, lam1, lam2)
                     == real_moment_polytope(case, lam1, lam2))
 
-    @given(real_points(), nonzero_gaussians, nonzero_gaussians, weights, weights)
+    @given(real_points(), nonzero_numbers["Q(i)"], nonzero_numbers["Q(i)"], weights, weights)
     @settings(deadline=None, max_examples=60)
     def test_gaussian_rescaling_of_either_pair_changes_nothing(self, x, t1, t2, lam1, lam2):
         # a Q(i) factor makes the point complex, so the representation route
@@ -513,7 +541,7 @@ def borel_moves(draw, field):
     remove them.
     """
     x = draw(real_points())
-    alpha = draw(numbers[field].filter(lambda g: not g.is_zero))
+    alpha = draw(nonzero_numbers[field])
     target = draw(st.sampled_from(["drawn", "a1", "a2"]))
     if target == "a1" and not x.c1.is_zero:
         beta = -alpha * x.a1 / x.c1
@@ -671,11 +699,6 @@ def oracle_hull(coords, lam1, lam2):
     return hull(achieved)
 
 
-nonzero_numbers = {"Q": st.builds(GaussianRational, nonzero_rationals),
-                   "Q(i)": st.builds(GaussianRational, nonzero_rationals, rationals)
-                   | st.builds(GaussianRational, rationals, nonzero_rationals)}
-
-
 @st.composite
 def gaussian_points(draw, cls):
     """A Q(i) flag point built in the orbit class ``cls``; its coordinates
@@ -708,6 +731,28 @@ class TestThirdRoute:
             for gamma in (NEG, identity_involution()):
                 assert gamma.negated_cut(got) == real_moment_polytope(
                     RealFormCase(x, gamma), lam1, lam2)
+
+    @pytest.mark.parametrize("cls", list(OrbitClass))
+    @given(data=st.data(), lam1=st.integers(1, 4), lam2=st.integers(1, 4),
+           den=st.integers(1, 3))
+    @settings(deadline=None, max_examples=12)
+    def test_membership_witness_is_a_certificate(self, cls, data, lam1, lam2, den):
+        # lam is drawn around the polytope, or is one of its vertices
+        x = data.draw(gaussian_points(cls))
+        lam = data.draw(st.builds(F, st.integers(-den, den * (lam1 + lam2 + 1)), st.just(den))
+                        | st.sampled_from(moment_polytope(x, lam1, lam2).vertices or (F(0),)))
+        q = lam.denominator
+
+        def certified(r):
+            spec = SectionSpaceSpec(r, lam1, lam2)
+            return any(not f.evaluate(x.coords).is_zero for f in oracle_basis(spec, int(r * lam)))
+
+        member, witness = membership_in_C(x, lam1, lam2, lam)
+        if member:
+            assert certified(witness)
+            assert witness == q or not certified(q)  # the least power
+        else:
+            assert not certified(q) and not certified(2 * q)
 
     FORBIDDEN = ("orbit_predicates", "classify_borel_orbit_closure", "moment_polytope",
                  "membership_in_C", "highest_weight_vector", "real_moment_polytope",

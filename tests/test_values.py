@@ -7,15 +7,18 @@ give back an equal value.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import mplab
 from mplab.checks import CheckResult
 from mplab.cli import CaseSpec
-from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix, SymplecticForm
+from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix, SymplecticForm, Value
 from mplab.numeric import SampleSet
 from mplab.orbits import FlagPoint, RealFormCase
 from mplab.polytope import RationalPolytope
@@ -88,6 +91,8 @@ def _same(a, b) -> bool:
                          ids=[r.split("(", 1)[0] for _, r in CASES])
 def test_value_class_parity(build, expected_repr):
     a, b = build(), build()
+    # the constructor stores exactly the fields, in annotation order
+    assert list(vars(a)) == list(type(a)._fields)
     assert repr(a) == expected_repr
     assert a is not b and _same(a, b)
     assert a != object()
@@ -106,6 +111,19 @@ def test_value_class_parity(build, expected_repr):
     assert repr(a) == expected_repr
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert _same(clone, a) and repr(clone) == expected_repr
+
+
+def test_cases_cover_every_value_class():
+    for info in pkgutil.iter_modules(mplab.__path__):
+        if not info.name.startswith("__"):
+            importlib.import_module(f"mplab.{info.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("mplab."):
+                found.add(sub)
+    assert found == {type(build()) for build, _ in CASES}
 
 
 def test_flag_point_equality_is_projective():
