@@ -10,6 +10,7 @@ agreement), ``lagrangian``, ``coadjoint``, ``gradcheck``.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -64,6 +65,15 @@ def load_golden_cases() -> list[dict]:
     return json.loads(data)["cases"]
 
 
+@lru_cache(maxsize=1)
+def _golden_table() -> tuple[tuple, ...]:
+    """The golden cases as (label, point, lam1, lam2, delta_x, delta_y), parsed once."""
+    return tuple((f"{c['orbit_class']}@({c['lam1']},{c['lam2']})",
+                  wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
+                  wire.polytope_from_json(c["delta_x"]), wire.polytope_from_json(c["delta_y"]))
+                 for c in load_golden_cases())
+
+
 def _proportional(p: BiHomogPoly, q: BiHomogPoly) -> bool:
     if p.is_zero or q.is_zero:
         return p.is_zero and q.is_zero
@@ -76,32 +86,25 @@ def _proportional(p: BiHomogPoly, q: BiHomogPoly) -> bool:
 
 def check_polytope_table(seed: int = 0) -> CheckResult:
     """Exact orbit polytopes over the weight grid against the golden table."""
-    cases = load_golden_cases()
-    bad = []
-    for case in cases:
-        x = wire.parse_point_literal(case["point"])
-        got = moment_polytope(x, case["lam1"], case["lam2"])
-        want = wire.polytope_from_json(case["delta_x"])
-        if got != want:
-            bad.append(f"{case['orbit_class']}@({case['lam1']},{case['lam2']})")
-    detail = f"{len(cases)} cases, mismatches: {bad if bad else 'none'}"
-    return CheckResult("polytope-table", not bad, detail)
+    cases = _golden_table()
+    bad = [label for label, x, l1, l2, delta_x, _ in cases
+           if moment_polytope(x, l1, l2) != delta_x]
+    return CheckResult("polytope-table", not bad,
+                       f"{len(cases)} cases, mismatches: {bad if bad else 'none'}")
 
 
 def check_two_routes(seed: int = 0) -> CheckResult:
     """Intersection route equals representation route, and the golden real polytopes."""
     gamma = negation_involution()
-    cases = load_golden_cases()
+    cases = _golden_table()
     bad = []
-    for case in cases:
-        x = wire.parse_point_literal(case["point"])
+    for label, x, l1, l2, _, delta_y in cases:
         try:
-            got = real_moment_polytope(RealFormCase(x, gamma), case["lam1"], case["lam2"])
-            agree = got == wire.polytope_from_json(case["delta_y"])
+            agree = real_moment_polytope(RealFormCase(x, gamma), l1, l2) == delta_y
         except RouteDisagreementError:
             agree = False
         if not agree:
-            bad.append(f"{case['orbit_class']}@({case['lam1']},{case['lam2']})")
+            bad.append(label)
     return CheckResult("two-route-equality", not bad,
                        f"{len(cases)} cases x 2 routes, mismatches: {bad if bad else 'none'}")
 
@@ -171,7 +174,6 @@ def check_lagrangian(seed: int = 0) -> CheckResult:
     dims = (2, 4, 6, 8)
     forms = {dim: standard_symplectic_form(dim) for dim in dims}
     bad = []
-    count = 0
     for i in range(100):
         dim = dims[i % 4]
         s = random_antisymplectic_involution(dim, seed + i)
@@ -180,9 +182,8 @@ def check_lagrangian(seed: int = 0) -> CheckResult:
             bad.append(f"dim={dim},seed={seed + i}: not antisymplectic")
         if not is_lagrangian(fixed_subspace(s), omega):
             bad.append(f"dim={dim},seed={seed + i}: fixed space not Lagrangian")
-        count += 1
     return CheckResult("lagrangian-fixed-sets", not bad,
-                       f"{count} involutions dims 2-8, failures: {bad if bad else 'none'}")
+                       f"100 involutions dims 2-8, failures: {bad if bad else 'none'}")
 
 
 def check_coadjoint(seed: int = 0) -> CheckResult:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+_SHEAR_VALUES = [k for k in range(-9, 10) if k != 0]  # the parameters of _random_symplectic
 
 
 class Value:
@@ -64,7 +66,9 @@ class Value:
 
 
 def frac(x) -> Fraction:
-    """Coerce ints / strings / Fractions to Fraction (floats are rejected)."""
+    """Coerce ints / strings to Fraction and return a Fraction as is (floats are rejected)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing float -> Fraction coercion; pass exact input")
     return Fraction(x)
@@ -100,9 +104,11 @@ class RatMatrix(Value):
         d = lcm(*(rd for _, rd in rows))
         return cls(tuple(tuple(a * (d // rd) for a in row) for row, rd in rows), d)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    @staticmethod
+    @lru_cache(maxsize=16, typed=True)
+    def identity(n: int) -> "RatMatrix":
+        """The n x n identity, built once per size and shared, as matrices are immutable."""
+        return RatMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -134,8 +140,8 @@ class RatMatrix(Value):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = tuple(zip(*other.ints))
-        return RatMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints),
-                         self.den * other.den)
+        return RatMatrix(tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                for row in self.ints]), self.den * other.den)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -279,7 +285,7 @@ def _random_symplectic(dim: int, rng: random.Random) -> list[list[int]]:
     n = dim // 2
     t = [[int(r == c) for c in range(dim)] for r in range(dim)]
     for _ in range(6):
-        p = rng.choice([k for k in range(-9, 10) if k != 0])
+        p = rng.choice(_SHEAR_VALUES)
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -386,14 +392,16 @@ class GaussianRational(Value):
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             raise ValueError("negative powers not supported")
-        out = GaussianRational(Fraction(1))
+        # square and multiply, with no product by one and no square left unused
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return GaussianRational(Fraction(1)) if out is None else out
 
     def scale(self, c) -> "GaussianRational":
         c = frac(c)

@@ -208,8 +208,20 @@ def hw_vector_product_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
     return BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * _det_power(k)
 
 
+# Bound of the memo below: it holds the verify gate's 173 (spec, k) keys, while
+# the exact workload's 8 x 8 weight grid never fits, so its memory stays fixed.
+HW_VECTOR_CACHE_SIZE = 256
+
+
 def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
-    """The distinguished invariant vector, with the two closed forms cross-checked."""
+    """The distinguished invariant vector, with the two closed forms cross-checked
+    once per (spec, k) in a memo of ``HW_VECTOR_CACHE_SIZE`` entries."""
+    _check_k(spec, k)
+    return _hw_vector(spec, k)
+
+
+@lru_cache(maxsize=HW_VECTOR_CACHE_SIZE)
+def _hw_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     if sum_form != product_form:
@@ -218,6 +230,8 @@ def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
 
 
 def _check_k(spec: SectionSpaceSpec, k: int):
+    if type(k) is not int:
+        raise TypeError(f"k={k!r} must be an int")
     if not 0 <= k <= spec.k_max:
         raise ValueError(f"k={k} outside 0..{spec.k_max}")
 

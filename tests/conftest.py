@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from mplab import orbits
+from mplab import orbits, reps
 from mplab.reps import BiHomogPoly
 
 # Every run draws the same examples and replays no stored failures, so two
@@ -16,9 +16,10 @@ settings.load_profile(os.environ.get("MPLAB_HYPOTHESIS_PROFILE", "gate"))
 
 
 def clear_route_memos():
-    """Empty the memos of achieved hulls and of catalogs."""
+    """Empty the memos of achieved hulls, of catalogs and of invariant vectors."""
     orbits._achieved_hull.cache_clear()
     orbits._catalog.cache_clear()
+    reps._hw_vector.cache_clear()
 
 
 @contextmanager

@@ -254,7 +254,7 @@ class TestIntegerBacking:
         results = [m, other, m @ m.transpose(), m @ right, m + other, m + -other, -m,
                    m.transpose(), rref(m)[0], RatMatrix.identity(m.rows)]
         assert all(in_lowest_terms(r) for r in results)
-        c = data.draw(st.integers(-30, 30).filter(bool))
+        c = data.draw(st.integers(1, 30) | st.integers(-30, -1))
         scaled = RatMatrix(tuple(tuple(c * a for a in row) for row in m.ints), c * m.den)
         assert scaled == m and hash(scaled) == hash(m)
         assert RatMatrix.from_rows(entries(m)) == m
@@ -267,6 +267,16 @@ class TestIntegerBacking:
             RatMatrix(((1,),), 0)
         with pytest.raises(TypeError):
             RatMatrix(((F(1, 2),),))
+
+    def test_identity_is_shared_and_frac_returns_its_fraction(self):
+        assert RatMatrix.identity(3) is RatMatrix.identity(3)
+        assert RatMatrix.identity(3) == RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(TypeError):  # a float size is not served from the int key
+            RatMatrix.identity(3.0)
+        x = F(2, 3)
+        assert exactlin.frac(x) is x and exactlin.frac(2) == F(2)
+        with pytest.raises(TypeError):
+            exactlin.frac(0.5)
 
 
 class TestKernel:
@@ -423,6 +433,26 @@ class TestGaussianRational:
         assert a * b == GaussianRational.of(5, 5)
         assert (a / b) * b == a
         assert a ** 3 == a * a * a
+
+    def test_power_equals_repeated_product_and_builds_no_spare_product(self, monkeypatch):
+        a = GaussianRational.of(F(2, 3), -1)
+        genuine = GaussianRational.__mul__
+        made = []
+
+        def counting(x, y):
+            made.append(1)
+            return genuine(x, y)
+
+        want = GaussianRational.of(1)
+        for k in range(20):
+            made.clear()
+            monkeypatch.setattr(GaussianRational, "__mul__", counting)
+            got = a ** k
+            monkeypatch.undo()
+            assert got == want
+            # one square per bit below the top one, one product per further set bit
+            assert len(made) == max(k.bit_length() + k.bit_count() - 2, 0)
+            want = want * a
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
