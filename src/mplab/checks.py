@@ -202,26 +202,33 @@ def check_coadjoint(seed: int = 0) -> CheckResult:
     return CheckResult("coadjoint-fixed-set", not bad, "; ".join(dists))
 
 
+def _sampled_interval(x, seed: int, lam1: int, lam2: int, mode: str,
+                      eps: float = 0.05) -> tuple[float, float] | None:
+    """The cut interval of one 100 000-point H sample.
+
+    Only the interval leaves, so each sample is freed before the next is drawn.
+    """
+    samples = numeric.sample_orbit(x, "H", 100_000, seed, lam1, lam2)
+    return numeric.sampled_delta(samples, mode, eps)
+
+
 def check_sampled_agreement(seed: int = 0) -> CheckResult:
     """Sampled moment intervals agree with the exact polytopes."""
     reps = orbit_representatives()
     bad = []
     notes = []
 
-    dense = numeric.sample_orbit(reps[OrbitClass.DENSE], "H", 100_000, seed, 2, 1)
-    lo, hi = numeric.sampled_delta(dense, "radial")
+    lo, hi = _sampled_interval(reps[OrbitClass.DENSE], seed, 2, 1, "radial")
     notes.append(f"dense:[{lo:.4f},{hi:.4f}]")
     if abs(lo - 1) > 0.02 or abs(hi - 3) > 0.02:
         bad.append("dense radial off")
 
-    diag = numeric.sample_orbit(reps[OrbitClass.DIAGONAL], "H", 100_000, seed, 2, 1)
-    lo, hi = numeric.sampled_delta(diag, "radial")
+    lo, hi = _sampled_interval(reps[OrbitClass.DIAGONAL], seed, 2, 1, "radial")
     notes.append(f"diagonal:[{lo:.4f},{hi:.4f}]")
     if abs(lo - 3) > 0.02 or abs(hi - 3) > 0.02:
         bad.append("diagonal radial off")
 
-    first = numeric.sample_orbit(reps[OrbitClass.FIRST_FACTOR], "H", 100_000, seed, 3, 1)
-    interval = numeric.sampled_delta(first, "angular", 0.05)
+    interval = _sampled_interval(reps[OrbitClass.FIRST_FACTOR], seed, 3, 1, "angular", 0.05)
     if interval is None:
         bad.append("first-factor angular empty")
         notes.append("first:none")

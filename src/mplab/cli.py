@@ -55,7 +55,7 @@ from .reps import (
 from .weights import InvolutionSpec
 
 # Largest ``sample --n``: the sampled-agreement check's own size.  A sample
-# costs about 0.75 KB of memory while the CSV is written.
+# costs about 0.22 KB of memory while the CSV is written.
 MAX_SAMPLES = 100_000
 
 # Largest L1 + L2 for ``polytope --membership``.  Its table has 2(L1 + L2) + 5
@@ -304,10 +304,21 @@ def cmd_sample(args: argparse.Namespace) -> int:
     from . import numeric
     numeric.check_sample_args(subgroup, n)
     out = cfg.get("out", _text)
-    # opened before drawing, so an unwritable path fails before the work
+    created = False
+    if out:
+        # Opened for append before drawing, so an unwritable path fails
+        # before the work and an existing file keeps its bytes if the draw
+        # is refused; a file this run created is removed then.
+        created = not os.path.lexists(out)
+        open(out, "a").close()
+    try:
+        samples = numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2)
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
     with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
-        numeric.write_samples_csv(
-            numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2), fh)
+        numeric.write_samples_csv(samples, fh)
     if out:
         print(f"wrote {n} samples to {out}", file=sys.stderr)
     return 0

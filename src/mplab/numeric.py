@@ -627,6 +627,11 @@ CSV_COLUMNS = ("a1re", "a1im", "c1re", "c1im", "a2re", "a2im",
 # A float repr never holds a comma, quote or newline, so no field needs quoting.
 _CSV_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
 
+# Rows turned into Python floats at a time: a 100 000-row table turned into
+# one list at once holds 1.2 million float objects, about 45 MB against the
+# table's 9.6 MB.
+_CSV_BLOCK_ROWS = 1024
+
 
 def write_samples_csv(samples: SampleSet, stream: IO[str]) -> None:
     """Deterministic CSV dump of a sample set (row order = draw order).
@@ -640,4 +645,6 @@ def write_samples_csv(samples: SampleSet, stream: IO[str]) -> None:
     table[:, 8:11] = samples.phis
     table[:, 11] = samples.norms
     stream.write(",".join(CSV_COLUMNS) + "\n")
-    stream.writelines(_CSV_ROW % tuple(row) for row in table.tolist())
+    for start in range(0, samples.count, _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+        stream.writelines(_CSV_ROW % tuple(row) for row in block)

@@ -572,6 +572,20 @@ class TestSampleAndPlot:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_refused_draw_leaves_out_untouched(self, tmp_path, capsys, existing):
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_text("kept\n")
+        argv = ["sample", "--weights", "2", "1", "--point", f"{10 ** 153},1;1,1",
+                "--subgroup", "B", "--n", "1000", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == ("error: a drawn orbit point leaves the float range;"
+                                           " scale the base point's pairs toward 1\n")
+        assert list(tmp_path.iterdir()) == ([out] if existing else [])
+        if existing:
+            assert out.read_text() == "kept\n"
+
     def test_zero_pair_point_exits_2_before_sampling(self, capsys, no_draw):
         argv = ["sample", "--weights", "2", "1", "--point", "0,0;1,1"]
         assert cli.main(argv) == 2

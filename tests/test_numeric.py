@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 from fractions import Fraction as F
 from pathlib import Path
@@ -831,9 +832,17 @@ class TestCsv:
         assert len(row) == 12
         float(row[0])  # parses
 
-    @pytest.mark.parametrize("subgroup", ["B", "H", "G", "G'"])
+    @pytest.mark.parametrize("subgroup", SUBGROUPS)
     def test_bytes_match_csv_writer(self, subgroup):
-        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], subgroup, 500, 4, 2, 1)
+        n = 2 * numeric._CSV_BLOCK_ROWS
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], subgroup, n, 4, 2, 1)
+        assert _csv_text(samples) == _reference_csv_text(samples)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, numeric._CSV_BLOCK_ROWS + 7],
+                             ids=["B-1", "B", "B+1", "2B+7"])
+    def test_bytes_match_csv_writer_across_blocks(self, extra):
+        n = numeric._CSV_BLOCK_ROWS + extra
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", n, 4, 2, 1)
         assert _csv_text(samples) == _reference_csv_text(samples)
 
     def test_edge_floats_match_csv_writer(self):
@@ -853,6 +862,31 @@ class TestCsv:
             numeric.write_samples_csv(samples, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+class TestMemory:
+    """Peaks traced by tracemalloc, which counts NumPy's buffers: deterministic."""
+
+    def test_sampled_agreement_keeps_one_sample_alive(self):
+        one = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 100_000, 0, 2, 1)
+        bound = 2 * (one.coords.nbytes + one.phis.nbytes + one.norms.nbytes)
+        assert _traced_peak(checks.check_sampled_agreement) < bound
+
+    def test_csv_writer_formats_rows_in_blocks(self, tmp_path):
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 100_000, 0, 2, 1)
+        table_bytes = samples.count * len(numeric.CSV_COLUMNS) * 8
+        with open(tmp_path / "samples.csv", "w", newline="") as fh:
+            peak = _traced_peak(numeric.write_samples_csv, samples, fh)
+        assert peak < 2 * table_bytes
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _csv_text(samples):
