@@ -7,11 +7,11 @@ verdict), ``catalog``, ``decompose``, ``hwv``, ``oracle``, ``verify``,
 JSON, human summaries to stderr.  Exit codes: 0 success, 1 check failure,
 2 usage error.
 
-A JSON config file passed with ``--config`` may hold any long-option value
-(keys use underscores, e.g. ``{"weights": [2, 1], "gamma": "negation"}``);
-explicit flags win over the file, and a subcommand ignores the keys it does
-not use.  Only ``sample`` and ``verify`` take a seed: ``--seed``, then the
-config file, then the environment variable ``MPLAB_SEED``, then 0.
+Every subcommand but ``plot`` takes ``--config``: a JSON object whose keys
+``weights``, ``point``, ``gamma``, ``r``, ``k``, ``weight``, ``seed``, ``n``,
+``subgroup`` and ``out`` supply those options where the subcommand takes them;
+flags win, and other keys are ignored.  Only ``sample`` and ``verify`` take a
+seed: ``--seed``, then the config file, then ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
@@ -31,7 +31,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import wire
-from .exactlin import Value
 from .orbits import (
     REPRESENTATION_R_MAX,
     FlagPoint,
@@ -46,6 +45,7 @@ from .orbits import (
 from .reps import (
     MAX_SECTION_SPACE_DIM,
     SectionSpaceSpec,
+    check_weights,
     clebsch_gordan_highest_weights,
     hw_vector_product_form,
     hw_vector_sum_form,
@@ -61,21 +61,6 @@ MAX_SAMPLES = 100_000
 # Largest L1 + L2 for ``polytope --membership``.  Its table has 2(L1 + L2) + 5
 # rows, one membership test each: 4005 rows at the limit.
 MAX_MEMBERSHIP_WEIGHT_SUM = 2000
-
-
-class CaseSpec(Value):
-    """Validated parameters of one computation case; defaults are explicit."""
-
-    lam1: int
-    lam2: int
-    point: FlagPoint | None
-    gamma: InvolutionSpec | None
-
-    def __init__(self, lam1: int, lam2: int, point: FlagPoint | None = None,
-                 gamma: InvolutionSpec | None = None):
-        if lam1 < 1 or lam2 < 1:
-            raise ValueError("weights must be integers >= 1")
-        self.__dict__.update(lam1=lam1, lam2=lam2, point=point, gamma=gamma)
 
 
 def _emit(obj) -> None:
@@ -140,11 +125,16 @@ class _Config:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return value
 
-    def case_spec(self, need_point: bool = True, need_gamma: bool = False) -> CaseSpec:
+    def weights(self) -> tuple[int, int]:
         lam1, lam2 = self.require("weights", _int_pair)
-        point = wire.parse_point_literal(self.require("point", _text)) if need_point else None
-        gamma = wire.parse_gamma(self.require("gamma", _text)) if need_gamma else None
-        return CaseSpec(lam1=lam1, lam2=lam2, point=point, gamma=gamma)
+        check_weights(lam1, lam2)
+        return lam1, lam2
+
+    def point(self) -> FlagPoint:
+        return wire.parse_point_literal(self.require("point", _text))
+
+    def gamma(self) -> InvolutionSpec:
+        return wire.parse_gamma(self.require("gamma", _text))
 
     def seed(self) -> int:
         """The RNG seed: flag, then config file, then ``MPLAB_SEED``, then 0."""
@@ -159,8 +149,8 @@ class _Config:
             raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
         return seed
 
-    def section_spec(self, case: CaseSpec) -> SectionSpaceSpec:
-        return _limited(SectionSpaceSpec(self.get("r", wire.json_int, 1), case.lam1, case.lam2))
+    def section_spec(self, lam1: int, lam2: int) -> SectionSpaceSpec:
+        return _limited(SectionSpaceSpec(self.get("r", wire.json_int, 1), lam1, lam2))
 
 
 def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
@@ -187,12 +177,13 @@ def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
 
 def cmd_polytope(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=True)
-    delta = moment_polytope(case.point, case.lam1, case.lam2)
+    lam1, lam2 = cfg.weights()
+    x = cfg.point()
+    delta = moment_polytope(x, lam1, lam2)
     if args.membership:
         _emit({"polytope": wire.polytope_to_json(delta),
-               "orbit_class": classify_borel_orbit_closure(case.point).value,
-               "membership": _membership_table(case.point, case.lam1, case.lam2)})
+               "orbit_class": classify_borel_orbit_closure(x).value,
+               "membership": _membership_table(x, lam1, lam2)})
     else:
         _emit(wire.polytope_to_json(delta))
     print(f"orbit polytope: {delta}", file=sys.stderr)
@@ -201,11 +192,11 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 
 def cmd_realpolytope(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=True, need_gamma=True)
-    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, case.lam1, case.lam2))
+    lam1, lam2 = cfg.weights()
+    x, gamma = cfg.point(), cfg.gamma()
+    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, lam1, lam2))
     try:
-        via_intersection = real_moment_polytope(
-            RealFormCase(case.point, case.gamma), case.lam1, case.lam2)
+        via_intersection = real_moment_polytope(RealFormCase(x, gamma), lam1, lam2)
         via_membership, same = via_intersection, True
     except RouteDisagreementError as exc:
         via_intersection, via_membership = exc.via_intersection, exc.via_representation
@@ -219,10 +210,11 @@ def cmd_realpolytope(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=False, need_gamma=True)
-    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, case.lam1, case.lam2))
-    cat = enumerate_polytope_catalog(case.lam1, case.lam2, case.gamma)
-    _emit({"weights": [case.lam1, case.lam2], "gamma": case.gamma.label,
+    lam1, lam2 = cfg.weights()
+    gamma = cfg.gamma()
+    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, lam1, lam2))
+    cat = enumerate_polytope_catalog(lam1, lam2, gamma)
+    _emit({"weights": [lam1, lam2], "gamma": gamma.label,
            "count": len(cat), "polytopes": [wire.polytope_to_json(p) for p in cat]})
     for p in cat:
         print(f"  {p}", file=sys.stderr)
@@ -231,10 +223,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=False)
-    spec = cfg.section_spec(case)
+    spec = cfg.section_spec(*cfg.weights())
     weights_list = clebsch_gordan_highest_weights(spec)
-    _emit({"r": spec.r, "weights": [case.lam1, case.lam2],
+    _emit({"r": spec.r, "weights": [spec.lam1, spec.lam2],
            "highest_weights": weights_list,
            "dims": [w + 1 for w in weights_list],
            "section_dim": section_space_dim(spec)})
@@ -243,8 +234,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_hwv(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=False)
-    spec = cfg.section_spec(case)
+    spec = cfg.section_spec(*cfg.weights())
     k = cfg.require("k", wire.json_int)
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
@@ -259,8 +249,8 @@ def cmd_hwv(args: argparse.Namespace) -> int:
         factors.append("(x1*y2 - x2*y1)")
     elif k > 1:
         factors.append(f"(x1*y2 - x2*y1)^{k}")
-    _emit({"r": spec.r, "k": k, "weights": [case.lam1, case.lam2],
-           "weight": spec.r * (case.lam1 + case.lam2) - 2 * k,
+    _emit({"r": spec.r, "k": k, "weights": [spec.lam1, spec.lam2],
+           "weight": spec.r * (spec.lam1 + spec.lam2) - 2 * k,
            "sum_form": sum_form.pretty(),
            "product_form": "*".join(factors) if factors else "1",
            "product_form_expanded": product_form.pretty(),
@@ -270,11 +260,10 @@ def cmd_hwv(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=False)
-    spec = cfg.section_spec(case)
+    spec = cfg.section_spec(*cfg.weights())
     weight = cfg.require("weight", wire.json_int)
     basis = n_invariant_subspace(spec, weight)
-    _emit({"r": spec.r, "weights": [case.lam1, case.lam2], "weight": weight,
+    _emit({"r": spec.r, "weights": [spec.lam1, spec.lam2], "weight": weight,
            "dimension": len(basis), "basis": [b.pretty() for b in basis]})
     return 0
 
@@ -295,7 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _Config(args)
-    case = cfg.case_spec(need_point=True)
+    lam1, lam2 = cfg.weights()
+    x = cfg.point()
     seed = cfg.seed()
     subgroup = cfg.get("subgroup", _text, "H")
     n = cfg.get("n", wire.json_int, 1000)
@@ -312,7 +302,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         created = not os.path.lexists(out)
         open(out, "a").close()
     try:
-        samples = numeric.sample_orbit(case.point, subgroup, n, seed, case.lam1, case.lam2)
+        samples = numeric.sample_orbit(x, subgroup, n, seed, lam1, lam2)
     except BaseException:
         if created:
             os.remove(out)

@@ -93,13 +93,18 @@ def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
 
 
 class SampleSet(Value):
-    """Reproducible orbit sample: identical (inputs, seed) give identical arrays."""
+    """Reproducible orbit sample: identical (inputs, seed) give equal, unhashable sets."""
 
     coords: np.ndarray   # (n, 4) complex: a1, c1, a2, c2; column-major when sampled
     phis: np.ndarray     # (n, 3) float; column-major when sampled
 
     def __init__(self, coords: np.ndarray, phis: np.ndarray):
         self.__dict__.update(coords=coords, phis=phis)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._astuple(), other._astuple()))
 
     @property
     def count(self) -> int:
@@ -552,6 +557,8 @@ def _check_gradient_point(point, spec: SectionSpaceSpec) -> None:
 
 
 def _check_borel(xi: np.ndarray):
+    if np.shape(xi) != (2, 2):
+        raise ValueError(f"xi must be a 2 x 2 matrix, got shape {np.shape(xi)}")
     if not np.isfinite(xi).all():
         raise ValueError("xi must be finite, with no nan or inf")
     if abs(xi[1, 0]) > 1e-12 or abs(xi[0, 0] + xi[1, 1]) > 1e-12:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .exactlin import GaussianRational, Value, frac
 from .polytope import RationalPolytope, hull
-from .reps import SectionSpaceSpec, highest_weight_vector
+from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
 from .weights import ExactGroupElement2x2, InvolutionSpec
 
 
@@ -125,13 +125,6 @@ class Membership(NamedTuple):
     witness: int | None
 
 
-def _check_weights(lam1: int, lam2: int):
-    if type(lam1) is not int or type(lam2) is not int:
-        raise TypeError(f"weights {lam1!r}, {lam2!r} must both be ints")
-    if lam1 < 1 or lam2 < 1:
-        raise ValueError("both weights must be integers >= 1")
-
-
 def _nonvanishing(k: int, r: int, lam1: int, lam2: int,
                   z1: bool, z2: bool, d: bool) -> bool:
     # F evaluates to c1^(r*lam1-k) c2^(r*lam2-k) (a1 c2 - a2 c1)^k
@@ -151,7 +144,7 @@ def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
     parity of r(lam1 + lam2 - lam), which m = 2 always meets, so the search
     tries m = 1 and m = 2 only.
     """
-    _check_weights(lam1, lam2)
+    check_weights(lam1, lam2)
     lam = frac(lam)
     q = lam.denominator
     z1, z2, d = orbit_predicates(x)
@@ -176,7 +169,7 @@ def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:
     Closed-form case analysis on the orbit class; lives in the rank-1
     torus dual (alpha-units), so the result is a segment, a point or empty.
     """
-    _check_weights(lam1, lam2)
+    check_weights(lam1, lam2)
     cls = classify_borel_orbit_closure(x)
     if cls is OrbitClass.DENSE:
         return hull([abs(lam1 - lam2), lam1 + lam2])
@@ -255,7 +248,7 @@ def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> R
     is memoized per (coordinates, weights) in a memo of
     ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by gamma runs on every call.
     """
-    _check_weights(lam1, lam2)
+    check_weights(lam1, lam2)
     return case.gamma.negated_cut(_achieved_hull(case.x.coords, lam1, lam2))
 
 
@@ -289,7 +282,7 @@ def real_moment_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPo
     checks agreement with the representation route before returning; on
     disagreement it raises :class:`RouteDisagreementError` with both answers.
     """
-    _check_weights(lam1, lam2)
+    check_weights(lam1, lam2)
     via_intersection = case.gamma.negated_cut(moment_polytope(case.x, lam1, lam2))
     via_representation = gamma_highest_weight_polytope(case, lam1, lam2)
     if via_intersection != via_representation:
@@ -323,7 +316,7 @@ def enumerate_polytope_catalog(lam1: int, lam2: int,
     memo of ``CATALOG_CACHE_SIZE`` entries; the two routes are compared when
     a key is first computed, and each call returns a new list.
     """
-    _check_weights(lam1, lam2)
+    check_weights(lam1, lam2)
     return list(_catalog(lam1, lam2, gamma))
 
 

@@ -144,6 +144,14 @@ class BiHomogPoly(Value):
         return " ".join(parts)
 
 
+def check_weights(lam1: int, lam2: int) -> None:
+    """Refuse weights that are not two ints >= 1; every exact entry point calls this."""
+    if type(lam1) is not int or type(lam2) is not int:
+        raise TypeError(f"weights {lam1!r}, {lam2!r} must both be ints")
+    if lam1 < 1 or lam2 < 1:
+        raise ValueError("both weights must be integers >= 1")
+
+
 class SectionSpaceSpec(Value):
     """Bundle power r and the two positive integer weights of the model."""
 
@@ -152,10 +160,11 @@ class SectionSpaceSpec(Value):
     lam2: int
 
     def __init__(self, r: int, lam1: int, lam2: int):
-        if any(type(n) is not int for n in (r, lam1, lam2)):
-            raise TypeError(f"r={r!r}, lam1={lam1!r}, lam2={lam2!r} must all be ints")
-        if r < 1 or lam1 < 1 or lam2 < 1:
-            raise ValueError("r and both weights must be >= 1")
+        if type(r) is not int:
+            raise TypeError(f"r={r!r} must be an int")
+        if r < 1:
+            raise ValueError(f"r={r} must be >= 1")
+        check_weights(lam1, lam2)
         self.__dict__.update(r=r, lam1=lam1, lam2=lam2)
 
     @property

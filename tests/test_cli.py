@@ -656,6 +656,37 @@ class TestSampleAndPlot:
         assert q.returncode == 2
 
 
+# Every command that takes weights, with the other options it needs.
+WEIGHT_COMMANDS = {
+    "polytope": ["--point", "0/1,1/1;1/1,1/1"],
+    "realpolytope": ["--point", "0/1,1/1;1/1,1/1", "--gamma", "negation"],
+    "catalog": ["--gamma", "negation"],
+    "decompose": [],
+    "hwv": ["--k", "0"],
+    "oracle": ["--weight", "1"],
+    "sample": ["--point", "0/1,1/1;1/1,1/1", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("weights", [["0", "1"], ["1", "-2"]], ids=" ".join)
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", WEIGHT_COMMANDS)
+def test_weight_below_one_is_a_usage_error(tmp_path, command, from_config, weights):
+    argv = [command, *WEIGHT_COMMANDS[command]]
+    if command == "sample":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    if from_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"weights": [int(w) for w in weights]}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--weights", *weights]
+    p = run_main(*argv)
+    assert_usage_error(p)
+    assert (p.stdout, p.stderr) == ("", "error: both weights must be integers >= 1\n")
+    assert [f.name for f in tmp_path.iterdir()] == (["c.json"] if from_config else [])
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "case.json"

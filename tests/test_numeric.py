@@ -86,6 +86,14 @@ class TestSampleOrbit:
         assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.phis, b.phis)
 
+    def test_same_seed_gives_equal_sets(self):
+        x = REPS[OrbitClass.DENSE]
+        a = numeric.sample_orbit(x, "H", 10, 0)
+        assert a == numeric.sample_orbit(x, "H", 10, 0)
+        assert a != numeric.sample_orbit(x, "H", 10, 1)
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_real_group_preserves_real_points(self):
         samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 1000, 1, 2, 1)
         assert np.abs(samples.coords.imag).max() == 0.0
@@ -747,6 +755,20 @@ class TestGradientIdentity:
             numeric.gradient_identity_residual(((1, 2), (1, 3)), np.array(xi, dtype=complex),
                                                SectionSpaceSpec(1, 2, 1), 0, kappa)
 
+    @pytest.mark.parametrize("xi", [
+        np.zeros((3, 3)),
+        np.array([[1, 1, 5], [0, -1, 7], [9, 9, 9]]),  # a Borel top-left block
+        np.zeros((2, 3)),
+        np.zeros((1, 1)),
+        np.zeros(2),
+    ], ids=["3x3-zero", "3x3-borel-block", "2x3", "1x1", "1-D"])
+    def test_direction_of_wrong_shape_rejected(self, monkeypatch, xi):
+        kappa = numeric.calibrate_gradient_normalization()
+        monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
+        with pytest.raises(ValueError, match=re.escape(f"shape {xi.shape}")):
+            numeric.gradient_identity_residual(((1, 2), (1, 3)), xi.astype(complex),
+                                               SectionSpaceSpec(1, 2, 1), 0, kappa)
+
     @pytest.mark.parametrize("r", [1, 2])
     def test_large_finite_direction_still_checked(self, r):
         kappa = numeric.calibrate_gradient_normalization()
@@ -873,7 +895,10 @@ class TestMemory:
         assert _traced_peak(checks.check_sampled_agreement) < bound
 
     def test_csv_writer_formats_rows_in_blocks(self, tmp_path):
-        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 100_000, 0, 2, 1)
+        # 16 blocks: a writer that turns the whole table into one list peaks
+        # at about 9.1 MB here, against a bound of 3.15 MB
+        n = 16 * numeric._CSV_BLOCK_ROWS
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", n, 0, 2, 1)
         table_bytes = samples.count * len(numeric.CSV_COLUMNS) * 8
         with open(tmp_path / "samples.csv", "w", newline="") as fh:
             peak = _traced_peak(numeric.write_samples_csv, samples, fh)

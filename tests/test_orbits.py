@@ -358,6 +358,7 @@ WEIGHT_TAKERS = {
         lambda l1, l2: gamma_highest_weight_polytope(RealFormCase(X, NEG), l1, l2),
     "enumerate_polytope_catalog": lambda l1, l2: enumerate_polytope_catalog(l1, l2, NEG),
     "SectionSpaceSpec": lambda l1, l2: SectionSpaceSpec(1, l1, l2),
+    "check_weights": reps.check_weights,
 }
 
 
@@ -369,9 +370,21 @@ def test_non_int_weight_is_refused(take, weight):
             take(l1, l2)
 
 
+@pytest.mark.parametrize("take", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS)
+@pytest.mark.parametrize("l1, l2", [(0, 1), (1, -2)])
+def test_weight_below_one_is_refused_in_one_wording(take, l1, l2):
+    with pytest.raises(ValueError, match="^both weights must be integers >= 1$"):
+        take(l1, l2)
+
+
 def test_non_int_bundle_power_is_refused():
-    with pytest.raises(TypeError, match="r=2.0"):
+    with pytest.raises(TypeError, match="^r=2.0 must be an int$"):
         SectionSpaceSpec(2.0, 1, 1)
+
+
+def test_bundle_power_below_one_is_refused_before_the_weights():
+    with pytest.raises(ValueError, match="^r=0 must be >= 1$"):
+        SectionSpaceSpec(0, 0, 1.5)
 
 
 def sum_every_term(poly, coords):

@@ -17,7 +17,6 @@ import pytest
 
 import mplab
 from mplab.checks import CheckResult
-from mplab.cli import CaseSpec
 from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix, SymplecticForm, Value
 from mplab.numeric import SampleSet
 from mplab.orbits import FlagPoint, RealFormCase
@@ -70,21 +69,12 @@ CASES = [
      "phis=array([[ 0.25,  0.  , -1.5 ]]))"),
     (lambda: CheckResult("polytope-table", True, detail="80 cases ok"),
      "CheckResult(name='polytope-table', passed=True, detail='80 cases ok')"),
-    (lambda: CaseSpec(2, 1, point=FlagPoint.real(0, 1, 1, 1)),
-     "CaseSpec(lam1=2, lam2=1, point=FlagPoint(a1=GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1)), "
-     "c1=GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
-     "a2=GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
-     "c2=GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))), gamma=None)"),
 ]
 
 
 def _same(a, b) -> bool:
-    """Value equality; a SampleSet's arrays are compared entry by entry."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, SampleSet):
-        return np.array_equal(a.coords, b.coords) and np.array_equal(a.phis, b.phis)
-    return a == b
+    """Value equality between instances of one class."""
+    return type(a) is type(b) and a == b
 
 
 @pytest.mark.parametrize("build, expected_repr", CASES,
@@ -96,7 +86,7 @@ def test_value_class_parity(build, expected_repr):
     assert repr(a) == expected_repr
     assert a is not b and _same(a, b)
     assert a != object()
-    if isinstance(a, (FlagPoint, RealFormCase, CaseSpec, SampleSet)):
+    if isinstance(a, (FlagPoint, RealFormCase, SampleSet)):
         # projective equality and arrays are not hash-compatible, nor is a
         # value that holds a flag point
         with pytest.raises(TypeError):
