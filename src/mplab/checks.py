@@ -35,7 +35,6 @@ from .orbits import (
 )
 from .polytope import RationalPolytope, hull
 from .reps import (
-    BiHomogPoly,
     SectionSpaceSpec,
     clebsch_gordan_highest_weights,
     highest_weight_vector,
@@ -72,16 +71,6 @@ def _golden_table() -> tuple[tuple, ...]:
                   wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
                   wire.polytope_from_json(c["delta_x"]), wire.polytope_from_json(c["delta_y"]))
                  for c in load_golden_cases())
-
-
-def _proportional(p: BiHomogPoly, q: BiHomogPoly) -> bool:
-    if p.is_zero or q.is_zero:
-        return p.is_zero and q.is_zero
-    if [e for e, _ in p.terms] != [e for e, _ in q.terms]:
-        return False
-    a = p.terms[0][1]
-    b = q.terms[0][1]
-    return p.scale(b) == q.scale(a)
 
 
 def check_polytope_table(seed: int = 0) -> CheckResult:
@@ -123,16 +112,15 @@ def check_cg_completeness(seed: int = 0) -> CheckResult:
 
 
 def check_hw_oracle(seed: int = 0) -> CheckResult:
-    """Brute-force invariant subspaces are one-dimensional multiples of the
-    closed forms at decomposition weights and zero-dimensional elsewhere."""
+    """Brute-force invariant subspaces are spanned by exactly the closed forms
+    at decomposition weights, in their normalization, and are zero elsewhere."""
     bad = []
     specs = [SectionSpaceSpec(r, l1, l2)
              for r in range(1, 4) for l1 in range(1, 4) for l2 in range(1, 4)]
     for spec in specs:
         cg = clebsch_gordan_highest_weights(spec)
         for k, w in enumerate(cg):
-            basis = n_invariant_subspace(spec, w)
-            if len(basis) != 1 or not _proportional(basis[0], highest_weight_vector(spec, k)):
+            if n_invariant_subspace(spec, w) != [highest_weight_vector(spec, k)]:
                 bad.append(f"{spec} w={w}")
     rng = np.random.default_rng(seed)
     zero_checked = 0
@@ -203,7 +191,7 @@ def check_coadjoint(seed: int = 0) -> CheckResult:
 
 
 def _sampled_interval(x, seed: int, lam1: int, lam2: int, mode: str,
-                      eps: float = 0.05) -> tuple[float, float] | None:
+                      eps: float) -> tuple[float, float] | None:
     """The cut interval of one 100 000-point H sample.
 
     Only the interval leaves, so each sample is freed before the next is drawn.
@@ -212,30 +200,31 @@ def _sampled_interval(x, seed: int, lam1: int, lam2: int, mode: str,
     return numeric.sampled_delta(samples, mode, eps)
 
 
+# orbit class, weights, cut mode, eps, tolerance, note label, failure label
+_SAMPLED_ROWS = ((OrbitClass.DENSE, (2, 1), "radial", 0.05, 0.02, "dense", "dense radial"),
+                 (OrbitClass.DIAGONAL, (2, 1), "radial", 0.05, 0.02, "diagonal",
+                  "diagonal radial"),
+                 (OrbitClass.FIRST_FACTOR, (3, 1), "angular", 0.05, 0.05, "first",
+                  "first-factor angular"))
+
+
 def check_sampled_agreement(seed: int = 0) -> CheckResult:
-    """Sampled moment intervals agree with the exact polytopes."""
+    """Sampled moment intervals agree with the exact polytopes; an empty one, with no cut."""
     reps = orbit_representatives()
     bad = []
     notes = []
-
-    lo, hi = _sampled_interval(reps[OrbitClass.DENSE], seed, 2, 1, "radial")
-    notes.append(f"dense:[{lo:.4f},{hi:.4f}]")
-    if abs(lo - 1) > 0.02 or abs(hi - 3) > 0.02:
-        bad.append("dense radial off")
-
-    lo, hi = _sampled_interval(reps[OrbitClass.DIAGONAL], seed, 2, 1, "radial")
-    notes.append(f"diagonal:[{lo:.4f},{hi:.4f}]")
-    if abs(lo - 3) > 0.02 or abs(hi - 3) > 0.02:
-        bad.append("diagonal radial off")
-
-    interval = _sampled_interval(reps[OrbitClass.FIRST_FACTOR], seed, 3, 1, "angular", 0.05)
-    if interval is None:
-        bad.append("first-factor angular empty")
-        notes.append("first:none")
-    else:
-        notes.append(f"first:[{interval[0]:.4f},{interval[1]:.4f}]")
-        if abs(interval[0] - 2) > 0.05 or abs(interval[1] - 2) > 0.05:
-            bad.append("first-factor angular off")
+    for cls, (l1, l2), mode, eps, tol, note, label in _SAMPLED_ROWS:
+        want = moment_polytope(reps[cls], l1, l2).vertices
+        interval = _sampled_interval(reps[cls], seed, l1, l2, mode, eps)
+        if interval is None:
+            notes.append(f"{note}:none")
+            if want:
+                bad.append(f"{label} empty")
+            continue
+        lo, hi = interval
+        notes.append(f"{note}:[{lo:.4f},{hi:.4f}]")
+        if not want or abs(lo - want[0]) > tol or abs(hi - want[-1]) > tol:
+            bad.append(f"{label} off")
     return CheckResult("sampled-agreement", not bad, "; ".join(notes + (bad or ["ok"])))
 
 

@@ -619,6 +619,10 @@ def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
     in floating point.
     """
     _check_gradient_point(point, spec)
+    try:
+        xi = np.asarray(xi, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"xi must be a matrix of numbers: {exc}") from None
     _check_borel(xi)
     derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k)
     if norm2 <= 0:

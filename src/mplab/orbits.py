@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .exactlin import GaussianRational, Value, frac
 from .polytope import RationalPolytope, hull
 from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
-from .weights import ExactGroupElement2x2, InvolutionSpec
+from .weights import BorelElement, InvolutionSpec
 
 
 class OrbitClass(Enum):
@@ -113,8 +113,8 @@ def classify_borel_orbit_closure(x: FlagPoint) -> OrbitClass:
     return OrbitClass.DIAGONAL if d else OrbitClass.DENSE
 
 
-def borel_act(g: ExactGroupElement2x2, x: FlagPoint) -> FlagPoint:
-    """Diagonal action of a 2x2 determinant-1 matrix on both factors."""
+def borel_act(g: BorelElement, x: FlagPoint) -> FlagPoint:
+    """Diagonal action of a Borel element on both factors."""
     p1 = g.apply((x.a1, x.c1))
     p2 = g.apply((x.a2, x.c2))
     return FlagPoint(p1[0], p1[1], p2[0], p2[1])

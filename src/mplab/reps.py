@@ -61,10 +61,6 @@ class BiHomogPoly(Value):
         return cls(bidegree, tuple(sorted((e, c) for e, c in terms.items() if c != 0)))
 
     @classmethod
-    def zero(cls, bidegree: tuple[int, int]) -> "BiHomogPoly":
-        return cls(bidegree, ())
-
-    @classmethod
     def monomial(cls, exp: Exponent, coeff: int = 1) -> "BiHomogPoly":
         a, b, c, d = exp
         return cls.from_terms((a + b, c + d), {exp: coeff})
@@ -75,11 +71,6 @@ class BiHomogPoly(Value):
 
     def __neg__(self) -> "BiHomogPoly":
         return BiHomogPoly(self.bidegree, tuple((e, -c) for e, c in self.terms))
-
-    def scale(self, k: int) -> "BiHomogPoly":
-        if k == 0:
-            return BiHomogPoly.zero(self.bidegree)
-        return BiHomogPoly(self.bidegree, tuple((e, k * c) for e, c in self.terms))
 
     def __mul__(self, other: "BiHomogPoly") -> "BiHomogPoly":
         d1 = self.bidegree[0] + other.bidegree[0]
@@ -295,6 +286,8 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
     one row per monomial of weight ``weight + 2``: as the t^e shear
     coefficient is (-1)^e D^e f / e!, every power of t then vanishes.
     Independent of the closed-form construction, so it serves as its oracle.
+    Each basis vector has coprime integer coefficients, and the coefficient
+    of its largest exponent is positive.
     """
     monos = [m for m in _monomials(spec.bidegree)
              if (m[1] - m[0]) + (m[3] - m[2]) == weight]

@@ -1,4 +1,4 @@
-"""Torus involutions on the weight axis and exact 2x2 group elements.
+"""Torus involutions on the weight axis and exact Borel elements.
 
 Conventions for the worked model: the maximal torus of SU(2) consists of the
 diagonal matrices and weights are stored in alpha-units, integers on the
@@ -7,8 +7,6 @@ are w -> -w and w -> w, so an involution is a sign.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .exactlin import GaussianRational, Value
 from .polytope import RationalPolytope, contains, hull
@@ -44,31 +42,18 @@ def identity_involution() -> InvolutionSpec:
     return InvolutionSpec(1, "identity")
 
 
-class ExactGroupElement2x2(Value):
-    """2x2 matrix over Q(i) with determinant exactly 1."""
+class BorelElement(Value):
+    """Borel element [[alpha, beta], [0, 1/alpha]] over Q(i); its determinant is 1."""
 
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    d: GaussianRational
+    alpha: GaussianRational
+    beta: GaussianRational
 
-    def __init__(self, a: GaussianRational, b: GaussianRational,
-                 c: GaussianRational, d: GaussianRational):
-        det = a * d - b * c
-        if not (det.re == 1 and det.im == 0):
-            raise ValueError("determinant is not exactly 1")
-        self.__dict__.update(a=a, b=b, c=c, d=d)
-
-    @classmethod
-    def upper(cls, alpha: GaussianRational, beta: GaussianRational) -> "ExactGroupElement2x2":
-        """Borel element [[alpha, beta], [0, 1/alpha]]."""
+    def __init__(self, alpha: GaussianRational, beta: GaussianRational):
         if alpha.is_zero:
             raise ValueError("alpha must be nonzero")
-        zero = GaussianRational(Fraction(0))
-        one = GaussianRational(Fraction(1))
-        return cls(alpha, beta, zero, one / alpha)
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     def apply(self, pair: tuple[GaussianRational, GaussianRational]
               ) -> tuple[GaussianRational, GaussianRational]:
         x, y = pair
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
+        return (self.alpha * x + self.beta * y, y / self.alpha)

@@ -32,7 +32,7 @@ def broken_representation_route():
     genuine = orbits.highest_weight_vector
 
     def broken(spec, k):
-        return BiHomogPoly.zero(spec.bidegree) if k == 0 else genuine(spec, k)
+        return BiHomogPoly(spec.bidegree, ()) if k == 0 else genuine(spec, k)
 
     clear_route_memos()
     try:

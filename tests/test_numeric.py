@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mplab import checks, numeric
-from mplab.orbits import (FlagPoint, OrbitClass, RealFormCase, orbit_representatives,
-                          real_moment_polytope)
+from mplab.orbits import (FlagPoint, OrbitClass, RealFormCase, classify_borel_orbit_closure,
+                          moment_polytope, orbit_representatives, real_moment_polytope)
+from mplab.polytope import RationalPolytope, hull
 from mplab.reps import SectionSpaceSpec, highest_weight_vector
 from mplab.weights import negation_involution
 
@@ -389,6 +390,35 @@ class TestSampledDelta:
         samples = numeric.sample_orbit(REPS[OrbitClass.DIAGONAL], "G", 100_000, 4, 2, 1)
         lo, hi = numeric.sampled_delta(samples, "radial")
         assert abs(lo - 1) < 0.02 and abs(hi - 3) < 0.02
+
+
+class TestSampledAgreementCheck:
+    """The sampled-agreement check reads its expected intervals from
+    ``moment_polytope``, so a wrong exact side fails it."""
+
+    @pytest.mark.parametrize("exact, failures", [
+        (hull([0, 3]), "dense radial off; diagonal radial off; first-factor angular off"),
+        (hull([2]), "dense radial off; diagonal radial off"),
+        (RationalPolytope.empty(), "dense radial off; diagonal radial off; "
+                                   "first-factor angular off"),
+    ], ids=["segment", "point", "empty"])
+    def test_wrong_exact_polytope_fails(self, monkeypatch, exact, failures):
+        monkeypatch.setattr(checks, "moment_polytope", lambda x, lam1, lam2: exact)
+        result = checks.check_sampled_agreement(0)
+        assert not result.passed
+        assert result.detail.endswith("; " + failures)
+
+    def test_reads_the_exact_polytope_of_each_row(self, monkeypatch):
+        calls = []
+
+        def recording(x, lam1, lam2):
+            calls.append((classify_borel_orbit_closure(x), lam1, lam2))
+            return moment_polytope(x, lam1, lam2)
+
+        monkeypatch.setattr(checks, "moment_polytope", recording)
+        assert checks.check_sampled_agreement(0).passed
+        assert calls == [(OrbitClass.DENSE, 2, 1), (OrbitClass.DIAGONAL, 2, 1),
+                         (OrbitClass.FIRST_FACTOR, 3, 1)]
 
 
 class TestCoadjointFixedCheck:
@@ -767,6 +797,25 @@ class TestGradientIdentity:
         monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
         with pytest.raises(ValueError, match=re.escape(f"shape {xi.shape}")):
             numeric.gradient_identity_residual(((1, 2), (1, 3)), xi.astype(complex),
+                                               SectionSpaceSpec(1, 2, 1), 0, kappa)
+
+    @pytest.mark.parametrize("xi", [[[1, 1], [0, -1]], ((0.5, 2j), (0, -0.5))],
+                             ids=["list", "tuple"])
+    def test_nested_sequence_direction_equals_the_array(self, xi):
+        kappa = numeric.calibrate_gradient_normalization()
+        spec = SectionSpaceSpec(1, 2, 1)
+        got = numeric.gradient_identity_residual(((1, 2), (1, 3)), xi, spec, 0, kappa)
+        for array in (np.array(xi), np.array(xi, dtype=complex)):
+            assert numeric.gradient_identity_residual(((1, 2), (1, 3)), array,
+                                                      spec, 0, kappa) == got
+
+    @pytest.mark.parametrize("xi", [[["a", 1], [0, -1]], [[1, {}], [0, -1]], [[1, 1], [0]]],
+                             ids=["string", "dict", "ragged"])
+    def test_direction_that_is_not_numbers_rejected(self, monkeypatch, xi):
+        kappa = numeric.calibrate_gradient_normalization()
+        monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
+        with pytest.raises(ValueError, match="^xi must be a matrix of numbers: "):
+            numeric.gradient_identity_residual(((1, 2), (1, 3)), xi,
                                                SectionSpaceSpec(1, 2, 1), 0, kappa)
 
     @pytest.mark.parametrize("r", [1, 2])

@@ -36,7 +36,7 @@ from mplab.polytope import (
 )
 from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
-    ExactGroupElement2x2,
+    BorelElement,
     InvolutionSpec,
     identity_involution,
     negation_involution,
@@ -91,8 +91,7 @@ class TestClassification:
 
     def test_borel_action_preserves_class(self):
         # brute-force consistency: the predicates are invariants of the sampled action
-        elements = [ExactGroupElement2x2.upper(GaussianRational.of(a, ai),
-                                               GaussianRational.of(b, bi))
+        elements = [BorelElement(GaussianRational.of(a, ai), GaussianRational.of(b, bi))
                     for a, ai, b, bi in itertools.product((1, 2, F(-1, 3)), (0, 1),
                                                           (0, F(5, 2)), (0, -2))
                     ]
@@ -104,8 +103,7 @@ class TestClassification:
         # sampled points on the dense orbit are in general position, unlike the
         # lower-dimensional classes whose defining predicate stays pinned
         x = REPS[OrbitClass.DENSE]
-        images = [borel_act(ExactGroupElement2x2.upper(GaussianRational.of(a),
-                                                       GaussianRational.of(b)), x)
+        images = [borel_act(BorelElement(GaussianRational.of(a), GaussianRational.of(b)), x)
                   for a in (1, 2, 3) for b in (0, 1)]
         distinct = []
         for img in images:
@@ -117,7 +115,7 @@ class TestClassification:
     def test_diagonal_orbit_stays_diagonal(self):
         x = REPS[OrbitClass.DIAGONAL]
         for a, b in ((2, 5), (F(1, 2), -1), (3, F(7, 3))):
-            g = ExactGroupElement2x2.upper(GaussianRational.of(a), GaussianRational.of(b))
+            g = BorelElement(GaussianRational.of(a), GaussianRational.of(b))
             assert orbit_predicates(borel_act(g, x))[2]
 
 
@@ -562,7 +560,7 @@ def borel_moves(draw, field):
         beta = -alpha * x.a2 / x.c2
     else:
         beta = draw(numbers[field])
-    return x, ExactGroupElement2x2.upper(alpha, beta)
+    return x, BorelElement(alpha, beta)
 
 
 class TestBorelInvariance:
@@ -695,16 +693,16 @@ def oracle_basis(spec, w):
     return tuple(reps.n_invariant_subspace(spec, w))
 
 
-def oracle_hull(coords, lam1, lam2):
+def oracle_hull(coords, lam1, lam2, r_max=orbits.REPRESENTATION_R_MAX):
     """The hull of w / r over every weight w that has an N-invariant vector
-    nonzero at ``coords`` in the r-th bundle power, r <= REPRESENTATION_R_MAX.
+    nonzero at ``coords`` in the r-th bundle power, r <= ``r_max``.
 
     The invariant vectors are the oracle's, the kernel of the raising
     operator at each weight of the decomposition; no orbit class and no
     closed form of an invariant vector is read.
     """
     achieved = []
-    for r in range(1, orbits.REPRESENTATION_R_MAX + 1):
+    for r in range(1, r_max + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for w in reps.weight_decomposition(spec):
             if any(not f.evaluate(coords).is_zero for f in oracle_basis(spec, w)):
@@ -744,6 +742,16 @@ class TestThirdRoute:
             for gamma in (NEG, identity_involution()):
                 assert gamma.negated_cut(got) == real_moment_polytope(
                     RealFormCase(x, gamma), lam1, lam2)
+
+    @pytest.mark.parametrize("cls", list(OrbitClass))
+    @given(data=st.data(), lam1=st.integers(1, 4), lam2=st.integers(1, 4))
+    @settings(deadline=None, max_examples=10)
+    def test_hull_is_saturated_at_the_first_power(self, cls, data, lam1, lam2):
+        # the bundle powers 2 to 4 add no vertex to the hull of the first
+        x = data.draw(gaussian_points(cls))
+        first = oracle_hull(x.coords, lam1, lam2, r_max=1)
+        assert oracle_hull(x.coords, lam1, lam2, r_max=4) == first
+        assert first == moment_polytope(x, lam1, lam2)
 
     @pytest.mark.parametrize("cls", list(OrbitClass))
     @given(data=st.data(), lam1=st.integers(1, 4), lam2=st.integers(1, 4),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -214,7 +214,8 @@ class TestNInvariance:
         spec = SectionSpaceSpec(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
                                 data.draw(st.integers(1, 4)))
         k = data.draw(st.integers(0, spec.k_max))
-        terms = dict(highest_weight_vector(spec, k).scale(data.draw(st.integers(1, 3))).terms)
+        m = data.draw(st.integers(1, 3))
+        terms = {e: m * c for e, c in highest_weight_vector(spec, k).terms}
         d1, d2 = spec.bidegree
         monos = st.tuples(st.integers(0, d1), st.integers(0, d2)).map(
             lambda ac: (ac[0], d1 - ac[0], ac[1], d2 - ac[1]))
@@ -279,13 +280,39 @@ class TestOracle:
                  for r in (1, 2, 3) for l1 in (1, 2, 3) for l2 in (1, 2, 3)]
         for spec in specs:
             for k, w in enumerate(clebsch_gordan_highest_weights(spec)):
-                basis = n_invariant_subspace(spec, w)
-                assert len(basis) == 1
                 f = highest_weight_vector(spec, k)
-                g = basis[0]
-                assert f.scale(g.terms[0][1]) == g.scale(f.terms[0][1])
-                # the oracle's integer vector is primitive, as the closed form is
-                assert g in (f, -f)
+                # the oracle's integer vector is primitive with a positive
+                # coefficient on its largest exponent, so it is the closed form
+                assert n_invariant_subspace(spec, w) == [f]
+                assert gcd(*(c for _, c in f.terms)) == 1 and max(f.terms)[1] == 1
+
+    def test_check_refuses_a_multiple_of_the_closed_form(self, monkeypatch):
+        genuine = checks.n_invariant_subspace
+
+        def doubled(spec, w):
+            return [BiHomogPoly(g.bidegree, tuple((e, 2 * c) for e, c in g.terms))
+                    for g in genuine(spec, w)]
+
+        monkeypatch.setattr(checks, "n_invariant_subspace", doubled)
+        result = checks.check_hw_oracle()
+        assert not result.passed
+        assert "SectionSpaceSpec(r=1, lam1=1, lam2=1) w=2" in result.detail
+
+    def test_check_refuses_coefficients_that_are_not_proportional(self, monkeypatch):
+        genuine = checks.highest_weight_vector
+
+        def skewed(spec, k):
+            # term i times i + 1: the same exponents, and no longer a multiple
+            # of the closed form wherever it has two terms or more
+            f = genuine(spec, k)
+            return BiHomogPoly(f.bidegree, tuple((e, (i + 1) * c)
+                                                 for i, (e, c) in enumerate(f.terms)))
+
+        monkeypatch.setattr(checks, "highest_weight_vector", skewed)
+        result = checks.check_hw_oracle()
+        assert not result.passed
+        assert "SectionSpaceSpec(r=1, lam1=1, lam2=1) w=0" in result.detail
+        assert "SectionSpaceSpec(r=1, lam1=1, lam2=1) w=2" not in result.detail  # a monomial
 
     def test_off_parity_weights_empty(self):
         spec = SectionSpaceSpec(1, 2, 1)
@@ -356,7 +383,7 @@ class TestBiHomogPoly:
     def test_pretty_deterministic(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
         assert f.pretty() == "x1*y2 - y1*x2"
-        assert BiHomogPoly.zero((1, 1)).pretty() == "0"
+        assert BiHomogPoly((1, 1), ()).pretty() == "0"
 
     def test_large_binomials_exact(self):
         from math import comb
