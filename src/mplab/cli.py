@@ -15,8 +15,8 @@ seed: ``--seed``, then the config file, then ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
-``catalog`` the same for the section space at the representation route's
-largest bundle power, ``polytope --membership`` weights with L1 + L2 at most
+``catalog`` the same for the section space at bundle power
+``ROUTE_LIMIT_POWER``, ``polytope --membership`` weights with L1 + L2 at most
 ``MAX_MEMBERSHIP_WEIGHT_SUM``, and ``sample`` at most ``MAX_SAMPLES``
 samples.  A larger input is a usage error (exit 2).
 """
@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from . import wire
 from .orbits import (
-    REPRESENTATION_R_MAX,
     FlagPoint,
     RealFormCase,
     RouteDisagreementError,
@@ -61,6 +60,11 @@ MAX_SAMPLES = 100_000
 # Largest L1 + L2 for ``polytope --membership``.  Its table has 2(L1 + L2) + 5
 # rows, one membership test each: 4005 rows at the limit.
 MAX_MEMBERSHIP_WEIGHT_SUM = 2000
+
+# Bundle power whose section space ``realpolytope`` and ``catalog`` hold to
+# ``MAX_SECTION_SPACE_DIM``: (2*L1 + 1)(2*L2 + 1) <= 2500, so weights up to
+# (24, 24) are accepted.  The representation route itself evaluates power 1.
+ROUTE_LIMIT_POWER = 2
 
 
 def _emit(obj) -> None:
@@ -194,7 +198,7 @@ def cmd_realpolytope(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     lam1, lam2 = cfg.weights()
     x, gamma = cfg.point(), cfg.gamma()
-    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, lam1, lam2))
+    _limited(SectionSpaceSpec(ROUTE_LIMIT_POWER, lam1, lam2))
     try:
         via_intersection = real_moment_polytope(RealFormCase(x, gamma), lam1, lam2)
         via_membership, same = via_intersection, True
@@ -212,7 +216,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     lam1, lam2 = cfg.weights()
     gamma = cfg.gamma()
-    _limited(SectionSpaceSpec(REPRESENTATION_R_MAX, lam1, lam2))
+    _limited(SectionSpaceSpec(ROUTE_LIMIT_POWER, lam1, lam2))
     cat = enumerate_polytope_catalog(lam1, lam2, gamma)
     _emit({"weights": [lam1, lam2], "gamma": gamma.label,
            "count": len(cat), "polytopes": [wire.polytope_to_json(p) for p in cat]})

@@ -31,8 +31,6 @@ independent routes, compared on every call; a disagreement raises
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, Value, frac
@@ -194,36 +192,17 @@ class RealFormCase(Value):
         self.__dict__.update(x=x, gamma=gamma)
 
 
-# Largest bundle power the representation route evaluates.
-REPRESENTATION_R_MAX = 2
-
-# Bound of the representation-route memo below.  The verify gate asks for 80
-# distinct (point, weights) pairs, the five orbit representatives over the
-# 4 x 4 weight grid; a stream of distinct points only ever misses, so the
-# bound keeps the memo's memory fixed.
-ACHIEVED_HULL_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=ACHIEVED_HULL_CACHE_SIZE)
 def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -> RationalPolytope:
-    """Hull of the weights whose invariant vectors are nonzero at ``coords``.
-
-    Independent of the involution, so it is memoized per exact coordinate
-    tuple; a projectively equal point written with other coordinates is a
-    miss, which is still correct.
-    """
-    achieved: list[Fraction] = []
-    for r in range(1, REPRESENTATION_R_MAX + 1):
-        spec = SectionSpaceSpec(r, lam1, lam2)
-        # The weight falls as k grows, so the least and the greatest
-        # achieving k span the same hull as every achieving k does.
-        low = _first_nonzero(spec, range(spec.k_max + 1), coords)
-        if low is None:
-            continue
-        high = _first_nonzero(spec, range(spec.k_max, low, -1), coords)
-        achieved += [Fraction(r * (lam1 + lam2) - 2 * k, r)
-                     for k in (low, high) if k is not None]
-    return hull(achieved)
+    """Hull of the weights whose invariant vectors at the first bundle power
+    are nonzero at ``coords``; independent of the involution."""
+    spec = SectionSpaceSpec(1, lam1, lam2)
+    # The weight falls as k grows, so the least and the greatest achieving k
+    # span the same hull as every achieving k does.
+    low = _first_nonzero(spec, range(spec.k_max + 1), coords)
+    if low is None:
+        return RationalPolytope.empty()
+    high = _first_nonzero(spec, range(spec.k_max, low, -1), coords)
+    return hull([lam1 + lam2 - 2 * k for k in (low, high) if k is not None])
 
 
 def _first_nonzero(spec: SectionSpaceSpec, ks: range,
@@ -236,17 +215,14 @@ def _first_nonzero(spec: SectionSpaceSpec, ks: range,
 def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:
     """Closure of the constrained weight set, by the representation route.
 
-    Evaluates the expanded invariant vectors at the base point over bundle
-    powers r <= ``REPRESENTATION_R_MAX``, hulls the achieved weights (exact
-    rationals), and cuts them by the negated eigenspace of gamma.  The weight
-    (r(lam1+lam2) - 2k)/r falls as k grows, so each power is scanned from
-    both ends: k upward to the first vector that does not vanish, then
-    downward to the last, stopping short of the first; the k in between are
-    never evaluated.  A dense point costs two vectors per power; the other
-    classes achieve at most one k per power and cost every vector.
-    For integer weights r = 1 already achieves the extreme points.  The hull
-    is memoized per (coordinates, weights) in a memo of
-    ``ACHIEVED_HULL_CACHE_SIZE`` entries; the cut by gamma runs on every call.
+    Evaluates the expanded invariant vectors of the first bundle power at the
+    base point, hulls the achieved weights lam1 + lam2 - 2k, and cuts them by
+    the negated eigenspace of gamma.  With integer weights the higher powers
+    add no vertex, so they are not evaluated.  The weight falls as k grows,
+    so k is scanned from both ends: upward to the first vector that does not
+    vanish, then downward to the last, stopping short of the first; the k in
+    between are never evaluated.  A dense point costs two vectors; the other
+    classes achieve at most one k and cost every vector.
     """
     check_weights(lam1, lam2)
     return case.gamma.negated_cut(_achieved_hull(case.x.coords, lam1, lam2))
@@ -301,30 +277,17 @@ def orbit_representatives() -> dict[OrbitClass, FlagPoint]:
     }
 
 
-# Bound of the catalog memo below.  The exact workload asks for the 64 pairs
-# of its 8 x 8 weight grid under one involution, verify's catalog check for
-# 16 pairs in 17 calls, the command line for one; 128 holds that grid under
-# both involutions.
-CATALOG_CACHE_SIZE = 128
-
-
 def enumerate_polytope_catalog(lam1: int, lam2: int,
                                gamma: InvolutionSpec) -> list[RationalPolytope]:
-    """Distinct real-form polytopes over the five orbit classes (at most 5).
+    """Distinct real-form polytopes over the five orbit classes (at most 5),
+    sorted by vertex count, then vertices.
 
-    A pure function of its arguments, memoized per (lam1, lam2, gamma) in a
-    memo of ``CATALOG_CACHE_SIZE`` entries; the two routes are compared when
-    a key is first computed, and each call returns a new list.
+    Each call compares the two routes at every class and returns a new list.
     """
     check_weights(lam1, lam2)
-    return list(_catalog(lam1, lam2, gamma))
-
-
-@lru_cache(maxsize=CATALOG_CACHE_SIZE)
-def _catalog(lam1: int, lam2: int, gamma: InvolutionSpec) -> tuple[RationalPolytope, ...]:
     seen: list[RationalPolytope] = []
     for rep in orbit_representatives().values():
         poly = real_moment_polytope(RealFormCase(rep, gamma), lam1, lam2)
         if poly not in seen:
             seen.append(poly)
-    return tuple(sorted(seen, key=lambda p: (len(p.vertices), p.vertices)))
+    return sorted(seen, key=lambda p: (len(p.vertices), p.vertices))

@@ -208,20 +208,9 @@ def hw_vector_product_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
     return BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * _det_power(k)
 
 
-# Bound of the memo below: it holds the verify gate's 173 (spec, k) keys, while
-# the exact workload's 8 x 8 weight grid never fits, so its memory stays fixed.
-HW_VECTOR_CACHE_SIZE = 256
-
-
 def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
-    """The distinguished invariant vector, with the two closed forms cross-checked
-    once per (spec, k) in a memo of ``HW_VECTOR_CACHE_SIZE`` entries."""
-    _check_k(spec, k)
-    return _hw_vector(spec, k)
-
-
-@lru_cache(maxsize=HW_VECTOR_CACHE_SIZE)
-def _hw_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
+    """The distinguished invariant vector; both closed forms are built and
+    compared on every call."""
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     if sum_form != product_form:

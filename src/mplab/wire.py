@@ -42,8 +42,10 @@ def json_int(value) -> int:
 
 
 def pair_to_rational(pair) -> Fraction:
-    num, den = pair
-    return Fraction(json_int(num), json_int(den))
+    """A [num, den] JSON array of exactly two entries; anything else is a ``ValueError``."""
+    if type(pair) is not list or len(pair) != 2:
+        raise ValueError("a polytope JSON vertex must be a [num, den] array")
+    return Fraction(json_int(pair[0]), json_int(pair[1]))
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:
@@ -58,11 +60,11 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
         dim = json_int(obj["dim"])
         if dim != 1:
             raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
+        if type(obj["vertices"]) is not list:
+            raise ValueError('polytope JSON "vertices" must be an array')
         verts = tuple(sorted(pair_to_rational(v) for v in obj["vertices"]))
     except ZeroDivisionError:
         raise ValueError("zero denominator in polytope JSON") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed polytope JSON: {exc}") from exc
     return RationalPolytope(verts)
 
 

