@@ -15,9 +15,9 @@ seed: ``--seed``, then the config file, then ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
-``catalog`` the same for the section space at bundle power
-``ROUTE_LIMIT_POWER``, ``polytope --membership`` weights with L1 + L2 at most
-``MAX_MEMBERSHIP_WEIGHT_SUM``, and ``sample`` at most ``MAX_SAMPLES``
+``catalog`` the same for the section space at bundle power 1, the one the
+representation route evaluates, ``polytope --membership`` weights with L1 + L2
+at most ``MAX_MEMBERSHIP_WEIGHT_SUM``, and ``sample`` at most ``MAX_SAMPLES``
 samples.  A larger input is a usage error (exit 2).
 """
 
@@ -43,6 +43,7 @@ from .orbits import (
 )
 from .reps import (
     MAX_SECTION_SPACE_DIM,
+    BiHomogPoly,
     SectionSpaceSpec,
     check_weights,
     clebsch_gordan_highest_weights,
@@ -60,11 +61,6 @@ MAX_SAMPLES = 100_000
 # Largest L1 + L2 for ``polytope --membership``.  Its table has 2(L1 + L2) + 5
 # rows, one membership test each: 4005 rows at the limit.
 MAX_MEMBERSHIP_WEIGHT_SUM = 2000
-
-# Bundle power whose section space ``realpolytope`` and ``catalog`` hold to
-# ``MAX_SECTION_SPACE_DIM``: (2*L1 + 1)(2*L2 + 1) <= 2500, so weights up to
-# (24, 24) are accepted.  The representation route itself evaluates power 1.
-ROUTE_LIMIT_POWER = 2
 
 
 def _emit(obj) -> None:
@@ -198,7 +194,7 @@ def cmd_realpolytope(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     lam1, lam2 = cfg.weights()
     x, gamma = cfg.point(), cfg.gamma()
-    _limited(SectionSpaceSpec(ROUTE_LIMIT_POWER, lam1, lam2))
+    _limited(SectionSpaceSpec(1, lam1, lam2))
     try:
         via_intersection = real_moment_polytope(RealFormCase(x, gamma), lam1, lam2)
         via_membership, same = via_intersection, True
@@ -216,7 +212,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     cfg = _Config(args)
     lam1, lam2 = cfg.weights()
     gamma = cfg.gamma()
-    _limited(SectionSpaceSpec(ROUTE_LIMIT_POWER, lam1, lam2))
+    _limited(SectionSpaceSpec(1, lam1, lam2))
     cat = enumerate_polytope_catalog(lam1, lam2, gamma)
     _emit({"weights": [lam1, lam2], "gamma": gamma.label,
            "count": len(cat), "polytopes": [wire.polytope_to_json(p) for p in cat]})
@@ -243,20 +239,14 @@ def cmd_hwv(args: argparse.Namespace) -> int:
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     d1, d2 = spec.bidegree
-    factors = []
-    for name, power in (("y1", d1 - k), ("y2", d2 - k)):
-        if power == 1:
-            factors.append(name)
-        elif power > 1:
-            factors.append(f"{name}^{power}")
-    if k == 1:
-        factors.append("(x1*y2 - x2*y1)")
-    elif k > 1:
-        factors.append(f"(x1*y2 - x2*y1)^{k}")
+    monomial = BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)).pretty()
+    factors = [] if monomial == "1" else [monomial]
+    if k:
+        factors.append("(x1*y2 - x2*y1)" + (f"^{k}" if k > 1 else ""))
     _emit({"r": spec.r, "k": k, "weights": [spec.lam1, spec.lam2],
            "weight": spec.r * (spec.lam1 + spec.lam2) - 2 * k,
            "sum_form": sum_form.pretty(),
-           "product_form": "*".join(factors) if factors else "1",
+           "product_form": "*".join(factors) or "1",
            "product_form_expanded": product_form.pretty(),
            "forms_equal": sum_form == product_form})
     return 0 if sum_form == product_form else 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import cached_property
 from typing import IO
 
@@ -42,39 +43,46 @@ ComplexFlagPoint = tuple[ComplexPair, ComplexPair]
 
 
 def _as_complex_pairs(point) -> ComplexFlagPoint:
-    if isinstance(point, FlagPoint):
-        return point.as_complex_pairs()
-    (a1, c1), (a2, c2) = point
-    return ((complex(a1), complex(c1)), (complex(a2), complex(c2)))
-
-
-def _norm_sq(a: complex, c: complex) -> float:
-    """|a|^2 + |c|^2, refusing a zero pair, a nan entry and a pair whose
-    squared modulus a float cannot hold (0 or inf from a nonzero pair)."""
-    if a == 0 and c == 0:
-        raise ValueError("zero coordinate pair")
-    if cmath.isnan(a) or cmath.isnan(c):
-        raise ValueError(f"coordinate pair ({a}, {c}) holds a nan")
+    """The point's two coordinate pairs as complex floats; a coordinate that a
+    float cannot hold is a ValueError."""
+    (a1, c1), (a2, c2) = ((point.coords[:2], point.coords[2:])
+                          if isinstance(point, FlagPoint) else point)
     try:
-        n = abs(a) ** 2 + abs(c) ** 2
+        return ((complex(a1), complex(c1)), (complex(a2), complex(c2)))
     except OverflowError:
-        n = math.inf
-    if n == 0 or n == math.inf:
-        raise ValueError(f"squared modulus of the coordinate pair ({a}, {c}) "
-                         f"{'underflows to 0' if n == 0 else 'overflows'}; "
-                         "scale the pair toward 1")
-    return n
+        raise ValueError("a coordinate is beyond the float range; "
+                         "scale its pair toward 1") from None
 
 
-def hopf_vector(a: complex, c: complex) -> np.ndarray:
-    """Unit vector of a homogeneous coordinate pair; (0:1) -> +e3, (1:0) -> -e3."""
-    n = _norm_sq(a, c)
-    ac = np.conj(a) * c
-    return np.array([-2 * ac.real, -2 * ac.imag, abs(c) ** 2 - abs(a) ** 2]) / n
+def _check_base(point) -> tuple[ComplexFlagPoint, list[float]]:
+    """The point's complex pairs and their squared moduli |a|^2 + |c|^2.
+
+    Refuses a non-finite coordinate, a zero pair and a pair whose squared
+    modulus a float cannot hold (0 or inf from a nonzero pair).  The pairs of
+    a FlagPoint are exactly nonzero, so floats (0, 0) there underflow.
+    """
+    base = _as_complex_pairs(point)
+    moduli = []
+    for a, c in base:
+        if not (cmath.isfinite(a) and cmath.isfinite(c)):
+            raise ValueError("base point coordinates must be finite")
+        if a == 0 and c == 0 and not isinstance(point, FlagPoint):
+            raise ValueError("zero coordinate pair")
+        try:
+            n = abs(a) ** 2 + abs(c) ** 2
+        except OverflowError:
+            n = math.inf
+        if n == 0 or n == math.inf:
+            raise ValueError(f"squared modulus of the coordinate pair ({a}, {c}) "
+                             f"{'underflows to 0' if n == 0 else 'overflows'}; "
+                             "scale the pair toward 1")
+        moduli.append(n)
+    return base, moduli
 
 
-def _hopf_batch(a: np.ndarray, c: np.ndarray, lam: int) -> np.ndarray:
-    """lam times the unit vectors of the pairs (a, c), as a column-major (n, 3) array."""
+def _hopf_batch(a: np.ndarray, c: np.ndarray, lam) -> np.ndarray:
+    """lam (a scalar or an (n, 1) column) times the unit vectors of the pairs
+    (a, c), (0:1) -> +e3 and (1:0) -> -e3, as a column-major (n, 3) array."""
     aa, cc = np.abs(a) ** 2, np.abs(c) ** 2
     ac = np.conj(a) * c
     h = np.empty((len(a), 3), order="F")
@@ -88,8 +96,9 @@ def _hopf_batch(a: np.ndarray, c: np.ndarray, lam: int) -> np.ndarray:
 
 def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
     """Diagonal-action moment value lam1*h(p1) + lam2*h(p2) in R^3 (alpha-units)."""
-    (a1, c1), (a2, c2) = _as_complex_pairs(point)
-    return lam1 * hopf_vector(a1, c1) + lam2 * hopf_vector(a2, c2)
+    a, c = np.array(_check_base(point)[0], order="F").T  # (a1, a2) and (c1, c2)
+    h = _hopf_batch(a, c, np.array([[lam1], [lam2]], float))
+    return h[0] + h[1]
 
 
 class SampleSet(Value):
@@ -235,13 +244,6 @@ def check_sample_args(subgroup: str, n: int) -> None:
         raise ValueError(f"unknown subgroup tag {subgroup!r}; expected B, H, G or G'")
 
 
-def _check_base(base: ComplexFlagPoint) -> None:
-    for a, c in base:
-        if not (cmath.isfinite(a) and cmath.isfinite(c)):
-            raise ValueError("base point coordinates must be finite")
-        _norm_sq(a, c)
-
-
 def _orbit_coords(base: ComplexFlagPoint, subgroup: str, n: int, seed: int) -> np.ndarray:
     """The column-major (n, 4) complex coordinates of the drawn g.x; the
     matrices die here."""
@@ -262,12 +264,14 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     determinant-1 group; B, H, G' act by the same matrix on both factors.
     A zero coordinate pair, a non-finite coordinate or a pair whose squared
     modulus underflows to 0 or overflows is refused before anything is
-    drawn.  A drawn element can still scale a pair near either end out of
-    range, so a sample with a non-finite moment value is refused after.
+    drawn, and so is a weight a float cannot hold.  A drawn element can
+    still scale a pair near either end out of range, so a sample with a
+    non-finite moment value is refused after.
     """
     check_sample_args(subgroup, n)
-    base = _as_complex_pairs(x)
-    _check_base(base)
+    if max(lam1, lam2) > sys.float_info.max:
+        raise ValueError("a weight is beyond the float range")
+    base = _check_base(x)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         coords = _orbit_coords(base, subgroup, n, seed)
         phis = _hopf_batch(coords[:, 0], coords[:, 1], lam1)
@@ -488,23 +492,10 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
 
 
 def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
-    """Scale-invariant squared norm |F(z)|^2 / (|z1|^(2 r lam1) |z2|^(2 r lam2)).
-
-    A point that :func:`_check_gradient_point` refuses makes the quotient
-    raise or leave (0, inf); only then is the point checked, and refused.
-    """
-    (a1, c1), (a2, c2) = _as_complex_pairs(point)
-    try:
-        val = vec.evaluate_complex((a1, c1, a2, c2))
-        n1 = abs(a1) ** 2 + abs(c1) ** 2
-        n2 = abs(a2) ** 2 + abs(c2) ** 2
-        out = float(abs(val) ** 2 / (n1 ** (spec.r * spec.lam1) * n2 ** (spec.r * spec.lam2)))
-    except ArithmeticError:
-        _check_gradient_point(point, spec)
-        raise
-    if not 0 < out < math.inf:
-        _check_gradient_point(point, spec)
-    return out
+    """Scale-invariant squared norm |F(z)|^2 / (|z1|^(2 r lam1) |z2|^(2 r lam2)),
+    at a point that :func:`_check_gradient_point` accepts."""
+    ((a1, c1), (a2, c2)), divisor = _check_gradient_point(point, spec)
+    return float(abs(vec.evaluate_complex((a1, c1, a2, c2))) ** 2 / divisor)
 
 
 _FLOW_STEP = 1e-5  # central-difference step of the gradient check along the flow
@@ -534,17 +525,17 @@ def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
     return section_norm_sq(vec, spec, ((v1[0], v1[1]), (v2[0], v2[1])))
 
 
-def _check_gradient_point(point, spec: SectionSpaceSpec) -> None:
-    """Refuse, naming the point, what :func:`sample_orbit` refuses, and a
-    point where the divisor of :func:`section_norm_sq`, the product over both
-    pairs of the squared modulus to the power r*lam, underflows to 0 or
-    overflows."""
-    base = _as_complex_pairs(point)
+def _check_gradient_point(point, spec: SectionSpaceSpec) -> tuple[ComplexFlagPoint, float]:
+    """The point's complex pairs and the divisor of :func:`section_norm_sq`,
+    the product over both pairs of the squared modulus to the power r*lam.
+
+    Refuses, naming the point, what :func:`sample_orbit` refuses, and a
+    point where the divisor underflows to 0 or overflows.
+    """
     try:
-        _check_base(base)
+        base, moduli = _check_base(point)
         try:
-            divisor = math.prod(_norm_sq(a, c) ** (spec.r * lam)
-                                for (a, c), lam in zip(base, (spec.lam1, spec.lam2)))
+            divisor = moduli[0] ** (spec.r * spec.lam1) * moduli[1] ** (spec.r * spec.lam2)
         except OverflowError:
             divisor = math.inf
         if not 0 < divisor < math.inf:
@@ -554,6 +545,7 @@ def _check_gradient_point(point, spec: SectionSpaceSpec) -> None:
                              "scale the pairs toward 1")
     except ValueError as exc:
         raise ValueError(f"point {point}: {exc}") from None
+    return base, divisor
 
 
 def _check_borel(xi: np.ndarray):

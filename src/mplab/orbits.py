@@ -75,10 +75,6 @@ class FlagPoint(Value):
     def coords(self) -> tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]:
         return (self.a1, self.c1, self.a2, self.c2)
 
-    def as_complex_pairs(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((complex(self.a1), complex(self.c1)),
-                (complex(self.a2), complex(self.c2)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagPoint):
             return NotImplemented

@@ -62,9 +62,14 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
             raise ValueError(f"polytope JSON has dim {dim}; only dim 1 is supported")
         if type(obj["vertices"]) is not list:
             raise ValueError('polytope JSON "vertices" must be an array')
+        if len(obj["vertices"]) > 2:
+            raise ValueError(f"polytope JSON has {len(obj['vertices'])} vertices; "
+                             "an interval has at most two")
         verts = tuple(sorted(pair_to_rational(v) for v in obj["vertices"]))
     except ZeroDivisionError:
         raise ValueError("zero denominator in polytope JSON") from None
+    if len(verts) == 2 and verts[0] == verts[1]:
+        raise ValueError(f"polytope JSON repeats the vertex {verts[0]}")
     return RationalPolytope(verts)
 
 

@@ -147,11 +147,18 @@ class TestMalformedInput:
                                     "--out", str(tmp_path / "x.svg")))
         assert not (tmp_path / "x.svg").exists()
 
-    def test_polytope_json_with_three_vertices(self, tmp_path):
+    @pytest.mark.parametrize("vertices, message", [
+        ([["0", "1"], ["1", "1"], ["2", "1"]], "polytope JSON has 3 vertices; "
+                                               "an interval has at most two"),
+        ([["1", "1"], ["2", "2"]], "polytope JSON repeats the vertex 1"),
+        ([["-3", "2"], ["-3", "2"]], "polytope JSON repeats the vertex -3/2"),
+    ], ids=["three", "repeated", "repeated-fraction"])
+    def test_polytope_json_that_is_not_an_interval(self, tmp_path, vertices, message):
         src = tmp_path / "x.json"
-        src.write_text(json.dumps({"dim": 1, "vertices": [["0", "1"], ["1", "1"], ["2", "1"]]}))
-        assert_usage_error(run_main("plot", "--in", str(src),
-                                    "--out", str(tmp_path / "x.svg")))
+        src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
+        p = run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg"))
+        assert_usage_error(p)
+        assert p.stderr == f"error: {message}\n"
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("dim", [1.9, True], ids=json.dumps)
@@ -266,13 +273,15 @@ class TestInputLimits:
 
     @pytest.mark.parametrize("command", [["catalog"],
                                          ["realpolytope", "--point", "0/1,1/1;1/1,1/1"]])
-    def test_oversized_representation_route(self, command):
-        # r = 2 section space (2*25 + 1)(2*25 + 1) = 2601
-        assert_usage_error(run_main(*command, "--weights", "25", "25", "--gamma", "negation"))
+    def test_oversized_representation_route(self, command, no_representation_work):
+        # the route's r = 1 section space (50 + 1)(49 + 1) = 2550
+        p = run_main(*command, "--weights", "50", "49", "--gamma", "negation")
+        assert_usage_error(p)
+        assert p.stderr == "error: section space dimension 2550 exceeds the limit 2500\n"
 
     def test_largest_representation_route_accepted(self):
-        # r = 2 section space (2*24 + 1)(2*24 + 1) = 2401
-        p = run_main("realpolytope", "--weights", "24", "24",
+        # the route's r = 1 section space (49 + 1)(49 + 1) = 2500
+        p = run_main("realpolytope", "--weights", "49", "49",
                      "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation")
         assert p.returncode == 0
         assert json.loads(p.stdout)["equal"] is True
@@ -597,6 +606,19 @@ class TestSampleAndPlot:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: squared modulus of the coordinate pair") and "overflows" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("weights, point", [
+        (["2", "1"], "9" * 400 + ",1;1,1"),
+        (["1" + "0" * 400, "1"], "0,1;1,1"),
+    ], ids=["coordinate", "weight"])
+    def test_beyond_a_float_exits_2_before_sampling(self, capsys, monkeypatch, weights, point):
+        def no_draw(*args):
+            raise AssertionError("drew matrices for a refused input")
+        monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
+        assert cli.main(["sample", "--weights", *weights, "--point", point, "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond the float range" in err
         assert err.count("\n") == 1
 
     def test_sample_csv(self, tmp_path):

@@ -33,11 +33,11 @@ GENERIC = ["", "-1", "x", "--", "1.5", "0,1;\n1,1", "é"]
 # oversized ones.
 GOOD = 0.8
 POOLS = {
-    "weights": (["1", "2", "3"], ["0", "-2", "x", "2.5", str(10 ** 30)]),
+    "weights": (["1", "2", "3"], ["0", "-2", "x", "2.5", str(10 ** 30), str(10 ** 400)]),
     "point": (["0,1;1,1", "1,1;1,1", "0/1,1/1;1/1,1/1", "1,0;1,0", "0,1;0,1", "1/2,-3;2,5",
                "-0,1;1,-0", "9" * 300 + ",1;1,7", " 1 , 1 ; 1 , 1 "],
               ["0,0;1,1", "1,2", "a,b;c,d", "1/0,1;1,1", ";", "1,1;1,1;1,1", "1e400,1;1,1",
-               "1.5,1;1,1"]),
+               "1.5,1;1,1", "9" * 400 + ",1;1,1"]),
     "gamma": (["negation", "identity", "[[-1]]", "[[1]]"],
               ["[[2]]", "[[0]]", "[[-1, 0]]", "[", "[[1e400]]", "[[true]]", "neg", "[" * 5000]),
     "r": (["1", "2"], ["0", "-1", "x", str(10 ** 30), "40"]),

@@ -40,12 +40,12 @@ class TestMomentMap:
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, c = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-            h = numeric.hopf_vector(a, c)
+            h = numeric.moment_map(((a, c), (1, 0)), 1, 0)
             assert abs(np.linalg.norm(h) - 1) < 1e-12
 
     def test_zero_pair_rejected(self):
-        with pytest.raises(ValueError):
-            numeric.hopf_vector(0, 0)
+        with pytest.raises(ValueError, match="zero coordinate pair"):
+            numeric.moment_map(((0, 0), (1, 3)), 2, 1)
 
     @pytest.mark.parametrize("a, c, message", [
         (1e-200, 0, "underflows to 0"),
@@ -54,7 +54,7 @@ class TestMomentMap:
     ])
     def test_pair_out_of_float_range_rejected(self, a, c, message):
         with pytest.raises(ValueError, match=message):
-            numeric.hopf_vector(a, c)
+            numeric.moment_map(((a, c), (1, 3)), 2, 1)
 
     @pytest.mark.parametrize("a, c", [
         (float("nan"), 1),
@@ -62,18 +62,25 @@ class TestMomentMap:
         (complex(float("nan"), float("inf")), 0),
     ], ids=str)
     def test_nan_pair_rejected(self, a, c):
-        with pytest.raises(ValueError, match="holds a nan"):
-            numeric.hopf_vector(a, c)
-        with pytest.raises(ValueError, match="holds a nan"):
+        with pytest.raises(ValueError, match="finite"):
             numeric.moment_map(((a, c), (1, 3)), 2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            numeric.moment_map(((1, 3), (a, c)), 2, 1)
 
     def test_identity_element_reproduces_value(self):
         x = REPS[OrbitClass.DENSE]
-        (a1, c1), (a2, c2) = x.as_complex_pairs()
+        (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
         ident = np.eye(2, dtype=complex)
         moved = ((ident[0, 0] * a1, ident[1, 1] * c1), (a2, c2))
         assert np.allclose(numeric.moment_map(moved, 2, 1),
                            numeric.moment_map(x, 2, 1), atol=0)
+
+    def test_equals_the_sampler_bit_for_bit(self):
+        # one Hopf formula: the moment value of a sampled point is its sampled phi
+        samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "B", 200, 4, 3, 2)
+        for row, phi in zip(samples.coords, samples.phis):
+            got = numeric.moment_map(((row[0], row[1]), (row[2], row[3])), 3, 2)
+            assert _bits(got).tolist() == _bits(phi).tolist()
 
     def test_real_points_have_no_fixed_axis_component(self):
         samples = numeric.sample_orbit(REPS[OrbitClass.DENSE], "H", 1000, 5, 2, 1)
@@ -105,6 +112,14 @@ class TestSampleOrbit:
         norms1 = np.abs(samples.coords[:, 0]) ** 2 + np.abs(samples.coords[:, 1]) ** 2
         assert np.allclose(norms1, 1.0, atol=1e-12)  # unitary images of a unit vector
 
+    @pytest.mark.parametrize("lams", [(10 ** 400, 1), (2, 10 ** 309)], ids=["lam1", "lam2"])
+    def test_weight_beyond_float_refused_before_drawing(self, monkeypatch, lams):
+        def no_draw(*args):
+            raise AssertionError("drew matrices for a refused weight")
+        monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
+        with pytest.raises(ValueError, match="a weight is beyond the float range"):
+            numeric.sample_orbit(REPS[OrbitClass.DENSE], "B", 10, 0, *lams)
+
     def test_unknown_subgroup(self):
         with pytest.raises(ValueError):
             numeric.sample_orbit(REPS[OrbitClass.DENSE], "Q", 10, 0)
@@ -121,6 +136,9 @@ class TestSampleOrbit:
         (((float("nan"), float("nan")), (1, 0)), "finite"),
         (((1e-200, 0), (1, 1)), "underflows to 0"),
         (((1, 1), (10.0 ** 200, 1)), "overflows"),
+        (FlagPoint.real(10 ** 400, 1, 1, 1), "a coordinate is beyond the float range"),
+        (FlagPoint.real(1, 1, 2, F(-(10 ** 400), 3)), "a coordinate is beyond the float range"),
+        (FlagPoint.real(F(1, 10 ** 400), 0, 1, 1), r"pair \(0j, 0j\) underflows to 0"),
     ])
     def test_bad_base_point_refused_before_drawing(self, monkeypatch, point, message):
         def no_draw(*args):
@@ -849,9 +867,11 @@ class TestGradientIdentity:
         ((1, 2), (1, complex("inf"))),
         ((1e77, 1), (1, 3)),               # |z1|^2 is finite, |z1|^4 is not
         ((1e-78, 1e-78), (1e-78, 3e-78)),  # |z1|^4 |z2|^2 underflows to 0
+        FlagPoint.real(10 ** 400, 1, 1, 3),  # a coordinate beyond a float
+        FlagPoint.real(1, 2, F(10 ** 400, 7), 3),
     ]
 
-    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=str)
+    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=lambda p: str(p)[:40])
     def test_point_out_of_range_rejected(self, monkeypatch, point):
         kappa = numeric.calibrate_gradient_normalization()
         monkeypatch.setattr(numeric, "_identity_terms", None)  # no work may start
@@ -859,7 +879,7 @@ class TestGradientIdentity:
         with pytest.raises(ValueError, match=re.escape(f"point {point}: ")):
             numeric.gradient_identity_residual(point, xi, SectionSpaceSpec(1, 2, 1), 0, kappa)
 
-    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=str)
+    @pytest.mark.parametrize("point", OUT_OF_RANGE_POINTS, ids=lambda p: str(p)[:40])
     @pytest.mark.parametrize("k", [0, 1])
     def test_section_norm_refuses_point_out_of_range(self, point, k):
         spec = SectionSpaceSpec(1, 2, 1)
