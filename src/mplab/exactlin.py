@@ -389,24 +389,6 @@ class GaussianRational(Value):
         num = self * other.conjugate()
         return GaussianRational(num.re / n, num.im / n)
 
-    def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        # square and multiply, with no product by one and no square left unused
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return GaussianRational(Fraction(1)) if out is None else out
-
-    def scale(self, c) -> "GaussianRational":
-        c = frac(c)
-        return GaussianRational(c * self.re, c * self.im)
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

@@ -42,26 +42,21 @@ ComplexPair = tuple[complex, complex]
 ComplexFlagPoint = tuple[ComplexPair, ComplexPair]
 
 
-def _as_complex_pairs(point) -> ComplexFlagPoint:
-    """The point's two coordinate pairs as complex floats; a coordinate that a
-    float cannot hold is a ValueError."""
+def _check_base(point) -> tuple[ComplexFlagPoint, list[float]]:
+    """The point's pairs as complex floats, and their squared moduli |a|^2 + |c|^2.
+
+    Refuses a coordinate beyond the float range, a non-finite coordinate, a
+    zero pair and a pair whose squared modulus a float cannot hold (0 or inf
+    from a nonzero pair).  The pairs of a FlagPoint are exactly nonzero, so
+    floats (0, 0) there underflow.
+    """
     (a1, c1), (a2, c2) = ((point.coords[:2], point.coords[2:])
                           if isinstance(point, FlagPoint) else point)
     try:
-        return ((complex(a1), complex(c1)), (complex(a2), complex(c2)))
+        base = ((complex(a1), complex(c1)), (complex(a2), complex(c2)))
     except OverflowError:
         raise ValueError("a coordinate is beyond the float range; "
                          "scale its pair toward 1") from None
-
-
-def _check_base(point) -> tuple[ComplexFlagPoint, list[float]]:
-    """The point's complex pairs and their squared moduli |a|^2 + |c|^2.
-
-    Refuses a non-finite coordinate, a zero pair and a pair whose squared
-    modulus a float cannot hold (0 or inf from a nonzero pair).  The pairs of
-    a FlagPoint are exactly nonzero, so floats (0, 0) there underflow.
-    """
-    base = _as_complex_pairs(point)
     moduli = []
     for a, c in base:
         if not (cmath.isfinite(a) and cmath.isfinite(c)):
@@ -94,9 +89,21 @@ def _hopf_batch(a: np.ndarray, c: np.ndarray, lam) -> np.ndarray:
     return h
 
 
+def _check_float_weights(lam1, lam2) -> None:
+    if max(lam1, lam2) > sys.float_info.max:
+        raise ValueError("a weight is beyond the float range")
+
+
 def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
-    """Diagonal-action moment value lam1*h(p1) + lam2*h(p2) in R^3 (alpha-units)."""
-    a, c = np.array(_check_base(point)[0], order="F").T  # (a1, a2) and (c1, c2)
+    """Diagonal-action moment value lam1*h(p1) + lam2*h(p2) in R^3 (alpha-units);
+    refuses what :func:`sample_orbit` refuses in a base point or a weight."""
+    _check_float_weights(lam1, lam2)
+    return _moment_value(_check_base(point)[0], lam1, lam2)
+
+
+def _moment_value(base: ComplexFlagPoint, lam1: float, lam2: float) -> np.ndarray:
+    """:func:`moment_map` at pairs that :func:`_check_base` returned."""
+    a, c = np.array(base, order="F").T  # (a1, a2) and (c1, c2)
     h = _hopf_batch(a, c, np.array([[lam1], [lam2]], float))
     return h[0] + h[1]
 
@@ -269,8 +276,7 @@ def sample_orbit(x, subgroup: str, n: int, seed: int,
     non-finite moment value is refused after.
     """
     check_sample_args(subgroup, n)
-    if max(lam1, lam2) > sys.float_info.max:
-        raise ValueError("a weight is beyond the float range")
+    _check_float_weights(lam1, lam2)
     base = _check_base(x)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         coords = _orbit_coords(base, subgroup, n, seed)
@@ -494,7 +500,12 @@ def coadjoint_fixed_check(lam: float, n: int, seed: int, plane: str = "q") -> fl
 def section_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point) -> float:
     """Scale-invariant squared norm |F(z)|^2 / (|z1|^(2 r lam1) |z2|^(2 r lam2)),
     at a point that :func:`_check_gradient_point` accepts."""
-    ((a1, c1), (a2, c2)), divisor = _check_gradient_point(point, spec)
+    return _norm_sq(vec, *_check_gradient_point(point, spec))
+
+
+def _norm_sq(vec: BiHomogPoly, base: ComplexFlagPoint, divisor: float) -> float:
+    """:func:`section_norm_sq` at what :func:`_check_gradient_point` returned."""
+    (a1, c1), (a2, c2) = base
     return float(abs(vec.evaluate_complex((a1, c1, a2, c2))) ** 2 / divisor)
 
 
@@ -514,15 +525,6 @@ def _flow_matrix(a: np.ndarray) -> np.ndarray:
     sinhc = cmath.sinh(h) / h if h else 1
     return np.array([[cmath.exp(u), b * cmath.exp((u + v) / 2) * sinhc],
                      [0, cmath.exp(v)]])
-
-
-def _flow_norm_sq(vec: BiHomogPoly, spec: SectionSpaceSpec, point,
-                  xi: np.ndarray, t: float) -> float:
-    g = _flow_matrix(-t * xi)
-    (a1, c1), (a2, c2) = _as_complex_pairs(point)
-    v1 = g @ np.array([a1, c1])
-    v2 = g @ np.array([a2, c2])
-    return section_norm_sq(vec, spec, ((v1[0], v1[1]), (v2[0], v2[1])))
 
 
 def _check_gradient_point(point, spec: SectionSpaceSpec) -> tuple[ComplexFlagPoint, float]:
@@ -557,20 +559,24 @@ def _check_borel(xi: np.ndarray):
         raise ValueError("xi must be upper triangular and traceless")
 
 
-def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int
-                    ) -> tuple[float, float, float, float]:
-    """The terms of the derivative identity for section k at (point, xi).
+def _identity_terms(base: ComplexFlagPoint, divisor: float, xi: np.ndarray,
+                    spec: SectionSpaceSpec, k: int) -> tuple[float, float, float, float]:
+    """The terms of the derivative identity for section k at (point, xi),
+    given the point's pairs and divisor from :func:`_check_gradient_point`.
 
     Returns the central difference of |s|^2 along the exp(-t*xi) flow, |s|^2,
     w(pr xi) / 4 pi and <Phi, pr xi>.  Refuses an xi whose flow, or the
     section norms along it, leave the float range.
     """
     vec = highest_weight_vector(spec, k)
-    norm2 = section_norm_sq(vec, spec, point)
+    norm2 = _norm_sq(vec, base, divisor)
+    flowed = []  # |s|^2 at the point moved by exp(-t*xi), t = +-_FLOW_STEP, each checked
     try:
         with np.errstate(over="raise", invalid="raise"):
-            derivative = (_flow_norm_sq(vec, spec, point, xi, _FLOW_STEP)
-                          - _flow_norm_sq(vec, spec, point, xi, -_FLOW_STEP)) / (2 * _FLOW_STEP)
+            for t in (_FLOW_STEP, -_FLOW_STEP):
+                g = _flow_matrix(-t * xi)
+                flowed.append(section_norm_sq(vec, spec, [g @ np.array(pair) for pair in base]))
+        derivative = (flowed[0] - flowed[1]) / (2 * _FLOW_STEP)
     except (ArithmeticError, ValueError):  # out of range, or a flowed point refused
         derivative = math.nan
     if not math.isfinite(derivative):
@@ -580,7 +586,7 @@ def _identity_terms(point, xi: np.ndarray, spec: SectionSpaceSpec, k: int
     w = xi[0, 1] + xi[1, 0].conjugate()
     theta = np.array([-w.real, w.imag, -2 * xi[0, 0].real])
     weight_alpha = (spec.r * (spec.lam1 + spec.lam2) - 2 * k) / spec.r
-    pairing = float(np.dot(moment_map(point, spec.lam1, spec.lam2), theta))
+    pairing = float(np.dot(_moment_value(base, spec.lam1, spec.lam2), theta))
     return derivative, norm2, weight_alpha * theta[2] / (4 * np.pi), pairing
 
 
@@ -594,7 +600,8 @@ def calibrate_gradient_normalization() -> float:
     spec = SectionSpaceSpec(1, 2, 1)
     point = ((1.0 + 0j, 2.0 + 0j), (1.0 + 0j, 3.0 + 0j))
     xi = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
-    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, 0)
+    derivative, norm2, weight_term, pairing = _identity_terms(
+        *_check_gradient_point(point, spec), xi, spec, 0)
     if abs(pairing) < 1e-9:
         raise RuntimeError("degenerate calibration datum")
     return float((derivative / (4 * np.pi * spec.r * norm2) + weight_term) / pairing)
@@ -610,13 +617,13 @@ def gradient_identity_residual(point, xi: np.ndarray, spec: SectionSpaceSpec,
     section vanishes at the point, or if the point or xi cannot be evaluated
     in floating point.
     """
-    _check_gradient_point(point, spec)
+    base, divisor = _check_gradient_point(point, spec)
     try:
         xi = np.asarray(xi, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"xi must be a matrix of numbers: {exc}") from None
     _check_borel(xi)
-    derivative, norm2, weight_term, pairing = _identity_terms(point, xi, spec, k)
+    derivative, norm2, weight_term, pairing = _identity_terms(base, divisor, xi, spec, k)
     if norm2 <= 0:
         raise ValueError("section vanishes at the point; residual undefined")
     rhs = 4 * np.pi * spec.r * (-weight_term + kappa * pairing) * norm2

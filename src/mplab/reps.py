@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb, isqrt, lcm
 from typing import Mapping, Sequence
 
-from .exactlin import GaussianRational, RatMatrix, Value, kernel
+from .exactlin import GaussianRational, RatMatrix, Value, _integral, kernel
 
 Exponent = tuple[int, int, int, int]
 
@@ -91,21 +91,31 @@ class BiHomogPoly(Value):
         return out
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4.
+        """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4, summed over ints.
 
-        A term with a positive exponent on a zero coordinate is exactly 0,
-        so it is skipped; which coordinates are zero is noted once per call.
+        F is homogeneous of degree n = d1 + d2, so F(p) = F(D p) / D^n with D
+        the lcm of the point's eight denominators.  Each coordinate of D p is
+        a Gaussian integer (re, im), and its powers are tabled once per call.
         """
-        x1, y1, x2, y2 = point
-        zeros = [i for i, g in enumerate(point) if g.is_zero]
-        total = GaussianRational(Fraction(0))
-        for exp, coeff in self.terms:
-            if zeros and any(exp[i] for i in zeros):
-                continue
-            a, b, c, d = exp
-            term = (x1 ** a) * (y1 ** b) * (x2 ** c) * (y2 ** d)
-            total = total + term.scale(coeff)
-        return total
+        d1, d2 = self.bidegree
+        parts, den = _integral([part for g in point for part in (g.re, g.im)])
+        tables = []
+        for re, im, degree in zip(parts[::2], parts[1::2], (d1, d1, d2, d2)):
+            powers = [(1, 0)]
+            for _ in range(degree):
+                pr, pi = powers[-1]
+                powers.append((pr * re - pi * im, pr * im + pi * re))
+            tables.append(powers)
+        x1, y1, x2, y2 = tables
+        total_re = total_im = 0
+        for (a, b, c, d), coeff in self.terms:
+            (ar, ai), (br, bi), (cr, ci), (dr, di) = x1[a], y1[b], x2[c], y2[d]
+            ur, ui = ar * br - ai * bi, ar * bi + ai * br
+            vr, vi = cr * dr - ci * di, cr * di + ci * dr
+            total_re += coeff * (ur * vr - ui * vi)
+            total_im += coeff * (ur * vi + ui * vr)
+        scale = den ** (d1 + d2)
+        return GaussianRational(Fraction(total_re, scale), Fraction(total_im, scale))
 
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
         x1, y1, x2, y2 = point

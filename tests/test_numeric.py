@@ -67,9 +67,15 @@ class TestMomentMap:
         with pytest.raises(ValueError, match="finite"):
             numeric.moment_map(((1, 3), (a, c)), 2, 1)
 
+    @pytest.mark.parametrize("lam1, lam2", [(10 ** 400, 1), (1, 10 ** 400)], ids=["lam1", "lam2"])
+    def test_weight_beyond_a_float_rejected(self, monkeypatch, lam1, lam2):
+        monkeypatch.setattr(numeric, "_check_base", None)  # no work may start
+        with pytest.raises(ValueError, match="^a weight is beyond the float range$"):
+            numeric.moment_map(((0, 1), (1, 1)), lam1, lam2)
+
     def test_identity_element_reproduces_value(self):
         x = REPS[OrbitClass.DENSE]
-        (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
+        (a1, c1), (a2, c2) = numeric._check_base(x)[0]
         ident = np.eye(2, dtype=complex)
         moved = ((ident[0, 0] * a1, ident[1, 1] * c1), (a2, c2))
         assert np.allclose(numeric.moment_map(moved, 2, 1),
@@ -231,7 +237,7 @@ def _reference_sample_orbit(x, subgroup, n, seed, lam1, lam2):
         g1, g2 = haar_su2(), haar_su2()
     else:
         g1 = g2 = _exact_real_group_draw(seed, n)
-    (a1, c1), (a2, c2) = numeric._as_complex_pairs(x)
+    (a1, c1), (a2, c2) = numeric._check_base(x)[0]
     coords = np.stack([*matvec(g1, a1, c1), *matvec(g2, a2, c2)], axis=1)
     phis = lam1 * hopf(coords[:, 0], coords[:, 1]) + lam2 * hopf(coords[:, 2], coords[:, 3])
     return coords, phis
@@ -787,6 +793,25 @@ class TestGradientIdentity:
         xi = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
         with pytest.raises(ValueError, match="vanishes"):
             numeric.gradient_identity_residual(((1, 0), (1, 0)), xi, spec, 0, kappa)
+
+    @pytest.mark.parametrize("point", [FlagPoint.real(F(1, 3), 2, -1, 3),
+                                       ((0.3 - 1.2j, -0.7 + 0.4j), (1.5 + 0.25j, -2 - 0.5j))],
+                             ids=["exact", "complex"])
+    def test_the_point_is_converted_and_checked_once_per_residual(self, monkeypatch, point):
+        # the two points moved along the flow are new points, checked on their own
+        kappa = numeric.calibrate_gradient_normalization()
+        xi = np.array([[0.5, 1 - 2j], [0, -0.5]], dtype=complex)
+        spec = SectionSpaceSpec(2, 2, 1)
+        want = numeric.gradient_identity_residual(point, xi, spec, 1, kappa)
+        genuine, checked = numeric._check_base, []
+
+        def recording(p):
+            checked.append(p)
+            return genuine(p)
+
+        monkeypatch.setattr(numeric, "_check_base", recording)
+        assert numeric.gradient_identity_residual(point, xi, spec, 1, kappa) == want
+        assert [p is point for p in checked] == [True, False, False]
 
     def test_non_borel_direction_rejected(self):
         kappa = numeric.calibrate_gradient_normalization()

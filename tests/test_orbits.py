@@ -361,11 +361,20 @@ def test_bundle_power_below_one_is_refused_before_the_weights():
 
 
 def sum_every_term(poly, coords):
-    """``poly`` at ``coords``, every term summed: no term skipped, no early stop."""
-    x1, y1, x2, y2 = coords
+    """``poly`` at ``coords``, every term summed: no term skipped, no early
+    stop, each power from a table of repeated products over Q(i)."""
+    d1, d2 = poly.bidegree
+    tables = []
+    for g, degree in zip(coords, (d1, d1, d2, d2)):
+        tables.append([GaussianRational.of(1)])
+        for _ in range(degree):
+            tables[-1].append(tables[-1][-1] * g)
     total = GaussianRational(F(0))
-    for (a, b, c, d), coeff in poly.terms:
-        total = total + (x1 ** a * y1 ** b * x2 ** c * y2 ** d).scale(coeff)
+    for exp, coeff in poly.terms:
+        term = GaussianRational.of(coeff)
+        for table, power in zip(tables, exp):
+            term = term * table[power]
+        total = total + term
     return total
 
 
@@ -491,6 +500,19 @@ class TestRepresentationWork:
             evaluations.clear()
             gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
             assert evaluations[(3, 5)] <= 4
+
+    def test_evaluation_multiplies_no_gaussian_rational(self, monkeypatch):
+        # evaluate sums over Gaussian integers, so no Q(i) product is made;
+        # the expected cuts come first, as orbit_predicates multiplies
+        cases = [RealFormCase(x, gamma) for x in REPS.values()
+                 for gamma in (NEG, identity_involution())]
+        want = [case.gamma.negated_cut(moment_polytope(case.x, 3, 5)) for case in cases]
+
+        def refused(x, y):
+            raise AssertionError("GaussianRational product in the representation route")
+
+        monkeypatch.setattr(GaussianRational, "__mul__", refused)
+        assert [gamma_highest_weight_polytope(case, 3, 5) for case in cases] == want
 
 
 numbers = {"Q": st.builds(GaussianRational, rationals),

@@ -41,6 +41,19 @@ def shear_expansion(f):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def reference_value(f, point):
+    """f at ``point``, summed term by term with ``GaussianRational`` ``*`` and
+    ``+``: each power a repeated product, each coefficient a factor."""
+    total = GaussianRational.of(0)
+    for exp, coeff in f.terms:
+        term = GaussianRational.of(coeff)
+        for g, power in zip(point, exp):
+            for _ in range(power):
+                term = term * g
+        total = total + term
+    return total
+
+
 def reference_invariant(f):
     """Every t^e coefficient of the shear expansion with e >= 1 vanishes."""
     return all(e == 0 for (_, _, _, _, e) in shear_expansion(f))
@@ -315,6 +328,35 @@ class TestOracleWork:
         assert max(sum(1 for row in m.ints if row[j]) for j in range(m.cols)) <= 2
 
 
+# each over a denominator of its own; about 40 % of the numerators drawn
+# exceed 10**6, and about 5 % are 0
+rationals = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**4))
+
+
+@st.composite
+def evaluation_points(draw):
+    """(x1, y1, x2, y2) in Q(i)^4 with mixed denominators and heights, and a
+    drawn set of coordinates, possibly empty or all four, set to zero."""
+    zeros = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    return tuple(GaussianRational.of(0) if zero
+                 else GaussianRational(draw(rationals), draw(rationals)) for zero in zeros)
+
+
+@st.composite
+def evaluated_polynomials(draw):
+    """An invariant vector with r <= 2 and weights 1-4, or a random
+    bi-homogeneous polynomial with small or large coefficients."""
+    if draw(st.booleans()):
+        spec = SectionSpaceSpec(draw(st.integers(1, 2)), draw(st.integers(1, 4)),
+                                draw(st.integers(1, 4)))
+        return highest_weight_vector(spec, draw(st.integers(0, spec.k_max)))
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    monos = [(a, d1 - a, c, d2 - c) for a in range(d1 + 1) for c in range(d2 + 1)]
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+    return poly((d1, d2), dict(zip(monos, draw(st.lists(coeffs, min_size=len(monos),
+                                                       max_size=len(monos))))))
+
+
 class TestBiHomogPoly:
     def test_bidegree_invariant(self):
         with pytest.raises(ValueError):
@@ -333,17 +375,18 @@ class TestBiHomogPoly:
 
     @pytest.mark.parametrize("zeros", [(0,), (1,), (2, 3), (0, 2), (0, 1, 2, 3)])
     def test_evaluation_at_zero_coordinates_sums_to_the_same_value(self, zeros):
-        # the terms skipped on a zero coordinate are exactly 0, including
-        # x^0 = 1 at x = 0, which is not skipped
+        # a term with a positive exponent on a zero coordinate is exactly 0,
+        # while x^0 = 1 at x = 0
         f = poly((4, 2), {**dict(highest_weight_vector(SectionSpaceSpec(2, 2, 1), 1).terms),
                           (0, 4, 0, 2): 3, (4, 0, 2, 0): -5, (2, 2, 1, 1): 7})
         values = (GaussianRational.of(Fraction(2, 3), -1), GaussianRational.of(-3),
                   GaussianRational.of(0, Fraction(1, 2)), GaussianRational.of(5, 2))
         pt = tuple(GaussianRational.of(0) if i in zeros else v for i, v in enumerate(values))
-        every_term = GaussianRational.of(0)
-        for (a, b, c, d), coeff in f.terms:
-            every_term = every_term + (pt[0] ** a * pt[1] ** b * pt[2] ** c * pt[3] ** d).scale(coeff)
-        assert f.evaluate(pt) == every_term
+        assert f.evaluate(pt) == reference_value(f, pt)
+
+    @given(evaluated_polynomials(), evaluation_points())
+    def test_evaluation_equals_the_term_by_term_sum(self, f, pt):
+        assert f.evaluate(pt) == reference_value(f, pt)
 
     def test_pretty_deterministic(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
