@@ -190,16 +190,6 @@ def check_coadjoint(seed: int = 0) -> CheckResult:
     return CheckResult("coadjoint-fixed-set", not bad, "; ".join(dists))
 
 
-def _sampled_interval(x, seed: int, lam1: int, lam2: int, mode: str,
-                      eps: float) -> tuple[float, float] | None:
-    """The cut interval of one 100 000-point H sample.
-
-    Only the interval leaves, so each sample is freed before the next is drawn.
-    """
-    samples = numeric.sample_orbit(x, "H", 100_000, seed, lam1, lam2)
-    return numeric.sampled_delta(samples, mode, eps)
-
-
 # orbit class, weights, cut mode, eps, tolerance, note label, failure label
 _SAMPLED_ROWS = ((OrbitClass.DENSE, (2, 1), "radial", 0.05, 0.02, "dense", "dense radial"),
                  (OrbitClass.DIAGONAL, (2, 1), "radial", 0.05, 0.02, "diagonal",
@@ -215,7 +205,9 @@ def check_sampled_agreement(seed: int = 0) -> CheckResult:
     notes = []
     for cls, (l1, l2), mode, eps, tol, note, label in _SAMPLED_ROWS:
         want = moment_polytope(reps[cls], l1, l2).vertices
-        interval = _sampled_interval(reps[cls], seed, l1, l2, mode, eps)
+        # only the interval is kept, so each sample is freed before the next draw
+        interval = numeric.sampled_delta(
+            numeric.sample_orbit(reps[cls], "H", 100_000, seed, l1, l2), mode, eps)
         if interval is None:
             notes.append(f"{note}:none")
             if want:

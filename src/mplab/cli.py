@@ -9,14 +9,16 @@ JSON, human summaries to stderr.  Exit codes: 0 success, 1 check failure,
 
 Every subcommand but ``plot`` takes ``--config``: a JSON object whose keys
 ``weights``, ``point``, ``gamma``, ``r``, ``k``, ``weight``, ``seed``, ``n``,
-``subgroup`` and ``out`` supply those options where the subcommand takes them;
-flags win, and other keys are ignored.  Only ``sample`` and ``verify`` take a
-seed: ``--seed``, then the config file, then ``MPLAB_SEED``, then 0.
+``subgroup`` and ``out`` (``_OPTIONS``, each with its JSON reader and default)
+supply those options where the subcommand takes them; flags win, and other
+keys are ignored.  Only ``sample`` and ``verify`` take a seed: ``--seed``,
+then the config file, then ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
 ``catalog`` the same for the section space at bundle power 1, the one the
-representation route evaluates, ``polytope --membership`` weights with L1 + L2
+representation route evaluates, and ``realpolytope`` a point of size at most
+``reps.MAX_ROUTE_POINT_SIZE``, ``polytope --membership`` weights with L1 + L2
 at most ``MAX_MEMBERSHIP_WEIGHT_SUM``, and ``sample`` at most ``MAX_SAMPLES``
 samples.  A larger input is a usage error (exit 2).
 """
@@ -42,6 +44,7 @@ from .orbits import (
     real_moment_polytope,
 )
 from .reps import (
+    MAX_ROUTE_POINT_SIZE,
     MAX_SECTION_SPACE_DIM,
     BiHomogPoly,
     SectionSpaceSpec,
@@ -52,7 +55,6 @@ from .reps import (
     n_invariant_subspace,
     section_space_dim,
 )
-from .weights import InvolutionSpec
 
 # Largest ``sample --n``: the sampled-agreement check's own size.  A sample
 # costs about 0.22 KB of memory while the CSV is written.
@@ -88,69 +90,64 @@ def _load_json(path: str):
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
-class _Config:
-    """Flag resolution: explicit flag > config file > default.
+# Each config key's JSON reader and default value.
+_OPTIONS = {
+    "weights": (_int_pair, None),
+    "point": (_text, None),
+    "gamma": (_text, None),
+    "r": (wire.json_int, 1),
+    "k": (wire.json_int, None),
+    "weight": (wire.json_int, None),
+    "seed": (wire.json_int, None),
+    "n": (wire.json_int, 1000),
+    "subgroup": (_text, "H"),
+    "out": (_text, None),
+}
 
-    Flags arrive typed by argparse.  A config-file value is converted by the
-    option's ``kind`` (``wire.json_int``, ``_text`` or ``_int_pair``), and a
-    value of the wrong JSON type raises a one-line ``ValueError`` naming the
-    option.
-    """
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.table = {}
-        path = getattr(args, "config", None)
-        if path:
-            self.table = _load_json(path)
-            if not isinstance(self.table, dict):
-                raise ValueError("config file must hold a JSON object")
-
-    def get(self, name: str, kind, default=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name not in self.table:
-            return default
-        value = self.table[name]
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad value for --{name.replace('_', '-')} in config file: "
-                             f"{json.dumps(value)}") from None
-
-    def require(self, name: str, kind):
-        value = self.get(name, kind)
-        if value is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return value
-
-    def weights(self) -> tuple[int, int]:
-        lam1, lam2 = self.require("weights", _int_pair)
-        check_weights(lam1, lam2)
-        return lam1, lam2
-
-    def point(self) -> FlagPoint:
-        return wire.parse_point_literal(self.require("point", _text))
-
-    def gamma(self) -> InvolutionSpec:
-        return wire.parse_gamma(self.require("gamma", _text))
-
-    def seed(self) -> int:
-        """The RNG seed: flag, then config file, then ``MPLAB_SEED``, then 0."""
-        seed = self.get("seed", wire.json_int)
-        if seed is None:
-            env = os.environ.get("MPLAB_SEED") or "0"
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each option the subcommand has: its flag, then the config file,
+    then the default.  Keys the subcommand lacks are never read."""
+    table = _load_json(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(table, dict):
+        raise ValueError("config file must hold a JSON object")
+    for name, (read, value) in _OPTIONS.items():
+        if not hasattr(args, name) or getattr(args, name) is not None:
+            continue
+        if name in table:
             try:
-                seed = int(env)
-            except ValueError:
-                raise ValueError(f"MPLAB_SEED={env!r} is not an integer") from None
-        if seed < 0:
-            raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
-        return seed
+                value = read(table[name])
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"bad value for --{name} in config file: "
+                                 f"{json.dumps(table[name])}") from None
+        setattr(args, name, value)
 
-    def section_spec(self, lam1: int, lam2: int) -> SectionSpaceSpec:
-        return _limited(SectionSpaceSpec(self.get("r", wire.json_int, 1), lam1, lam2))
+
+def _require(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"missing required option --{name}")
+    return value
+
+
+def _weights(args: argparse.Namespace) -> tuple[int, int]:
+    lam1, lam2 = _require(args, "weights")
+    check_weights(lam1, lam2)
+    return lam1, lam2
+
+
+def _seed(args: argparse.Namespace) -> int:
+    """The RNG seed: flag, then config file, then ``MPLAB_SEED``, then 0."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MPLAB_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"MPLAB_SEED={env!r} is not an integer") from None
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; a seed is an integer >= 0")
+    return seed
 
 
 def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
@@ -176,9 +173,8 @@ def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
 
 
 def cmd_polytope(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    lam1, lam2 = cfg.weights()
-    x = cfg.point()
+    lam1, lam2 = _weights(args)
+    x = wire.parse_point_literal(_require(args, "point"))
     delta = moment_polytope(x, lam1, lam2)
     if args.membership:
         _emit({"polytope": wire.polytope_to_json(delta),
@@ -191,10 +187,14 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 
 
 def cmd_realpolytope(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    lam1, lam2 = cfg.weights()
-    x, gamma = cfg.point(), cfg.gamma()
+    lam1, lam2 = _weights(args)
+    x = wire.parse_point_literal(_require(args, "point"))
+    gamma = wire.parse_gamma(_require(args, "gamma"))
     _limited(SectionSpaceSpec(1, lam1, lam2))
+    size = (lam1 + lam2) * sum(q.numerator.bit_length() + q.denominator.bit_length()
+                               for g in x.coords for q in (g.re, g.im))
+    if size > MAX_ROUTE_POINT_SIZE:
+        raise ValueError(f"point size {size} exceeds the limit {MAX_ROUTE_POINT_SIZE}")
     try:
         via_intersection = real_moment_polytope(RealFormCase(x, gamma), lam1, lam2)
         via_membership, same = via_intersection, True
@@ -209,9 +209,8 @@ def cmd_realpolytope(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    lam1, lam2 = cfg.weights()
-    gamma = cfg.gamma()
+    lam1, lam2 = _weights(args)
+    gamma = wire.parse_gamma(_require(args, "gamma"))
     _limited(SectionSpaceSpec(1, lam1, lam2))
     cat = enumerate_polytope_catalog(lam1, lam2, gamma)
     _emit({"weights": [lam1, lam2], "gamma": gamma.label,
@@ -222,8 +221,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.section_spec(*cfg.weights())
+    spec = _limited(SectionSpaceSpec(args.r, *_weights(args)))
     weights_list = clebsch_gordan_highest_weights(spec)
     _emit({"r": spec.r, "weights": [spec.lam1, spec.lam2],
            "highest_weights": weights_list,
@@ -233,9 +231,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_hwv(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.section_spec(*cfg.weights())
-    k = cfg.require("k", wire.json_int)
+    spec = _limited(SectionSpaceSpec(args.r, *_weights(args)))
+    k = _require(args, "k")
     sum_form = hw_vector_sum_form(spec, k)
     product_form = hw_vector_product_form(spec, k)
     d1, d2 = spec.bidegree
@@ -253,9 +250,8 @@ def cmd_hwv(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    spec = cfg.section_spec(*cfg.weights())
-    weight = cfg.require("weight", wire.json_int)
+    spec = _limited(SectionSpaceSpec(args.r, *_weights(args)))
+    weight = _require(args, "weight")
     basis = n_invariant_subspace(spec, weight)
     _emit({"r": spec.r, "weights": [spec.lam1, spec.lam2], "weight": weight,
            "dimension": len(basis), "basis": [b.pretty() for b in basis]})
@@ -263,7 +259,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = _Config(args).seed()
+    seed = _seed(args)
     from . import checks  # NumPy loads only for the numeric subcommands
 
     results = checks.run_suite(args.suite, seed)
@@ -277,17 +273,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
-    lam1, lam2 = cfg.weights()
-    x = cfg.point()
-    seed = cfg.seed()
-    subgroup = cfg.get("subgroup", _text, "H")
-    n = cfg.get("n", wire.json_int, 1000)
+    lam1, lam2 = _weights(args)
+    x = wire.parse_point_literal(_require(args, "point"))
+    seed = _seed(args)
+    n, out = args.n, args.out
     if n > MAX_SAMPLES:
         raise ValueError(f"--n {n} exceeds the limit {MAX_SAMPLES}")
     from . import numeric
-    numeric.check_sample_args(subgroup, n)
-    out = cfg.get("out", _text)
+    numeric.check_sample_args(args.subgroup, n)
     created = False
     if out:
         # Opened for append before drawing, so an unwritable path fails
@@ -296,7 +289,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         created = not os.path.lexists(out)
         open(out, "a").close()
     try:
-        samples = numeric.sample_orbit(x, subgroup, n, seed, lam1, lam2)
+        samples = numeric.sample_orbit(x, args.subgroup, n, seed, lam1, lam2)
     except BaseException:
         if created:
             os.remove(out)
@@ -320,16 +313,18 @@ def cmd_plot(args: argparse.Namespace) -> int:
     elif src.endswith(".csv"):
         with open(src, newline="") as fh:
             reader = csv.DictReader(fh, restval="")
-            if not {"phi1", "phi3"} <= set(reader.fieldnames or ()):
-                raise ValueError(f"sample CSV {src} has no phi1 and phi3 columns")
-            phi1, phi3 = [], []
-            for row in reader:
-                phi1.append(float(row["phi1"]))
-                phi3.append(float(row["phi3"]))
+            try:
+                if not {"phi1", "phi3"} <= set(reader.fieldnames or ()):
+                    raise ValueError(f"sample CSV {src} has no phi1 and phi3 columns")
+                phi1, phi3 = [], []
+                for row in reader:
+                    phi1.append(float(row["phi1"]))
+                    phi3.append(float(row["phi3"]))
+            except csv.Error as exc:  # a field over csv.field_size_limit()
+                raise ValueError(f"sample CSV {src}: {exc}") from None
         svg = svgplot.render_samples_svg(phi1, phi3)
     else:
-        print("plot input must be a .json polytope or .csv sample file", file=sys.stderr)
-        return 2
+        raise ValueError("plot input must be a .json polytope or .csv sample file")
     with open(args.out, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -412,6 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,12 @@ Exponent = tuple[int, int, int, int]
 # and 8281 took 0.12 s in process on a shared 2-CPU x86 host.
 MAX_SECTION_SPACE_DIM = 2500
 
+# Largest (lam1 + lam2) * (bit lengths of a point's eight numerators and
+# denominators) ``realpolytope`` accepts: the route evaluates at D p to degree
+# lam1 + lam2.  At (49, 49), first-factor points with three distinct
+# denominators took 0.7-1.0 s cold at 147 294, and 175 s at 4.1e6.
+MAX_ROUTE_POINT_SIZE = 150_000
+
 
 class MixedWeightsError(ValueError):
     """Raised when a polynomial is not a torus weight vector."""

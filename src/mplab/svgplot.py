@@ -50,19 +50,15 @@ def render_polytope_svg(p: RationalPolytope) -> str:
     if not p.vertices:
         parts.append(f'<text x="{width // 2}" y="25" font-size="12" '
                      f'text-anchor="middle">empty polytope</text>')
-    elif len(p.vertices) == 1:
-        x = sx(vals[0])
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(axis_y)}" r="4" fill="crimson"/>')
-        parts.append(f'<text x="{_fmt(x)}" y="25" font-size="12" '
-                     f'text-anchor="middle">{{{p.vertices[0]}}}</text>')
-    else:
+    else:  # the one vertex of a point, or a segment's two endpoints
         x0, x1 = sx(vals[0]), sx(vals[-1])
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(axis_y)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(axis_y)}" stroke="crimson" stroke-width="5"/>')
+        if len(vals) == 2:
+            parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(axis_y)}" x2="{_fmt(x1)}" '
+                         f'y2="{_fmt(axis_y)}" stroke="crimson" stroke-width="5"/>')
         for v in vals:
             parts.append(f'<circle cx="{_fmt(sx(v))}" cy="{_fmt(axis_y)}" r="4" fill="crimson"/>')
         parts.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="25" font-size="12" '
-                     f'text-anchor="middle">[{p.vertices[0]}, {p.vertices[-1]}]</text>')
+                     f'text-anchor="middle">{p}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 from fractions import Fraction
@@ -130,6 +131,15 @@ class TestMalformedInput:
         src.write_text("a,b\n1,2\n")
         assert_usage_error(run_main("plot", "--in", str(src),
                                     "--out", str(tmp_path / "s.svg")))
+
+    def test_sample_csv_with_a_field_over_the_csv_limit(self, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("phi1,phi3\n" + "1" * 200_000 + ",1\n")
+        p = run_main("plot", "--in", str(src), "--out", str(tmp_path / "s.svg"))
+        assert_usage_error(p)
+        assert p.stderr == (f"error: sample CSV {src}: "
+                            f"field larger than field limit (131072)\n")
+        assert not (tmp_path / "s.svg").exists()
 
     @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,-inf", "1.7e308,-1.7e308"])
     def test_sample_csv_with_unplottable_moment(self, tmp_path, row):
@@ -285,6 +295,37 @@ class TestInputLimits:
                      "--point", "0/1,1/1;1/1,1/1", "--gamma", "negation")
         assert p.returncode == 0
         assert json.loads(p.stdout)["equal"] is True
+
+    def test_oversized_route_point_fails_fast(self, no_representation_work, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("route work before the point-size limit")
+        monkeypatch.setattr(cli, "real_moment_polytope", forbidden)
+        # a first-factor point with three distinct 4200-digit denominators
+        dens = ["9" * 4200, "9" * 4199 + "7", "9" * 4199 + "1"]
+        literal = f"1/{dens[0]},1/{dens[1]};1/{dens[2]},0"
+        assert len(literal) == 12_610
+        start = time.perf_counter()
+        p = run_main("realpolytope", "--weights", "49", "49", "--point", literal,
+                     "--gamma", "negation")
+        assert time.perf_counter() - start < 1.0
+        assert_usage_error(p)
+        assert p.stderr == "error: point size 4102966 exceeds the limit 150000\n"
+
+    @pytest.mark.parametrize("extra_bit", [False, True], ids=["at-limit", "one-bit-over"])
+    def test_route_point_size_limit(self, extra_bit):
+        # 1/A, 1/B, 1/C and 1 carry 9 + 3 * 622 bits; times L1 + L2 = 80 that
+        # is the limit, and an A of 623 bits puts the point 80 over it
+        assert cli.MAX_ROUTE_POINT_SIZE == 80 * (9 + 3 * 622)
+        a = 2 ** (622 if extra_bit else 621) + 1
+        literal = f"1/{a},1/{2 ** 621 + 3};1/{2 ** 621 + 5},1"
+        p = run_main("realpolytope", "--weights", "40", "40", "--point", literal,
+                     "--gamma", "negation")
+        if extra_bit:
+            assert_usage_error(p)
+            assert p.stderr == "error: point size 150080 exceeds the limit 150000\n"
+        else:
+            assert p.returncode == 0
+            assert json.loads(p.stdout)["equal"] is True
 
     def test_oversized_sample(self, tmp_path):
         p = run_main("sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1",
@@ -673,7 +714,9 @@ class TestSampleAndPlot:
         src = tmp_path / "x.txt"
         src.write_text("hello")
         q = run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg"))
-        assert q.returncode == 2
+        assert_usage_error(q)
+        assert q.stderr == "error: plot input must be a .json polytope or .csv sample file\n"
+        assert not (tmp_path / "x.svg").exists()
 
 
 # Every command that takes weights, with the other options it needs.
@@ -726,7 +769,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, unused", [
         (["polytope", "--point", "0/1,1/1;1/1,1/1"], {"gamma": "bogus"}),
         (["decompose"], {"point": "garbage"}),
-    ], ids=["polytope-gamma", "decompose-point"])
+        (["polytope", "--point", "0/1,1/1;1/1,1/1"], {"gamma": 3}),
+        (["decompose"], {"point": 5}),
+    ], ids=["polytope-gamma", "decompose-point", "polytope-gamma-int", "decompose-point-int"])
     def test_unused_keys_are_ignored(self, tmp_path, capsys, command, unused):
         argv = [*command, "--weights", "2", "1"]
         assert cli.main(argv) == 0
@@ -735,6 +780,17 @@ class TestConfigFile:
         cfg.write_text(json.dumps(unused))
         assert cli.main([*argv, "--config", str(cfg)]) == 0
         assert capsys.readouterr() == clean
+
+    def test_config_types_are_checked_before_the_command(self, tmp_path, capsys):
+        # two faults: a weight below 1 and a config value of the wrong type;
+        # the config file is read in full before the command checks its weights
+        cfg = tmp_path / "case.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        code = cli.main(["sample", "--weights", "0", "1", "--point", "0,1;1,1",
+                         "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bad value for --out in config file: 5\n"
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "case.json"

@@ -73,6 +73,7 @@ CSV_TEXTS = {
     "short.csv": "phi1,phi2,phi3\n1\n",
     "header-only.csv": "phi1,phi3\n",
     "empty.csv": "",
+    "big-field.csv": "phi1,phi3\n" + "1" * 200_000 + ",1\n",
 }
 JSON_TEXTS = {
     "poly.json": '{"dim":1,"vertices":[["1","1"],["3","1"]]}',
