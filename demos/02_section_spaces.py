@@ -17,7 +17,7 @@ from mplab import (
     verify_n_invariance,
     weight_decomposition,
 )
-from mplab.reps import hw_vector_product_form, hw_vector_sum_form
+from mplab.reps import hw_vector_product_form
 
 spec = SectionSpaceSpec(r=1, lam1=2, lam2=1)
 print(f"== section space r=1, weights (2,1): dimension {section_space_dim(spec)} ==")
@@ -33,7 +33,7 @@ for k in range(spec.k_max + 1):
 print("\n== two closed forms, one polynomial ==")
 big = SectionSpaceSpec(r=2, lam1=2, lam2=2)
 for k in (0, 2, 4):
-    same = hw_vector_sum_form(big, k) == hw_vector_product_form(big, k)
+    same = highest_weight_vector(big, k) == hw_vector_product_form(big, k)
     print(f"  r=2, (2,2), k={k}: alternating sum == factored product?  {same}")
 
 print("\n== the brute-force oracle agrees ==")

@@ -50,8 +50,8 @@ from .reps import (
     SectionSpaceSpec,
     check_weights,
     clebsch_gordan_highest_weights,
+    highest_weight_vector,
     hw_vector_product_form,
-    hw_vector_sum_form,
     n_invariant_subspace,
     section_space_dim,
 )
@@ -233,7 +233,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_hwv(args: argparse.Namespace) -> int:
     spec = _limited(SectionSpaceSpec(args.r, *_weights(args)))
     k = _require(args, "k")
-    sum_form = hw_vector_sum_form(spec, k)
+    sum_form = highest_weight_vector(spec, k)
     product_form = hw_vector_product_form(spec, k)
     d1, d2 = spec.bidegree
     monomial = BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)).pretty()

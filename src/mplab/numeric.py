@@ -90,8 +90,11 @@ def _hopf_batch(a: np.ndarray, c: np.ndarray, lam) -> np.ndarray:
 
 
 def _check_float_weights(lam1, lam2) -> None:
-    if max(lam1, lam2) > sys.float_info.max:
-        raise ValueError("a weight is beyond the float range")
+    for lam in (lam1, lam2):
+        if lam != lam:
+            raise ValueError("a weight is nan")
+        if not -sys.float_info.max <= lam <= sys.float_info.max:  # also +-inf
+            raise ValueError("a weight is beyond the float range")
 
 
 def moment_map(point, lam1: float, lam2: float) -> np.ndarray:
@@ -430,6 +433,13 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"point clouds of dimensions {a.shape[1]} and {b.shape[1]}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("point clouds must be finite, with no nan or inf")
+    # d squared differences of at most twice the bound sum to at most float
+    # max, with a margin of (d + 2) epsilon for the roundings on the way.
+    d = a.shape[1]
+    bound = math.sqrt(sys.float_info.max / (4 * d)) * (1 - (d + 2) * sys.float_info.epsilon)
+    if max(np.abs(a).max(), np.abs(b).max()) > bound:
+        raise ValueError(f"a point cloud coordinate exceeds {bound} in magnitude, "
+                         f"where a squared distance in dimension {d} can overflow")
     sorted_a, sorted_b = _sorted_along_spread(a), _sorted_along_spread(b)
     if not (_probe_resolves(a, *sorted_b) and _probe_resolves(b, *sorted_a)):
         try:
@@ -444,7 +454,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 # The largest radius coadjoint_fixed_check takes.  Its clouds lie on the sphere
 # of radius lam, so every squared distance is at most 12 lam^2 (about 1.2e301
-# here) and stays in the float range; from about 3.8e153 up it would overflow.
+# here) and stays in the float range: hausdorff_distance takes up to 3.87e153.
 COADJOINT_MAX_RADIUS = 1e150
 
 
@@ -602,8 +612,6 @@ def calibrate_gradient_normalization() -> float:
     xi = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
     derivative, norm2, weight_term, pairing = _identity_terms(
         *_check_gradient_point(point, spec), xi, spec, 0)
-    if abs(pairing) < 1e-9:
-        raise RuntimeError("degenerate calibration datum")
     return float((derivative / (4 * np.pi * spec.r * norm2) + weight_term) / pairing)
 
 

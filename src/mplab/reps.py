@@ -6,18 +6,17 @@ acts dually, (t.F)(v) = F(t^-1 v), so the monomial x1^a y1^b x2^c y2^d
 carries weight (b - a) + (d - c) in alpha-units, and the unipotent group N
 (strictly upper triangular) acts by the substitution x_i -> x_i - t*y_i.
 
-Two independent routes to the distinguished highest-weight vectors exist:
-the explicit closed forms (sum form and factored product form, which must
-agree by the binomial theorem) and a brute-force linear solve for the full
-N-invariant subspace at a given weight: the kernel of D = y1 d/dx1 + y2 d/dx2,
-as the t^e coefficient of the substituted F is (-1)^e D^e F / e!.
+The distinguished highest-weight vectors are built once, as an alternating
+binomial sum, and two independent references check it: the factored product
+form, equal by the binomial theorem, and a brute-force linear solve for the
+full N-invariant subspace at a given weight: the kernel of D = y1 d/dx1 +
+y2 d/dx2, as the t^e coefficient of the substituted F is (-1)^e D^e F / e!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .exactlin import GaussianRational, RatMatrix, Value, _integral, kernel
@@ -103,6 +102,8 @@ class BiHomogPoly(Value):
         the lcm of the point's eight denominators.  Each coordinate of D p is
         a Gaussian integer (re, im), and its powers are tabled once per call.
         """
+        if len(point) != 4:
+            raise ValueError(f"a point has 4 coordinates (x1, y1, x2, y2), not {len(point)}")
         d1, d2 = self.bidegree
         parts, den = _integral([part for g in point for part in (g.re, g.im)])
         tables = []
@@ -195,8 +196,9 @@ def clebsch_gordan_highest_weights(spec: SectionSpaceSpec) -> list[int]:
     return [top - 2 * k for k in range(spec.k_max + 1)]
 
 
-def hw_vector_sum_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
-    """Alternating binomial sum form of the weight-(top - 2k) invariant vector."""
+def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
+    """The distinguished invariant vector of weight top - 2k: the alternating
+    sum over j of (-1)^(k-j) C(k, j) x1^j y1^(d1-j) x2^(k-j) y2^(d2-k+j)."""
     _check_k(spec, k)
     d1, d2 = spec.bidegree
     terms = {}
@@ -209,29 +211,12 @@ def hw_vector_sum_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
 _DET = BiHomogPoly.from_terms((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
 
-# k_max = min(d1, d2) < isqrt of the section-space dimension, so within the
-# command-line limit the cache holds every power the product form needs.
-@lru_cache(maxsize=isqrt(MAX_SECTION_SPACE_DIM) + 1)
-def _det_power(k: int) -> BiHomogPoly:
-    """(x1 y2 - x2 y1)^k by repeated multiplication."""
-    return _DET ** k
-
-
 def hw_vector_product_form(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
-    """Factored form y1^(d1-k) y2^(d2-k) (x1 y2 - x2 y1)^k, expanded generically."""
+    """Factored form y1^(d1-k) y2^(d2-k) (x1 y2 - x2 y1)^k, expanded generically:
+    the reference :func:`highest_weight_vector` is checked against."""
     _check_k(spec, k)
     d1, d2 = spec.bidegree
-    return BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * _det_power(k)
-
-
-def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
-    """The distinguished invariant vector; both closed forms are built and
-    compared on every call."""
-    sum_form = hw_vector_sum_form(spec, k)
-    product_form = hw_vector_product_form(spec, k)
-    if sum_form != product_form:
-        raise AssertionError("closed forms disagree; binomial identity violated")
-    return product_form
+    return BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * _DET ** k
 
 
 def _check_k(spec: SectionSpaceSpec, k: int):

@@ -106,13 +106,7 @@ def parse_point_literal(text: str) -> FlagPoint:
 
 
 def format_point(x: FlagPoint) -> str:
-    def fmt(g: GaussianRational) -> str:
-        if g.im == 0:
-            return f"{g.re.numerator}/{g.re.denominator}"
-        sign = "+" if g.im >= 0 else "-"
-        im = abs(g.im)
-        return f"{g.re.numerator}/{g.re.denominator}{sign}{im.numerator}/{im.denominator}i"
-    return f"{fmt(x.a1)},{fmt(x.c1)};{fmt(x.a2)},{fmt(x.c2)}"
+    return f"{x.a1},{x.c1};{x.a2},{x.c2}"
 
 
 def parse_gamma(text: str) -> InvolutionSpec:

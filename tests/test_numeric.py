@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import math
 import os
 import re
 import subprocess
@@ -67,10 +68,19 @@ class TestMomentMap:
         with pytest.raises(ValueError, match="finite"):
             numeric.moment_map(((1, 3), (a, c)), 2, 1)
 
-    @pytest.mark.parametrize("lam1, lam2", [(10 ** 400, 1), (1, 10 ** 400)], ids=["lam1", "lam2"])
+    @pytest.mark.parametrize("lam1, lam2", [(10 ** 400, 1), (1, 10 ** 400), (-10 ** 400, 1),
+                                            (math.inf, 1), (1, -math.inf)],
+                             ids=["lam1", "lam2", "negative", "inf", "-inf"])
     def test_weight_beyond_a_float_rejected(self, monkeypatch, lam1, lam2):
         monkeypatch.setattr(numeric, "_check_base", None)  # no work may start
         with pytest.raises(ValueError, match="^a weight is beyond the float range$"):
+            numeric.moment_map(((0, 1), (1, 1)), lam1, lam2)
+
+    @pytest.mark.parametrize("lam1, lam2", [(math.nan, 1), (1, math.nan), (np.nan, 10 ** 400)],
+                             ids=["lam1", "lam2", "before-a-large-weight"])
+    def test_nan_weight_rejected(self, monkeypatch, lam1, lam2):
+        monkeypatch.setattr(numeric, "_check_base", None)  # no work may start
+        with pytest.raises(ValueError, match="^a weight is nan$"):
             numeric.moment_map(((0, 1), (1, 1)), lam1, lam2)
 
     def test_identity_element_reproduces_value(self):
@@ -118,12 +128,15 @@ class TestSampleOrbit:
         norms1 = np.abs(samples.coords[:, 0]) ** 2 + np.abs(samples.coords[:, 1]) ** 2
         assert np.allclose(norms1, 1.0, atol=1e-12)  # unitary images of a unit vector
 
-    @pytest.mark.parametrize("lams", [(10 ** 400, 1), (2, 10 ** 309)], ids=["lam1", "lam2"])
-    def test_weight_beyond_float_refused_before_drawing(self, monkeypatch, lams):
+    @pytest.mark.parametrize("lams, message", [
+        ((10 ** 400, 1), "beyond the float range"), ((2, 10 ** 309), "beyond the float range"),
+        ((-math.inf, 1), "beyond the float range"), ((2, math.nan), "nan"),
+    ], ids=["lam1", "lam2", "-inf", "nan"])
+    def test_weight_beyond_float_refused_before_drawing(self, monkeypatch, lams, message):
         def no_draw(*args):
             raise AssertionError("drew matrices for a refused weight")
         monkeypatch.setattr(numeric, "_draw_matrices", no_draw)
-        with pytest.raises(ValueError, match="a weight is beyond the float range"):
+        with pytest.raises(ValueError, match=f"^a weight is {message}$"):
             numeric.sample_orbit(REPS[OrbitClass.DENSE], "B", 10, 0, *lams)
 
     def test_unknown_subgroup(self):
@@ -739,6 +752,32 @@ class TestHausdorffSweep:
             numeric.hausdorff_distance(a, b)
         with pytest.raises(ValueError, match="finite"):
             numeric.hausdorff_distance(b, a)
+
+    @staticmethod
+    def overflow_bound(d):
+        return math.sqrt(sys.float_info.max / (4 * d)) * (1 - (d + 2) * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_coordinates_at_the_overflow_bound(self, d):
+        bound = self.overflow_bound(d)
+        a, b = np.zeros((1, d)), np.zeros((1, d))
+        a[0, 0], b[0, 0] = bound, -bound
+        assert numeric.hausdorff_distance(a, b) == 2 * bound
+        # every squared difference at its largest still sums to a finite float
+        assert math.isfinite(numeric.hausdorff_distance(np.full((1, d), bound),
+                                                        np.full((1, d), -bound)))
+        over = np.nextafter(bound, math.inf)
+        for x, y in ((a, b), (b, a)):
+            y = y.copy()
+            y[0, d - 1] = -over
+            with pytest.raises(ValueError, match=rf"^a point cloud coordinate exceeds "
+                                                 rf"{re.escape(str(bound))} .* {d} can overflow$"):
+                numeric.hausdorff_distance(x, y)
+
+    def test_overflowing_clouds_refused(self):
+        assert self.overflow_bound(3) == pytest.approx(3.87e153, rel=1e-3)
+        with pytest.raises(ValueError, match="exceeds"):
+            numeric.hausdorff_distance([[1e200, 0, 0]], [[-1e200, 0, 0]])
 
     def test_empty_and_mismatched_clouds_rejected(self):
         for empty in (np.empty((0, 3)), np.ones((2, 0))):

@@ -750,8 +750,7 @@ class TestThirdRoute:
     def test_oracle_hull_reads_no_orbit_class_and_no_closed_form(self, monkeypatch):
         oracle_basis.cache_clear()
         forbid(monkeypatch, orbits, self.FORBIDDEN + ("_nonvanishing", "_achieved_hull"))
-        forbid(monkeypatch, reps, ("highest_weight_vector", "hw_vector_sum_form",
-                                   "hw_vector_product_form"))
+        forbid(monkeypatch, reps, ("highest_weight_vector", "hw_vector_product_form"))
         forbid(monkeypatch, sys.modules[__name__], self.FORBIDDEN)
         try:
             for x, l1, l2, delta_y in GOLDEN:

@@ -14,7 +14,6 @@ from mplab.reps import (
     clebsch_gordan_highest_weights,
     highest_weight_vector,
     hw_vector_product_form,
-    hw_vector_sum_form,
     n_invariant_subspace,
     section_space_dim,
     torus_weight,
@@ -139,11 +138,11 @@ class TestHighestWeightVectors:
             highest_weight_vector(SectionSpaceSpec(1, 1, 1), 2)
 
     @pytest.mark.parametrize("k", [True, 1.0, Fraction(1)])
-    @pytest.mark.parametrize("form", [highest_weight_vector, hw_vector_sum_form,
-                                      hw_vector_product_form])
+    @pytest.mark.parametrize("form", [highest_weight_vector, hw_vector_product_form])
     def test_k_that_is_not_an_int_is_refused_before_any_work(self, form, k, monkeypatch):
         spec = SectionSpaceSpec(1, 1, 1)
-        monkeypatch.setattr(reps, "_det_power", None)  # any expansion would fail here
+        monkeypatch.setattr(reps, "_DET", None)  # any expansion would fail here
+        monkeypatch.setattr(reps, "comb", None)  # and so would the alternating sum
         with pytest.raises(TypeError, match="k="):
             form(spec, k)
 
@@ -153,7 +152,7 @@ class TestHighestWeightVectors:
                 for l2 in (1, 2, 3):
                     spec = SectionSpaceSpec(r, l1, l2)
                     for k in range(spec.k_max + 1):
-                        assert hw_vector_sum_form(spec, k) == hw_vector_product_form(spec, k)
+                        assert highest_weight_vector(spec, k) == hw_vector_product_form(spec, k)
 
     def test_product_form_equals_generic_expansion(self):
         det = poly((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
@@ -166,13 +165,12 @@ class TestHighestWeightVectors:
                         want = BiHomogPoly.monomial((0, d1 - k, 0, d2 - k)) * det ** k
                         assert hw_vector_product_form(spec, k) == want
 
-    def test_product_form_beyond_memoized_powers(self):
-        # more powers than the cache holds: evicted ones are recomputed
-        k = reps._det_power.cache_info().maxsize + 1
-        spec = SectionSpaceSpec(1, k, k)
-        for j in range(k + 1):
-            assert hw_vector_product_form(spec, j) == hw_vector_sum_form(spec, j)
-        assert hw_vector_product_form(spec, 0) == hw_vector_sum_form(spec, 0)
+    def test_forms_agree_at_the_route_weights(self):
+        # r = 1, the power the route evaluates, up to the command line's (49, 49)
+        for weights in [(l1, l2) for l1 in range(1, 9) for l2 in range(1, 9)] + [(49, 49)]:
+            spec = SectionSpaceSpec(1, *weights)
+            for k in range(spec.k_max + 1):
+                assert highest_weight_vector(spec, k) == hw_vector_product_form(spec, k)
 
 
 class TestNInvariance:
@@ -387,6 +385,13 @@ class TestBiHomogPoly:
     @given(evaluated_polynomials(), evaluation_points())
     def test_evaluation_equals_the_term_by_term_sum(self, f, pt):
         assert f.evaluate(pt) == reference_value(f, pt)
+
+    def test_evaluation_needs_exactly_four_coordinates(self):
+        f = highest_weight_vector(SectionSpaceSpec(1, 2, 1), 1)
+        pt = [GaussianRational.of(v) for v in (1, 2, 3, 4)]
+        for bad in (pt[:3], pt + [GaussianRational.of(7, 3)], []):
+            with pytest.raises(ValueError, match=rf"^a point has 4 .* not {len(bad)}$"):
+                f.evaluate(bad)
 
     def test_pretty_deterministic(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
