@@ -8,6 +8,12 @@ diagonally on both factors.  Three decidable predicates classify X:
 * z2: c2 = 0,
 * d:  a1*c2 - a2*c1 = 0 (the two points coincide).
 
+They are decided over Gaussian integers: each coordinate pair is scaled by
+the lcm of its own four denominators, which moves neither the projective
+point nor whether d vanishes, and d compares the real and imaginary parts
+of a1*c2 and a2*c1 as integer cross products.  No ``Fraction`` product is
+made; projective equality of two points uses the same cross product.
+
 The distinguished invariant vectors evaluate on the orbit through x as
 F(x) times a nonzero factor, so their closed form
 c1^(r*lam1-k) * c2^(r*lam2-k) * (a1*c2 - a2*c1)^k reduces every vanishing
@@ -33,7 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .exactlin import GaussianRational, Value, frac
+from .exactlin import GaussianRational, Value, _integral, frac
 from .polytope import RationalPolytope, hull
 from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
 from .weights import BorelElement, InvolutionSpec
@@ -78,9 +84,8 @@ class FlagPoint(Value):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        first = (self.a1 * other.c1 - other.a1 * self.c1).is_zero
-        second = (self.a2 * other.c2 - other.a2 * self.c2).is_zero
-        return first and second
+        return (_coincide(_pair_ints(self.a1, self.c1), _pair_ints(other.a1, other.c1))
+                and _coincide(_pair_ints(self.a2, self.c2), _pair_ints(other.a2, other.c2)))
 
     __hash__ = None  # projective equality is not hash-compatible
 
@@ -88,12 +93,24 @@ class FlagPoint(Value):
         return f"(({self.a1}:{self.c1}), ({self.a2}:{self.c2}))"
 
 
+def _pair_ints(a: GaussianRational, c: GaussianRational) -> list[int]:
+    """The parts (a.re, a.im, c.re, c.im) times their least common
+    denominator: the same projective point over Gaussian integers."""
+    return _integral((a.re, a.im, c.re, c.im))[0]
+
+
+def _coincide(p: list[int], q: list[int]) -> bool:
+    """Whether a*c' - a'*c vanishes for the integer pairs p = (a, c), q = (a', c')."""
+    ar, ai, cr, ci = p
+    br, bi, dr, di = q
+    return ar * dr - ai * di == br * cr - bi * ci and ar * di + ai * dr == br * ci + bi * cr
+
+
 def orbit_predicates(x: FlagPoint) -> tuple[bool, bool, bool]:
-    """(z1, z2, d): the three exact vanishing predicates."""
-    z1 = x.c1.is_zero
-    z2 = x.c2.is_zero
-    d = (x.a1 * x.c2 - x.a2 * x.c1).is_zero
-    return z1, z2, d
+    """(z1, z2, d): the three exact vanishing predicates, decided over ints."""
+    p = _pair_ints(x.a1, x.c1)
+    q = _pair_ints(x.a2, x.c2)
+    return not (p[2] or p[3]), not (q[2] or q[3]), _coincide(p, q)
 
 
 def classify_borel_orbit_closure(x: FlagPoint) -> OrbitClass:

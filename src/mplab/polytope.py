@@ -22,7 +22,7 @@ class RationalPolytope(Value):
     def __init__(self, vertices: tuple[Fraction, ...]):
         if len(vertices) > 2 or not all(isinstance(v, Fraction) for v in vertices):
             raise ValueError("a polytope on the line has at most two Fraction vertices")
-        if list(vertices) != sorted(set(vertices)):
+        if len(vertices) == 2 and not vertices[0] < vertices[1]:
             raise ValueError("vertices must be unique and sorted")
         self.__dict__.update(vertices=vertices)
 

@@ -91,8 +91,13 @@ class BiHomogPoly(Value):
         if k < 0:
             raise ValueError("negative power")
         out = BiHomogPoly.monomial((0, 0, 0, 0), 1)
-        for _ in range(k):
-            out = out * self
+        square = self
+        while k:  # binary powering: square once per bit of k
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
@@ -201,11 +206,9 @@ def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
     sum over j of (-1)^(k-j) C(k, j) x1^j y1^(d1-j) x2^(k-j) y2^(d2-k+j)."""
     _check_k(spec, k)
     d1, d2 = spec.bidegree
-    terms = {}
-    for j in range(k + 1):
-        exp = (j, d1 - j, k - j, d2 - k + j)
-        terms[exp] = (-1) ** (k - j) * comb(k, j)
-    return BiHomogPoly.from_terms((d1, d2), terms)
+    # ascending j gives ascending exponents, so the terms come out sorted
+    return BiHomogPoly((d1, d2), tuple(((j, d1 - j, k - j, d2 - k + j),
+                                        (-1) ** (k - j) * comb(k, j)) for j in range(k + 1)))
 
 
 _DET = BiHomogPoly.from_terms((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import sys
 from fractions import Fraction
@@ -58,6 +59,21 @@ class TestFlagPoint:
         b = FlagPoint.real(2, 4, 3, 3)
         assert a == b
         assert a != FlagPoint.real(1, 2, 1, 2)
+
+    def test_projective_equality_over_q_i(self):
+        zero = GaussianRational.of(0)
+        s, u = GaussianRational.of(F(2, 3), -1), GaussianRational.of(0, F(5, 7))
+        a1, c1 = GaussianRational.of(1, F(1, 2)), GaussianRational.of(-3, 2)
+        a2 = GaussianRational.of(F(4, 9))
+        x = FlagPoint(a1, c1, a2, zero)
+        assert x == FlagPoint(s * a1, s * c1, u * a2, zero)
+        assert x == FlagPoint(a1, c1, GaussianRational.of(0, -1), zero)
+        # a non-real scale on one coordinate alone moves the point
+        assert x != FlagPoint(s * a1, c1, a2, zero)
+        assert x != FlagPoint(a1, s * c1, a2, zero)
+        assert x != FlagPoint(a1, c1, zero, u)
+        assert FlagPoint(zero, c1, a2, u) == FlagPoint(zero, s, u * a2, u * u)
+        assert FlagPoint(zero, c1, a2, u) != FlagPoint(s, zero, u * a2, u * u)
 
     def test_is_real(self):
         assert REPS[OrbitClass.DENSE].is_real
@@ -503,7 +519,8 @@ class TestRepresentationWork:
 
     def test_evaluation_multiplies_no_gaussian_rational(self, monkeypatch):
         # evaluate sums over Gaussian integers, so no Q(i) product is made;
-        # the expected cuts come first, as orbit_predicates multiplies
+        # the expected cuts come from the intersection route, which makes
+        # none either (TestIntersectionWork)
         cases = [RealFormCase(x, gamma) for x in REPS.values()
                  for gamma in (NEG, identity_involution())]
         want = [case.gamma.negated_cut(moment_polytope(case.x, 3, 5)) for case in cases]
@@ -563,6 +580,62 @@ class TestBorelInvariance:
                 == real_moment_polytope(case, lam1, lam2))
         assert (gamma_highest_weight_polytope(moved, lam1, lam2)
                 == gamma_highest_weight_polytope(case, lam1, lam2))
+
+
+def q_i_predicates(x):
+    """(z1, z2, d) from their definition, through products in Q(i)."""
+    return x.c1.is_zero, x.c2.is_zero, (x.a1 * x.c2 - x.a2 * x.c1).is_zero
+
+
+@st.composite
+def predicate_points(draw):
+    """Q(i) flag points whose parts are often zero, diagonal points whose
+    second pair is t * (a1, c1) with a non-real t, and points one unit off
+    such a diagonal in the real or the imaginary direction."""
+    part = st.just(F(0)) | rationals
+    number = st.builds(GaussianRational, part, part)
+    one = GaussianRational(F(1))
+    a1, c1 = draw(number), draw(number)
+    if a1.is_zero and c1.is_zero:
+        c1 = one
+    kind = draw(st.sampled_from(["free", "diagonal", "off-diagonal"]))
+    if kind == "free":
+        a2, c2 = draw(number), draw(number)
+        if a2.is_zero and c2.is_zero:
+            a2 = one
+    else:
+        t = GaussianRational(draw(rationals), draw(nonzero_rationals))
+        a2, c2 = t * a1, t * c1
+        if kind == "off-diagonal":
+            step = draw(st.sampled_from([one, GaussianRational(F(0), F(1))]))
+            a2, c2 = (a2 + step, c2) if draw(st.booleans()) else (a2, c2 + step)
+    return FlagPoint(a1, c1, a2, c2)
+
+
+class TestIntegerPredicates:
+    """The predicates are decided over Gaussian integers; they equal their
+    definition over Q(i)."""
+
+    @given(predicate_points())
+    @settings(deadline=None, max_examples=300)
+    def test_predicates_equal_their_definition(self, x):
+        assert orbit_predicates(x) == q_i_predicates(x)
+
+    def test_parts_of_4200_digits(self):
+        rng = random.Random(4200)
+
+        def number():
+            num, den = (rng.randrange(10 ** 4199, 10 ** 4200) for _ in range(2))
+            return GaussianRational(F(rng.choice((-1, 1)) * num, den))
+
+        a1, c1, a2, c2, t = (number() for _ in range(5))
+        zero = GaussianRational(F(0))
+        points = {OrbitClass.DENSE: FlagPoint(a1, c1, a2, c2),
+                  OrbitClass.DIAGONAL: FlagPoint(a1, c1, t * a1, t * c1),
+                  OrbitClass.FIRST_FACTOR: FlagPoint(a1, c1, a2, zero)}
+        for cls, x in points.items():
+            assert orbit_predicates(x) == q_i_predicates(x)
+            assert classify_borel_orbit_closure(x) is cls
 
 
 class TestRouteDisagreement:
@@ -651,6 +724,26 @@ class TestRouteIndependence:
             polytope = moment_polytope(x, l1, l2)
             assert NEG.negated_cut(polytope) == delta_y
             assert identity_involution().negated_cut(polytope) == want
+
+
+class TestIntersectionWork:
+    """The intersection route makes no product in Q(i)."""
+
+    def test_predicates_multiply_no_gaussian_rational(self, monkeypatch):
+        cases = [(wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
+                  OrbitClass(c["orbit_class"]), wire.polytope_from_json(c["delta_x"]))
+                 for c in load_golden_cases()]
+
+        def refused(x, y):
+            raise AssertionError("GaussianRational product in the intersection route")
+
+        monkeypatch.setattr(GaussianRational, "__mul__", refused)
+        assert len(cases) == 80
+        for x, l1, l2, cls, delta_x in cases:
+            assert classify_borel_orbit_closure(x) is cls
+            assert moment_polytope(x, l1, l2) == delta_x
+            for lam in (F(p, 2) for p in range(-2, 2 * (l1 + l2) + 3)):
+                assert membership_in_C(x, l1, l2, lam).member == contains(delta_x, lam)
 
 
 # -- a third route, from the definition of the polytope -----------------------

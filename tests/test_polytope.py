@@ -41,10 +41,11 @@ class TestHull:
         assert str(hull([3, -1, 0])) == "[-1, 3]"
 
     def test_at_most_two_sorted_vertices(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a polytope on the line has at most two"):
             RationalPolytope((F(0), F(1), F(2)))
-        with pytest.raises(ValueError):
-            RationalPolytope((F(1), F(0)))
+        for bad in ((F(1), F(0)), (F(1), F(1)), (F(-1, 2), F(-1, 2))):
+            with pytest.raises(ValueError, match="^vertices must be unique and sorted$"):
+                RationalPolytope(bad)
         assert hull([1, 0]).vertices == (F(0), F(1))
 
 

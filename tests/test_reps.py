@@ -393,6 +393,19 @@ class TestBiHomogPoly:
             with pytest.raises(ValueError, match=rf"^a point has 4 .* not {len(bad)}$"):
                 f.evaluate(bad)
 
+    THREE_TERMS = poly((2, 1), {(2, 0, 0, 1): 3, (1, 1, 1, 0): -2, (0, 2, 0, 1): 5})
+
+    @pytest.mark.parametrize("base", [reps._DET, THREE_TERMS], ids=["det", "three_terms"])
+    def test_power_equals_the_repeated_product(self, base):
+        product = BiHomogPoly.monomial((0, 0, 0, 0))
+        for k in range(10):
+            assert base ** k == product
+            product = product * base
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="^negative power$"):
+            reps._DET ** -1
+
     def test_pretty_deterministic(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
         assert f.pretty() == "x1*y2 - y1*x2"
