@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Subcommands: ``polytope`` (exact orbit polytope and optional membership
-table), ``realpolytope`` (real-form polytope by both routes with an equality
-verdict), ``catalog``, ``decompose``, ``hwv``, ``oracle``, ``verify``,
-``sample`` (CSV), ``plot`` (SVG).  Machine-readable output goes to stdout as
-JSON, human summaries to stderr.  Exit codes: 0 success, 1 check failure,
-2 usage error.
+``_COMMANDS`` declares each subcommand once (its function, help line and
+options) and ``_OPTIONS`` each option once (its flag, argparse arguments,
+config-file reader and default).  A new option is one row of ``_OPTIONS``,
+named in the ``_COMMANDS`` rows of the subcommands that take it.
+Machine-readable output goes to stdout as JSON, human summaries to stderr.
+Exit codes: 0 success, 1 check failure, 2 usage error.
 
-Every subcommand but ``plot`` takes ``--config``: a JSON object whose keys
-``weights``, ``point``, ``gamma``, ``r``, ``k``, ``weight``, ``seed``, ``n``,
-``subgroup`` and ``out`` (``_OPTIONS``, each with its JSON reader and default)
-supply those options where the subcommand takes them; flags win, and other
-keys are ignored.  Only ``sample`` and ``verify`` take a seed: ``--seed``,
-then the config file, then ``MPLAB_SEED``, then 0.
+``--config`` names a JSON object whose keys, the names of the options that
+have a reader, supply those options where the subcommand takes them; flags
+win, and other keys are ignored.  Only ``sample`` and ``verify`` take a seed:
+``--seed``, then the config file, then ``MPLAB_SEED``, then 0.
 
 Inputs are limited: ``oracle``, ``hwv`` and ``decompose`` accept section spaces
 of dimension at most ``reps.MAX_SECTION_SPACE_DIM``, ``realpolytope`` and
@@ -37,10 +35,11 @@ from .orbits import (
     FlagPoint,
     RealFormCase,
     RouteDisagreementError,
+    _membership,
     classify_borel_orbit_closure,
     enumerate_polytope_catalog,
-    membership_in_C,
     moment_polytope,
+    orbit_predicates,
     real_moment_polytope,
 )
 from .reps import (
@@ -82,37 +81,58 @@ def _int_pair(value) -> list[int]:
 
 
 def _load_json(path: str):
-    """The JSON value in a file; nesting too deep to parse is a ValueError."""
+    """The JSON value in a file; a file that cannot be decoded or parsed is a
+    ValueError that names it."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, too many digits
+            raise ValueError(f"{path} cannot be read as JSON: {exc}") from None
 
 
-# Each config key's JSON reader and default value.
+# Each option once: its flag, its other add_argument arguments, its config-file
+# reader (None: a flag only) and its default.  Config keys are read in this
+# order, so a config file's first bad value is the one reported.
 _OPTIONS = {
-    "weights": (_int_pair, None),
-    "point": (_text, None),
-    "gamma": (_text, None),
-    "r": (wire.json_int, 1),
-    "k": (wire.json_int, None),
-    "weight": (wire.json_int, None),
-    "seed": (wire.json_int, None),
-    "n": (wire.json_int, 1000),
-    "subgroup": (_text, "H"),
-    "out": (_text, None),
+    "weights": ("--weights", dict(nargs=2, type=int, metavar=("L1", "L2"),
+                                  help="the two positive integer weights"), _int_pair, None),
+    "config": ("--config", dict(help="JSON file with default option values"), None, None),
+    "point": ("--point", dict(help="flag point literal 'a1,c1;a2,c2'"), _text, None),
+    "gamma": ("--gamma", dict(help="involution: negation | identity | [[-1]] | [[1]]"),
+              _text, None),
+    "r": ("--r", dict(type=int, help="bundle power (default 1)"), wire.json_int, 1),
+    "k": ("--k", dict(type=int, help="index of the invariant vector"), wire.json_int, None),
+    "weight": ("--weight", dict(type=int, help="torus weight to solve at"), wire.json_int, None),
+    "seed": ("--seed", dict(type=int, help="RNG seed (default: MPLAB_SEED or 0)"),
+             wire.json_int, None),
+    "n": ("--n", dict(type=int, help=f"number of samples (default 1000, at most {MAX_SAMPLES})"),
+          wire.json_int, 1000),
+    "subgroup": ("--subgroup", dict(choices=["B", "H", "G", "G'"],
+                                    help="which group to sample (default H)"), _text, "H"),
+    "out": ("--out", dict(help="CSV output path (default stdout)"), _text, None),
+    "membership": ("--membership", dict(action="store_true",
+                                        help="include the achievable-weight membership table"),
+                   None, None),
+    # checks.SUITES and "all", spelled out: importing checks would load NumPy.
+    "suite": ("--suite", dict(required=True, choices=["section5", "lagrangian", "coadjoint",
+                                                      "gradcheck", "all"]), None, None),
+    "in": ("--in", dict(dest="infile", required=True, help=".json or .csv artifact"),
+           None, None),
+    "svg": ("--out", dict(required=True, help="SVG output path"), None, None),
 }
 
 
 def _resolve(args: argparse.Namespace) -> None:
-    """Set each option the subcommand has: its flag, then the config file,
-    then the default.  Keys the subcommand lacks are never read."""
+    """Set each option the subcommand reads from a config file: its flag, then
+    the config file, then the default.  Keys the subcommand lacks are never read."""
+    names = _COMMANDS[args.command][2]
     table = _load_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(table, dict):
         raise ValueError("config file must hold a JSON object")
-    for name, (read, value) in _OPTIONS.items():
-        if not hasattr(args, name) or getattr(args, name) is not None:
+    for name, (_, _, read, value) in _OPTIONS.items():
+        if read is None or name not in names or getattr(args, name) is not None:
             continue
         if name in table:
             try:
@@ -164,9 +184,10 @@ def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
                          f"got {lam1 + lam2}")
     top = lam1 + lam2 + 1
     grid = sorted({Fraction(num, den) for den in (1, 2) for num in range(-den, top * den + 1)})
+    predicates = orbit_predicates(x)
     table = []
     for lam in grid:
-        member, witness = membership_in_C(x, lam1, lam2, lam)
+        member, witness = _membership(predicates, lam1, lam2, lam)
         table.append({"lambda": f"{lam.numerator}/{lam.denominator}",
                       "member": member, "witness": witness})
     return table
@@ -320,7 +341,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 for row in reader:
                     phi1.append(float(row["phi1"]))
                     phi3.append(float(row["phi3"]))
-            except csv.Error as exc:  # a field over csv.field_size_limit()
+            # A field over csv.field_size_limit(), or bytes that are not UTF-8.
+            except (csv.Error, UnicodeDecodeError) as exc:
                 raise ValueError(f"sample CSV {src}: {exc}") from None
         svg = svgplot.render_samples_svg(phi1, phi3)
     else:
@@ -331,17 +353,26 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, point: bool = False,
-                gamma: bool = False, r: bool = False):
-    sub.add_argument("--weights", nargs=2, type=int, metavar=("L1", "L2"),
-                     help="the two positive integer weights")
-    sub.add_argument("--config", help="JSON file with default option values")
-    if point:
-        sub.add_argument("--point", help="flag point literal 'a1,c1;a2,c2'")
-    if gamma:
-        sub.add_argument("--gamma", help="involution: negation | identity | [[-1]] | [[1]]")
-    if r:
-        sub.add_argument("--r", type=int, help="bundle power (default 1)")
+# Each subcommand once: its function, its help line and its options in
+# --help order.
+_COMMANDS = {
+    "polytope": (cmd_polytope, "exact orbit polytope for a flag point",
+                 ("weights", "config", "point", "membership")),
+    "realpolytope": (cmd_realpolytope, "real-form polytope by both routes",
+                     ("weights", "config", "point", "gamma")),
+    "catalog": (cmd_catalog, "distinct real-form polytopes over all orbit classes",
+                ("weights", "config", "gamma")),
+    "decompose": (cmd_decompose, "tensor-product highest weights and dimensions",
+                  ("weights", "config", "r")),
+    "hwv": (cmd_hwv, "print the invariant vector in both closed forms",
+            ("weights", "config", "r", "k")),
+    "oracle": (cmd_oracle, "brute-force invariant subspace at a weight",
+               ("weights", "config", "r", "weight")),
+    "verify": (cmd_verify, "run a verification suite", ("suite", "config", "seed")),
+    "sample": (cmd_sample, "sample an orbit and dump CSV",
+               ("weights", "config", "point", "seed", "subgroup", "n", "out")),
+    "plot": (cmd_plot, "render a polytope JSON or sample CSV as SVG", ("in", "svg")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,56 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact orbit polytopes in CP1 x CP1, their real forms, "
                     "and a numeric moment-map laboratory.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("polytope", help="exact orbit polytope for a flag point")
-    _add_common(p, point=True)
-    p.add_argument("--membership", action="store_true",
-                   help="include the achievable-weight membership table")
-    p.set_defaults(func=cmd_polytope)
-
-    p = subs.add_parser("realpolytope", help="real-form polytope by both routes")
-    _add_common(p, point=True, gamma=True)
-    p.set_defaults(func=cmd_realpolytope)
-
-    p = subs.add_parser("catalog", help="distinct real-form polytopes over all orbit classes")
-    _add_common(p, gamma=True)
-    p.set_defaults(func=cmd_catalog)
-
-    p = subs.add_parser("decompose", help="tensor-product highest weights and dimensions")
-    _add_common(p, r=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = subs.add_parser("hwv", help="print the invariant vector in both closed forms")
-    _add_common(p, r=True)
-    p.add_argument("--k", type=int, help="index of the invariant vector")
-    p.set_defaults(func=cmd_hwv)
-
-    p = subs.add_parser("oracle", help="brute-force invariant subspace at a weight")
-    _add_common(p, r=True)
-    p.add_argument("--weight", type=int, help="torus weight to solve at")
-    p.set_defaults(func=cmd_oracle)
-
-    p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["section5", "lagrangian", "coadjoint", "gradcheck", "all"])
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="RNG seed (default: MPLAB_SEED or 0)")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("sample", help="sample an orbit and dump CSV")
-    _add_common(p, point=True)
-    p.add_argument("--seed", type=int, help="RNG seed (default: MPLAB_SEED or 0)")
-    p.add_argument("--subgroup", choices=["B", "H", "G", "G'"],
-                   help="which group to sample (default H)")
-    p.add_argument("--n", type=int, help=f"number of samples (default 1000, at most {MAX_SAMPLES})")
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_sample)
-
-    p = subs.add_parser("plot", help="render a polytope JSON or sample CSV as SVG")
-    p.add_argument("--in", dest="infile", required=True, help=".json or .csv artifact")
-    p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(func=cmd_plot)
-
+    for command, (func, help_line, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for name in names:
+            flag, kwargs, _, _ = _OPTIONS[name]
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 

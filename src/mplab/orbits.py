@@ -156,9 +156,14 @@ def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
     tries m = 1 and m = 2 only.
     """
     check_weights(lam1, lam2)
+    return _membership(orbit_predicates(x), lam1, lam2, lam)
+
+
+def _membership(predicates: tuple[bool, bool, bool], lam1: int, lam2: int,
+                lam) -> Membership:
+    """``membership_in_C`` for checked weights and the point's ``orbit_predicates``."""
     lam = frac(lam)
     q = lam.denominator
-    z1, z2, d = orbit_predicates(x)
     for r in (q, 2 * q):
         r_lam = lam * r
         if r_lam < 0:
@@ -169,7 +174,7 @@ def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
         k = num // 2
         if not 0 <= k <= min(r * lam1, r * lam2):
             continue
-        if _nonvanishing(k, r, lam1, lam2, z1, z2, d):
+        if _nonvanishing(k, r, lam1, lam2, *predicates):
             return Membership(True, r)
     return Membership(False, None)
 

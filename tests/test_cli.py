@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -239,6 +240,41 @@ class TestMalformedInput:
         assert captured.err == f"error: {src} is nested too deeply to read as JSON\n"
         assert not (tmp_path / "deep.json.svg").exists()
 
+    UNREADABLE = {
+        "not-utf8": (b"\xff\xfe\x00{", "'utf-8' codec can't decode byte 0xff in position 0: "
+                                        "invalid start byte"),
+        "broken": (b"{", "Expecting property name enclosed in double quotes: "
+                         "line 1 column 2 (char 1)"),
+        "digits": (b'{"seed": ' + b"9" * 4301 + b"}", "Exceeds the limit (4300 digits) for "
+                   "integer string conversion: value has 4301 digits; use "
+                   "sys.set_int_max_str_digits() to increase the limit"),
+    }
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    @pytest.mark.parametrize("command", [
+        lambda path: ["polytope", "--config", path],
+        lambda path: ["plot", "--in", path, "--out", path + ".svg"],
+    ], ids=["polytope-config", "plot-in"])
+    def test_unreadable_json_file_is_named(self, tmp_path, capsys, command, case):
+        data, reason = self.UNREADABLE[case]
+        src = tmp_path / "bad.json"
+        src.write_bytes(data)
+        code = cli.main(command(str(src)))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {src} cannot be read as JSON: {reason}\n"
+        assert not (tmp_path / "bad.json.svg").exists()
+
+    def test_sample_csv_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_bytes(b"\xff\xfephi1,phi3\n")
+        code = cli.main(["plot", "--in", str(src), "--out", str(tmp_path / "s.svg")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: sample CSV {src}: 'utf-8' codec can't decode byte "
+                                f"0xff in position 0: invalid start byte\n")
+        assert not (tmp_path / "s.svg").exists()
+
     def test_deeply_nested_gamma_literal(self, capsys):
         code = cli.main(["catalog", "--weights", "2", "1", "--gamma", "[" * 100_000])
         captured = capsys.readouterr()
@@ -345,6 +381,20 @@ class TestInputLimits:
         assert len(table) == 2 * MEMBERSHIP_MAX + 5
         assert sum(row["member"] for row in table) == members
         assert table[-1]["lambda"] == f"{MEMBERSHIP_MAX + 1}/1"
+
+    def test_membership_table_decides_the_predicates_once(self, capsys, monkeypatch):
+        calls, predicates = [], orbits.orbit_predicates
+
+        def counted(x):
+            calls.append(x)
+            return predicates(x)
+
+        monkeypatch.setattr(orbits, "orbit_predicates", counted)
+        monkeypatch.setattr(cli, "orbit_predicates", counted, raising=False)
+        argv = ["polytope", "--membership", "--point", "1,2;3,5", "--weights", "100", "100"]
+        assert cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["membership"]) == 405
+        assert len(calls) <= 3  # the polytope, the orbit class and the table
 
     def test_oversized_membership_table(self, capsys):
         half = MEMBERSHIP_MAX // 2
@@ -586,6 +636,15 @@ class TestVerifyCommand:
         b = run_cli("verify", "--suite", "coadjoint", "--seed", "5")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+    def test_parser_tables_agree(self):
+        # cli spells out the suite names so that it need not import checks to start
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in subs.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == [*checks.SUITES, "all"]
+        used = {name for _, _, names in cli._COMMANDS.values() for name in names}
+        assert used == set(cli._OPTIONS)
 
     def test_unknown_suite_usage_error(self):
         p = run_main("verify", "--suite", "bogus")
