@@ -14,12 +14,10 @@ from .exactlin import (
     GaussianRational,
     LinearInvolution,
     RatMatrix,
-    SymplecticForm,
     fixed_subspace,
     is_lagrangian,
     kernel,
     random_antisymplectic_involution,
-    standard_symplectic_form,
 )
 from .orbits import (
     FlagPoint,
@@ -68,7 +66,6 @@ __all__ = [
     "RealFormCase",
     "RouteDisagreementError",
     "SectionSpaceSpec",
-    "SymplecticForm",
     "classify_borel_orbit_closure",
     "clebsch_gordan_highest_weights",
     "contains",
@@ -88,7 +85,6 @@ __all__ = [
     "random_antisymplectic_involution",
     "real_moment_polytope",
     "section_space_dim",
-    "standard_symplectic_form",
     "torus_weight",
     "verify_n_invariance",
     "weight_decomposition",

@@ -329,8 +329,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
     src = args.infile
     if src.endswith(".json"):
         obj = _load_json(src)
-        poly = wire.polytope_from_json(obj.get("polytope", obj) if isinstance(obj, dict) else obj)
-        svg = svgplot.render_polytope_svg(poly)
+        try:
+            poly = wire.polytope_from_json(obj.get("polytope", obj) if isinstance(obj, dict) else obj)
+            svg = svgplot.render_polytope_svg(poly)
+        except ValueError as exc:
+            raise ValueError(f"{src}: {exc}") from None
     elif src.endswith(".csv"):
         with open(src, newline="") as fh:
             reader = csv.DictReader(fh, restval="")
@@ -339,12 +342,18 @@ def cmd_plot(args: argparse.Namespace) -> int:
                     raise ValueError(f"sample CSV {src} has no phi1 and phi3 columns")
                 phi1, phi3 = [], []
                 for row in reader:
-                    phi1.append(float(row["phi1"]))
-                    phi3.append(float(row["phi3"]))
+                    try:
+                        phi1.append(float(row["phi1"]))
+                        phi3.append(float(row["phi3"]))
+                    except ValueError as exc:
+                        raise ValueError(f"sample CSV {src}, line {reader.line_num}: {exc}") from None
             # A field over csv.field_size_limit(), or bytes that are not UTF-8.
             except (csv.Error, UnicodeDecodeError) as exc:
                 raise ValueError(f"sample CSV {src}: {exc}") from None
-        svg = svgplot.render_samples_svg(phi1, phi3)
+        try:
+            svg = svgplot.render_samples_svg(phi1, phi3)
+        except ValueError as exc:  # a value that is not finite, or a range a float cannot hold
+            raise ValueError(f"sample CSV {src}: {exc}") from None
     else:
         raise ValueError("plot input must be a .json polytope or .csv sample file")
     with open(args.out, "w") as fh:

@@ -236,44 +236,26 @@ def fixed_subspace(s: LinearInvolution) -> list[Vector]:
     return column_space_basis(RatMatrix.identity(s.dim) + s.matrix)
 
 
-class SymplecticForm(Value):
-    """Antisymmetric nondegenerate bilinear form on Q^(2n)."""
-
-    matrix: RatMatrix
-
-    def __init__(self, matrix: RatMatrix):
-        if not matrix.is_square or matrix.rows % 2 != 0:
-            raise ValueError("symplectic form needs even square dimension")
-        if matrix.transpose() != -matrix:
-            raise ValueError("form is not antisymmetric")
-        if rank(matrix) != matrix.rows:
-            raise ValueError("form is degenerate")
-        self.__dict__.update(matrix=matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-
-def standard_symplectic_form(dim: int) -> SymplecticForm:
-    """Darboux form [[0, I], [-I, 0]] on Q^dim."""
+def _darboux(dim: int) -> RatMatrix:
+    """The standard Darboux form [[0, I], [-I, 0]] on Q^dim, the one form mplab uses."""
     if dim % 2 != 0:
         raise ValueError("dimension must be even")
     n = dim // 2
-    return SymplecticForm(RatMatrix(tuple(tuple((j == i + n) - (j + n == i) for j in range(dim))
-                                          for i in range(dim))))
+    return RatMatrix(tuple(tuple((j == i + n) - (j + n == i) for j in range(dim))
+                           for i in range(dim)))
 
 
-def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], omega: SymplecticForm) -> bool:
-    """True iff span(basis) is isotropic of dimension exactly dim/2."""
+def is_lagrangian(subspace_basis: Sequence[Sequence[Fraction]], dim: int) -> bool:
+    """True iff span(basis) is isotropic of dimension exactly dim/2 for the Darboux form."""
+    omega = _darboux(dim)
     for v in subspace_basis:
-        if len(v) != omega.dim:
+        if len(v) != dim:
             raise ValueError("basis vector dimension does not match the form")
     # isotropic iff the Gram matrix B Omega B^T of the basis rows B is zero
     basis = RatMatrix.from_rows(subspace_basis)
-    if rank(basis) != omega.dim // 2:
+    if rank(basis) != dim // 2:
         return False
-    return not any(chain.from_iterable((basis @ omega.matrix @ basis.transpose()).ints))
+    return not any(chain.from_iterable((basis @ omega @ basis.transpose()).ints))
 
 
 def _random_symplectic(dim: int, rng: random.Random) -> list[list[int]]:
@@ -341,8 +323,10 @@ def random_antisymplectic_involution(dim: int, seed: int) -> LinearInvolution:
     return antisymplectic_involution_from_symplectic(t)
 
 
-def is_antisymplectic(s: LinearInvolution, omega: SymplecticForm) -> bool:
-    return s.matrix.transpose() @ omega.matrix @ s.matrix == -omega.matrix
+def is_antisymplectic(s: LinearInvolution) -> bool:
+    """True iff S^T Omega S = -Omega, which for S^2 = I says that Omega S is symmetric."""
+    m = _darboux(s.dim) @ s.matrix
+    return m == m.transpose()
 
 
 class GaussianRational(Value):

@@ -169,7 +169,7 @@ class TestMalformedInput:
         src.write_text(json.dumps({"dim": 1, "vertices": vertices}))
         p = run_main("plot", "--in", str(src), "--out", str(tmp_path / "x.svg"))
         assert_usage_error(p)
-        assert p.stderr == f"error: {message}\n"
+        assert p.stderr == f"error: {src}: {message}\n"
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("dim", [1.9, True], ids=json.dumps)
@@ -274,6 +274,33 @@ class TestMalformedInput:
         assert captured.err == (f"error: sample CSV {src}: 'utf-8' codec can't decode byte "
                                 f"0xff in position 0: invalid start byte\n")
         assert not (tmp_path / "s.svg").exists()
+
+    UNPLOTTABLE = {
+        "word": ("s.csv", "phi1,phi3\nx,y\n",
+                 "sample CSV {src}, line 2: could not convert string to float: 'x'"),
+        "short-row": ("s.csv", "phi1,phi3\n1,2\n3\n",
+                      "sample CSV {src}, line 3: could not convert string to float: ''"),
+        "no-dim": ("p.json", '{"vertices": []}',
+                   '{src}: polytope JSON must be an object with "dim" and "vertices"'),
+        "dim-2": ("p.json", '{"dim": 2, "vertices": []}',
+                  "{src}: polytope JSON has dim 2; only dim 1 is supported"),
+        # refused while drawing: svgplot's checks of the values read
+        "nan": ("s.csv", "phi1,phi3\n0.5,0.25\nnan,1.0\n",
+                "sample CSV {src}: moment values must be finite, with a range a float can hold"),
+        "beyond-float": ("p.json", '{"dim": 1, "vertices": [["1%s", "1"]]}' % ("0" * 400),
+                         "{src}: polytope vertices must lie in a range a float can hold"),
+    }
+
+    @pytest.mark.parametrize("case", UNPLOTTABLE)
+    def test_plot_input_that_cannot_be_read_is_named(self, tmp_path, capsys, case):
+        name, text, message = self.UNPLOTTABLE[case]
+        src = tmp_path / name
+        src.write_text(text)
+        code = cli.main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message.format(src=src)}\n"
+        assert not (tmp_path / "x.svg").exists()
 
     def test_deeply_nested_gamma_literal(self, capsys):
         code = cli.main(["catalog", "--weights", "2", "1", "--gamma", "[" * 100_000])
@@ -948,7 +975,7 @@ class TestWireFormats:
         out = tmp_path / "x.svg"
         p = run_main("plot", "--in", str(src), "--out", str(out))
         assert_usage_error(p)
-        assert p.stderr == "error: a polytope JSON vertex must be a [num, den] array\n"
+        assert p.stderr == f"error: {src}: a polytope JSON vertex must be a [num, den] array\n"
         assert not out.exists()
 
     def test_point_literal_round_trip(self):

@@ -22,7 +22,6 @@ from mplab.exactlin import (
     random_antisymplectic_involution,
     rank,
     rref,
-    standard_symplectic_form,
 )
 
 F = Fraction
@@ -70,6 +69,13 @@ def reference_invert(matrix):
     reduced, pivots = reference_rref(aug)
     assert pivots == tuple(range(n))
     return tuple(row[n:] for row in reduced)
+
+
+def darboux(dim):
+    """The standard Darboux form [[0, I], [-I, 0]] on Q^dim, entry by entry."""
+    n = dim // 2
+    return RatMatrix.from_rows([[int(c == r + n) - int(r == c + n) for c in range(dim)]
+                                for r in range(dim)])
 
 
 def reference_random_antisymplectic(dim, seed):
@@ -182,14 +188,14 @@ class TestFractionFreeCore:
                 rows[i][j] = p
                 rows[n + j][n + i] = -p
             t = t @ RatMatrix.from_rows(rows)
-        omega = standard_symplectic_form(dim).matrix
+        omega = darboux(dim)
         assert t @ -(omega @ t.transpose() @ omega) == RatMatrix.identity(dim)
         s = antisymplectic_involution_from_symplectic(t)
         d = RatMatrix.from_rows([[int(r == c) * (1 if r < n else -1) for c in range(dim)]
                                  for r in range(dim)])
         assert entries(s.matrix) == reference_matmul(
             reference_matmul(reference_invert(entries(t)), entries(d)), entries(t))
-        assert is_antisymplectic(s, standard_symplectic_form(dim))
+        assert is_antisymplectic(s)
 
     def test_non_symplectic_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -234,12 +240,11 @@ class TestIntegerBacking:
     def test_integer_operations_build_no_fraction(self, monkeypatch):
         a = RatMatrix.from_rows([[1, 2, 0], [3, -4, 5], [0, 6, 7]])
         b = RatMatrix.from_rows([[F(1, 2), 0, 1], [2, F(-1, 3), 0], [1, 1, 1]])
-        omega = standard_symplectic_form(6)
         monkeypatch.setattr(exactlin, "Fraction", CountingFraction)
         CountingFraction.made = 0
         a @ b, a + b, a + -b, -a, a.transpose(), rref(a), rref(b), rref(a @ b + -b)
         s = random_antisymplectic_involution(6, 3)
-        assert is_antisymplectic(s, omega)
+        assert is_antisymplectic(s)
         assert CountingFraction.made == 0
         column_space_basis(b)  # the counter does see the Fractions built where values leave
         assert CountingFraction.made == 9
@@ -347,27 +352,27 @@ class TestEigensplit:
 
 class TestLagrangian:
     def test_half_dimensional_line_in_plane(self):
-        omega = standard_symplectic_form(2)
-        assert is_lagrangian([(F(1), F(0))], omega)
+        assert is_lagrangian([(F(1), F(0))], 2)
 
     def test_darboux_pair_is_not_isotropic(self):
-        omega = standard_symplectic_form(4)
         # span{e1, f1} pairs to 1 under the form
         assert not is_lagrangian([(F(1), F(0), F(0), F(0)),
-                                  (F(0), F(0), F(1), F(0))], omega)
+                                  (F(0), F(0), F(1), F(0))], 4)
 
     def test_position_plane_is_lagrangian(self):
-        omega = standard_symplectic_form(4)
         assert is_lagrangian([(F(1), F(0), F(0), F(0)),
-                              (F(0), F(1), F(0), F(0))], omega)
+                              (F(0), F(1), F(0), F(0))], 4)
 
     def test_wrong_dimension_fails(self):
-        omega = standard_symplectic_form(4)
-        assert not is_lagrangian([(F(1), F(0), F(0), F(0))], omega)
+        assert not is_lagrangian([(F(1), F(0), F(0), F(0))], 4)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            is_lagrangian([(F(1), F(0))], standard_symplectic_form(4))
+            is_lagrangian([(F(1), F(0))], 4)
+
+    def test_odd_dimension_raises(self):
+        with pytest.raises(ValueError, match="dimension must be even"):
+            is_lagrangian([(F(1), F(0), F(0))], 3)
 
 
 class TestAntisymplecticInvolutions:
@@ -376,33 +381,30 @@ class TestAntisymplecticInvolutions:
         assert s.matrix == RatMatrix.from_rows([[1, 0], [0, -1]])
 
     def test_dim2_construction_guarantees(self):
-        omega = standard_symplectic_form(2)
         for seed in (0, 1, 17):
             s = random_antisymplectic_involution(2, seed)
             assert s.matrix @ s.matrix == RatMatrix.identity(2)
-            assert is_antisymplectic(s, omega)
+            assert is_antisymplectic(s)
 
     def test_dim4_seed7_fixed_space_is_lagrangian(self):
         s = random_antisymplectic_involution(4, 7)
         fs = fixed_subspace(s)
         assert len(fs) == 2
-        assert is_lagrangian(fs, standard_symplectic_form(4))
+        assert is_lagrangian(fs, 4)
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_fixed_spaces_lagrangian_many_seeds(self, dim):
-        omega = standard_symplectic_form(dim)
         for seed in range(25):
             s = random_antisymplectic_involution(dim, seed)
-            assert is_lagrangian(fixed_subspace(s), omega)
+            assert is_lagrangian(fixed_subspace(s), dim)
 
     def test_negation_closure(self):
-        omega = standard_symplectic_form(4)
         s = random_antisymplectic_involution(4, 3)
         neg = LinearInvolution(-s.matrix)
-        assert is_antisymplectic(neg, omega)
+        assert is_antisymplectic(neg)
         minus = column_space_basis(RatMatrix.identity(4) + -s.matrix)  # the -1 eigenspace of s
         assert fixed_subspace(neg) == minus
-        assert is_lagrangian(fixed_subspace(neg), omega)
+        assert is_lagrangian(fixed_subspace(neg), 4)
 
     def test_determinism(self):
         a = random_antisymplectic_involution(6, 11)
@@ -412,6 +414,25 @@ class TestAntisymplecticInvolutions:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             random_antisymplectic_involution(3, 0)
+        swap = LinearInvolution(RatMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError, match="dimension must be even"):
+            is_antisymplectic(swap)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_predicate_equals_the_definition(self, dim):
+        # S^T Omega S == -Omega, over involutions with either answer
+        omega = darboux(dim)
+        one = RatMatrix.identity(dim)
+        swap = RatMatrix.from_rows([[int({r, c} == {0, 1} or r == c > 1) for c in range(dim)]
+                                    for r in range(dim)])  # exchanges e1 and e2
+        seen = set()
+        for seed in range(10):
+            s = random_antisymplectic_involution(dim, seed).matrix
+            for m in (s, -s, one, -one, swap, swap @ s @ swap, s @ swap @ s):
+                expected = m.transpose() @ omega @ m == -omega
+                assert is_antisymplectic(LinearInvolution(m)) is expected
+                seen.add(expected)
+        assert seen == {True, False}
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
@@ -421,9 +442,8 @@ def test_involution_from_small_symplectic_shear(p, q, r):
     t = RatMatrix.from_rows([[1, p], [0, 1]]) @ RatMatrix.from_rows([[1, 0], [q, 1]])
     t = t @ RatMatrix.from_rows([[1, r], [0, 1]])
     s = antisymplectic_involution_from_symplectic(t)
-    omega = standard_symplectic_form(2)
-    assert is_antisymplectic(s, omega)
-    assert is_lagrangian(fixed_subspace(s), omega)
+    assert is_antisymplectic(s)
+    assert is_lagrangian(fixed_subspace(s), 2)
 
 
 class TestGaussianRational:

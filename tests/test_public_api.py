@@ -19,7 +19,6 @@ EXPECTED = {
     "RealFormCase",
     "RouteDisagreementError",
     "SectionSpaceSpec",
-    "SymplecticForm",
     "classify_borel_orbit_closure",
     "clebsch_gordan_highest_weights",
     "contains",
@@ -39,7 +38,6 @@ EXPECTED = {
     "random_antisymplectic_involution",
     "real_moment_polytope",
     "section_space_dim",
-    "standard_symplectic_form",
     "torus_weight",
     "verify_n_invariance",
     "weight_decomposition",

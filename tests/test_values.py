@@ -17,7 +17,7 @@ import pytest
 
 import mplab
 from mplab.checks import CheckResult
-from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix, SymplecticForm, Value
+from mplab.exactlin import GaussianRational, LinearInvolution, RatMatrix, Value
 from mplab.numeric import SampleSet
 from mplab.orbits import FlagPoint, RealFormCase
 from mplab.polytope import RationalPolytope
@@ -36,8 +36,6 @@ CASES = [
      "RatMatrix(ints=((-1, -2), (-3, 4)), den=3)"),
     (lambda: LinearInvolution(matrix=RatMatrix(((0, 1), (1, 0)))),
      "LinearInvolution(matrix=RatMatrix(ints=((0, 1), (1, 0)), den=1))"),
-    (lambda: SymplecticForm(RatMatrix(((0, 1), (-1, 0)), 3)),
-     "SymplecticForm(matrix=RatMatrix(ints=((0, 1), (-1, 0)), den=3))"),
     (lambda: G(F(1, 2), im=F(-3)),
      "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"),
     (lambda: RationalPolytope((F(-1), F(3, 2))),
