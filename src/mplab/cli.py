@@ -32,16 +32,15 @@ from fractions import Fraction
 
 from . import wire
 from .orbits import (
-    FlagPoint,
     RealFormCase,
     RouteDisagreementError,
     _membership,
     classify_borel_orbit_closure,
     enumerate_polytope_catalog,
     moment_polytope,
-    orbit_predicates,
     real_moment_polytope,
 )
+from .polytope import RationalPolytope
 from .reps import (
     MAX_ROUTE_POINT_SIZE,
     MAX_SECTION_SPACE_DIM,
@@ -178,16 +177,15 @@ def _limited(spec: SectionSpaceSpec) -> SectionSpaceSpec:
     return spec
 
 
-def _membership_table(x: FlagPoint, lam1: int, lam2: int) -> list[dict]:
+def _membership_table(delta: RationalPolytope, lam1: int, lam2: int) -> list[dict]:
     if lam1 + lam2 > MAX_MEMBERSHIP_WEIGHT_SUM:
         raise ValueError(f"--membership needs L1 + L2 <= {MAX_MEMBERSHIP_WEIGHT_SUM}, "
                          f"got {lam1 + lam2}")
     top = lam1 + lam2 + 1
     grid = sorted({Fraction(num, den) for den in (1, 2) for num in range(-den, top * den + 1)})
-    predicates = orbit_predicates(x)
     table = []
     for lam in grid:
-        member, witness = _membership(predicates, lam1, lam2, lam)
+        member, witness = _membership(delta, lam1, lam2, lam)
         table.append({"lambda": f"{lam.numerator}/{lam.denominator}",
                       "member": member, "witness": witness})
     return table
@@ -200,7 +198,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
     if args.membership:
         _emit({"polytope": wire.polytope_to_json(delta),
                "orbit_class": classify_borel_orbit_closure(x).value,
-               "membership": _membership_table(x, lam1, lam2)})
+               "membership": _membership_table(delta, lam1, lam2)})
     else:
         _emit(wire.polytope_to_json(delta))
     print(f"orbit polytope: {delta}", file=sys.stderr)

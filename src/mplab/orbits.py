@@ -27,6 +27,9 @@ question to the three predicates.  From that case analysis:
   when lam1 != lam2)
 * the fixed point        -> empty
 
+Membership of a weight (:func:`membership_in_C`) reads this polytope: it is
+containment plus the parity of the least bundle power that achieves lam.
+
 Real-form counterparts cut these by the negated eigenspace of the torus
 involution (:meth:`InvolutionSpec.negated_cut`); the headline identity
 "real polytope = polytope cut by the negated eigenspace" is computed by two
@@ -40,7 +43,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, Value, _integral, frac
-from .polytope import RationalPolytope, hull
+from .polytope import RationalPolytope, contains, hull
 from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
 from .weights import BorelElement, InvolutionSpec
 
@@ -136,47 +139,27 @@ class Membership(NamedTuple):
     witness: int | None
 
 
-def _nonvanishing(k: int, r: int, lam1: int, lam2: int,
-                  z1: bool, z2: bool, d: bool) -> bool:
-    # F evaluates to c1^(r*lam1-k) c2^(r*lam2-k) (a1 c2 - a2 c1)^k
-    return ((k == r * lam1 or not z1)
-            and (k == r * lam2 or not z2)
-            and (k == 0 or not d))
-
-
 def membership_in_C(x: FlagPoint, lam1: int, lam2: int, lam) -> Membership:
     """Does some bundle power carry an invariant vector of weight r*lam
     that is nonzero on the orbit closure of x?
 
-    The witness is the least such r.  It is a multiple of den(lam), and at
-    r = m * den(lam) every condition but one is the same for all m: the
-    sign of lam, the range of k = r(lam1 + lam2 - lam)/2 relative to r*lam1
-    and r*lam2, and which closed-form factors vanish.  The one left is the
-    parity of r(lam1 + lam2 - lam), which m = 2 always meets, so the search
-    tries m = 1 and m = 2 only.
+    Exactly when lam lies in ``moment_polytope(x, lam1, lam2)``.  The
+    witness, the least such r, is a multiple of den(lam); at r = m*den(lam)
+    every condition on k = r(lam1 + lam2 - lam)/2 but its being an integer
+    scales with r (k in [0, min(r*lam1, r*lam2)], and which closed-form
+    factors vanish), and those are the polytope's case table.  Integrality
+    is the parity of r(lam1 + lam2 - lam): m = 1 meets it, or else m = 2.
     """
-    check_weights(lam1, lam2)
-    return _membership(orbit_predicates(x), lam1, lam2, lam)
+    return _membership(moment_polytope(x, lam1, lam2), lam1, lam2, lam)
 
 
-def _membership(predicates: tuple[bool, bool, bool], lam1: int, lam2: int,
-                lam) -> Membership:
-    """``membership_in_C`` for checked weights and the point's ``orbit_predicates``."""
+def _membership(delta: RationalPolytope, lam1: int, lam2: int, lam) -> Membership:
+    """``membership_in_C`` for the point's ``moment_polytope`` ``delta``."""
     lam = frac(lam)
+    if not contains(delta, lam):
+        return Membership(False, None)
     q = lam.denominator
-    for r in (q, 2 * q):
-        r_lam = lam * r
-        if r_lam < 0:
-            continue
-        num = r * (lam1 + lam2) - int(r_lam)
-        if num % 2 != 0:
-            continue
-        k = num // 2
-        if not 0 <= k <= min(r * lam1, r * lam2):
-            continue
-        if _nonvanishing(k, r, lam1, lam2, *predicates):
-            return Membership(True, r)
-    return Membership(False, None)
+    return Membership(True, q if (q * (lam1 + lam2) - lam.numerator) % 2 == 0 else 2 * q)
 
 
 def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:

@@ -16,7 +16,7 @@ y2 d/dx2, as the t^e coefficient of the substituted F is (-1)^e D^e F / e!.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Mapping, Sequence
 
 from .exactlin import GaussianRational, RatMatrix, Value, _integral, kernel
@@ -292,8 +292,6 @@ def n_invariant_subspace(spec: SectionSpaceSpec, weight: int) -> list[BiHomogPol
         return [BiHomogPoly.monomial(m) for m in monos]
     out = []
     for vec in kernel(RatMatrix(tuple(map(tuple, rows.values())))):
-        denom_lcm = lcm(*(entry.denominator for entry in vec))
-        poly = BiHomogPoly.from_terms(spec.bidegree, {m: int(entry * denom_lcm)
-                                                      for m, entry in zip(monos, vec)})
+        poly = BiHomogPoly.from_terms(spec.bidegree, dict(zip(monos, _integral(vec)[0])))
         out.append(-poly if max(poly.terms)[1] < 0 else poly)  # positive lead
     return out

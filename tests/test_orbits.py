@@ -132,6 +132,28 @@ class TestClassification:
             assert orbit_predicates(borel_act(g, x))[2]
 
 
+def full_search(predicates, lam1, lam2, lam):
+    """Membership by its definition: the least multiple r of den(lam), up to
+    2 den(lam) (lam1 + lam2), whose invariant vector of weight r*lam is
+    nonzero on the orbit closure.  With k = r(lam1 + lam2 - lam)/2 that vector
+    is c1^(r*lam1-k) c2^(r*lam2-k) (a1 c2 - a2 c1)^k times a nonzero factor,
+    so it is nonzero exactly when every vanishing factor has exponent 0."""
+    z1, z2, d = predicates
+    q = lam.denominator
+    if lam < 0:  # r*lam is not a dominant weight
+        return Membership(False, None)
+    for r in range(q, 2 * q * (lam1 + lam2) + 1, q):
+        num = r * (lam1 + lam2) - int(lam * r)
+        if num % 2 != 0:
+            continue
+        k = num // 2
+        if not 0 <= k <= min(r * lam1, r * lam2):
+            continue
+        if (k == r * lam1 or not z1) and (k == r * lam2 or not z2) and (k == 0 or not d):
+            return Membership(True, r)
+    return Membership(False, None)
+
+
 class TestMembership:
     def test_dense_integer_weight(self):
         assert membership_in_C(REPS[OrbitClass.DENSE], 2, 1, 1) == Membership(True, 1)
@@ -155,33 +177,26 @@ class TestMembership:
             membership_in_C(REPS[OrbitClass.DENSE], 0, 1, 1)
 
     def test_witness_equals_the_full_search(self):
-        # the search the two-multiple one replaced: every multiple of den(lam)
-        # up to 2 * den(lam) * (lam1 + lam2)
-        def full_search(x, lam1, lam2, lam):
-            q = lam.denominator
-            z1, z2, d = orbit_predicates(x)
-            for r in range(q, 2 * q * (lam1 + lam2) + 1, q):
-                r_lam = lam * r
-                if r_lam < 0 or r_lam.denominator != 1:
-                    continue
-                num = r * (lam1 + lam2) - int(r_lam)
-                if num % 2 != 0:
-                    continue
-                k = num // 2
-                if not 0 <= k <= min(r * lam1, r * lam2):
-                    continue
-                if orbits._nonvanishing(k, r, lam1, lam2, z1, z2, d):
-                    return Membership(True, r)
-            return Membership(False, None)
-
-        for l1 in range(1, 5):
-            for l2 in range(1, 5):
-                for x in REPS.values():
+        for x in REPS.values():
+            predicates = orbit_predicates(x)
+            for l1 in range(1, 5):
+                for l2 in range(1, 5):
                     for q in (1, 2, 3, 4, 6):
                         top = (l1 + l2 + 1) * q
                         for p in range(-q, top + 1):
                             lam = F(p, q)
-                            assert membership_in_C(x, l1, l2, lam) == full_search(x, l1, l2, lam)
+                            assert (membership_in_C(x, l1, l2, lam)
+                                    == full_search(predicates, l1, l2, lam))
+
+    @pytest.mark.parametrize("cls", list(OrbitClass))
+    @given(data=st.data(), lam1=st.integers(1, 4), lam2=st.integers(1, 4), q=st.integers(1, 4))
+    @settings(deadline=None, max_examples=20)
+    def test_witness_equals_the_full_search_over_gaussian_points(self, cls, data, lam1, lam2, q):
+        x = data.draw(gaussian_points(cls))
+        predicates = orbit_predicates(x)
+        for p in range(-q, (lam1 + lam2 + 1) * q + 1):
+            lam = F(p, q)
+            assert membership_in_C(x, lam1, lam2, lam) == full_search(predicates, lam1, lam2, lam)
 
     def test_membership_iff_polytope_membership(self):
         # rational grid with denominators up to 4 around each polytope
@@ -842,7 +857,7 @@ class TestThirdRoute:
 
     def test_oracle_hull_reads_no_orbit_class_and_no_closed_form(self, monkeypatch):
         oracle_basis.cache_clear()
-        forbid(monkeypatch, orbits, self.FORBIDDEN + ("_nonvanishing", "_achieved_hull"))
+        forbid(monkeypatch, orbits, self.FORBIDDEN + ("_achieved_hull",))
         forbid(monkeypatch, reps, ("highest_weight_vector", "hw_vector_product_form"))
         forbid(monkeypatch, sys.modules[__name__], self.FORBIDDEN)
         try:
