@@ -32,12 +32,16 @@ class Value:
     A subclass declares its fields as class annotations, in constructor
     order, and its ``__init__`` stores them after its checks with one
     ``self.__dict__.update(...)``, as ``copy`` and ``pickle`` restore them.
-    The base gives the repr ``Name(field=value, ...)``, equality and hashing
-    over the field tuple between instances of one class, and refuses
-    assignment and deletion with ``AttributeError``.
+    A subclass may name in ``_derived`` attributes that its ``__init__``
+    computes from the fields and stores after them in the same update; they
+    are not in the repr, equality or hash.  The base gives the repr
+    ``Name(field=value, ...)``, equality and hashing over the field tuple
+    between instances of one class, and refuses assignment and deletion
+    with ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

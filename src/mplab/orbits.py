@@ -11,8 +11,10 @@ diagonally on both factors.  Three decidable predicates classify X:
 They are decided over Gaussian integers: each coordinate pair is scaled by
 the lcm of its own four denominators, which moves neither the projective
 point nor whether d vanishes, and d compares the real and imaginary parts
-of a1*c2 and a2*c1 as integer cross products.  No ``Fraction`` product is
-made; projective equality of two points uses the same cross product.
+of a1*c2 and a2*c1 as integer cross products.  The pairs are cleared once
+per point, at construction, and kept as the point's ``pairs``; no
+``Fraction`` product is made, and projective equality of two points uses
+the same cross product.
 
 The distinguished invariant vectors evaluate on the orbit through x as
 F(x) times a nonzero factor, so their closed form
@@ -43,7 +45,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exactlin import GaussianRational, Value, _integral, frac
-from .polytope import RationalPolytope, contains, hull
+from .polytope import RationalPolytope, _interval, contains
 from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
 from .weights import BorelElement, InvolutionSpec
 
@@ -57,12 +59,18 @@ class OrbitClass(Enum):
 
 
 class FlagPoint(Value):
-    """Pair of homogeneous coordinate pairs over Q(i); equality is projective."""
+    """Pair of homogeneous coordinate pairs over Q(i); equality is projective.
+
+    The derived field ``pairs`` holds each coordinate pair's parts
+    (a.re, a.im, c.re, c.im) times their least common denominator: the same
+    projective point over Gaussian integers, computed at construction.
+    """
 
     a1: GaussianRational
     c1: GaussianRational
     a2: GaussianRational
     c2: GaussianRational
+    _derived = ("pairs",)
 
     def __init__(self, a1: GaussianRational, c1: GaussianRational,
                  a2: GaussianRational, c2: GaussianRational):
@@ -70,7 +78,8 @@ class FlagPoint(Value):
             raise ValueError("first coordinate pair is (0, 0)")
         if a2.is_zero and c2.is_zero:
             raise ValueError("second coordinate pair is (0, 0)")
-        self.__dict__.update(a1=a1, c1=c1, a2=a2, c2=c2)
+        self.__dict__.update(a1=a1, c1=c1, a2=a2, c2=c2,
+                             pairs=(_pair_ints(a1, c1), _pair_ints(a2, c2)))
 
     @classmethod
     def real(cls, a1, c1, a2, c2) -> "FlagPoint":
@@ -87,8 +96,8 @@ class FlagPoint(Value):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        return (_coincide(_pair_ints(self.a1, self.c1), _pair_ints(other.a1, other.c1))
-                and _coincide(_pair_ints(self.a2, self.c2), _pair_ints(other.a2, other.c2)))
+        (p, q), (p2, q2) = self.pairs, other.pairs
+        return _coincide(p, p2) and _coincide(q, q2)
 
     __hash__ = None  # projective equality is not hash-compatible
 
@@ -96,13 +105,13 @@ class FlagPoint(Value):
         return f"(({self.a1}:{self.c1}), ({self.a2}:{self.c2}))"
 
 
-def _pair_ints(a: GaussianRational, c: GaussianRational) -> list[int]:
+def _pair_ints(a: GaussianRational, c: GaussianRational) -> tuple[int, ...]:
     """The parts (a.re, a.im, c.re, c.im) times their least common
     denominator: the same projective point over Gaussian integers."""
-    return _integral((a.re, a.im, c.re, c.im))[0]
+    return tuple(_integral((a.re, a.im, c.re, c.im))[0])
 
 
-def _coincide(p: list[int], q: list[int]) -> bool:
+def _coincide(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     """Whether a*c' - a'*c vanishes for the integer pairs p = (a, c), q = (a', c')."""
     ar, ai, cr, ci = p
     br, bi, dr, di = q
@@ -111,8 +120,7 @@ def _coincide(p: list[int], q: list[int]) -> bool:
 
 def orbit_predicates(x: FlagPoint) -> tuple[bool, bool, bool]:
     """(z1, z2, d): the three exact vanishing predicates, decided over ints."""
-    p = _pair_ints(x.a1, x.c1)
-    q = _pair_ints(x.a2, x.c2)
+    p, q = x.pairs
     return not (p[2] or p[3]), not (q[2] or q[3]), _coincide(p, q)
 
 
@@ -171,13 +179,13 @@ def moment_polytope(x: FlagPoint, lam1: int, lam2: int) -> RationalPolytope:
     check_weights(lam1, lam2)
     cls = classify_borel_orbit_closure(x)
     if cls is OrbitClass.DENSE:
-        return hull([abs(lam1 - lam2), lam1 + lam2])
+        return _interval(abs(lam1 - lam2), lam1 + lam2)
     if cls is OrbitClass.DIAGONAL:
-        return hull([lam1 + lam2])
+        return _interval(lam1 + lam2)
     if cls is OrbitClass.FIRST_FACTOR:
-        return hull([lam1 - lam2]) if lam1 >= lam2 else RationalPolytope.empty()
+        return _interval(lam1 - lam2) if lam1 >= lam2 else RationalPolytope.empty()
     if cls is OrbitClass.SECOND_FACTOR:
-        return hull([lam2 - lam1]) if lam2 >= lam1 else RationalPolytope.empty()
+        return _interval(lam2 - lam1) if lam2 >= lam1 else RationalPolytope.empty()
     return RationalPolytope.empty()
 
 
@@ -197,20 +205,24 @@ def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -
     """Hull of the weights whose invariant vectors at the first bundle power
     are nonzero at ``coords``; independent of the involution."""
     spec = SectionSpaceSpec(1, lam1, lam2)
+    # F is homogeneous, so it vanishes at coords exactly where it vanishes
+    # at D * coords, D the lcm of their denominators: a Gaussian-integer point.
+    parts = _integral([part for g in coords for part in (g.re, g.im)])[0]
     # The weight falls as k grows, so the least and the greatest achieving k
     # span the same hull as every achieving k does.
-    low = _first_nonzero(spec, range(spec.k_max + 1), coords)
+    low = _first_nonzero(spec, range(spec.k_max + 1), parts)
     if low is None:
         return RationalPolytope.empty()
-    high = _first_nonzero(spec, range(spec.k_max, low, -1), coords)
-    return hull([lam1 + lam2 - 2 * k for k in (low, high) if k is not None])
+    high = _first_nonzero(spec, range(spec.k_max, low, -1), parts)
+    top = lam1 + lam2
+    return _interval(top - 2 * low) if high is None else _interval(top - 2 * high, top - 2 * low)
 
 
-def _first_nonzero(spec: SectionSpaceSpec, ks: range,
-                   coords: tuple[GaussianRational, ...]) -> int | None:
-    """The first k in ``ks`` whose invariant vector is nonzero at ``coords``."""
+def _first_nonzero(spec: SectionSpaceSpec, ks: range, parts: list[int]) -> int | None:
+    """The first k in ``ks`` whose invariant vector is nonzero at the
+    Gaussian-integer point with parts ``parts``."""
     return next((k for k in ks
-                 if not highest_weight_vector(spec, k).evaluate(coords).is_zero), None)
+                 if highest_weight_vector(spec, k).integer_sum(parts) != (0, 0)), None)
 
 
 def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:

@@ -3,7 +3,10 @@
 Every polytope of the worked model lives in the dual of the diagonal torus
 of SU(2), which is a line, so a polytope is an exact closed interval over Q:
 empty, a point or a segment.  It is stored as its sorted distinct endpoints,
-each a ``Fraction``, so equality is syntactic.
+each a ``Fraction``, so equality is syntactic.  :func:`hull` is the
+checked entry: it takes any exact rationals, in any order.  The closed forms
+of the orbit classes build their intervals from ints whose order they fix,
+through an unchecked constructor private to the package.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ def hull(points: Iterable) -> RationalPolytope:
         return RationalPolytope.empty()
     lo, hi = min(pts), max(pts)
     return RationalPolytope((lo,) if lo == hi else (lo, hi))
+
+
+def _interval(*ends: int) -> RationalPolytope:
+    """The interval whose endpoints are the ints ``ends``, which the caller
+    gives sorted and distinct: nothing is converted, compared or checked."""
+    p = object.__new__(RationalPolytope)
+    p.__dict__.update(vertices=tuple([Fraction(e) for e in ends]))
+    return p
 
 
 def contains(p: RationalPolytope, x) -> bool:

@@ -104,13 +104,24 @@ class BiHomogPoly(Value):
         """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4, summed over ints.
 
         F is homogeneous of degree n = d1 + d2, so F(p) = F(D p) / D^n with D
-        the lcm of the point's eight denominators.  Each coordinate of D p is
-        a Gaussian integer (re, im), and its powers are tabled once per call.
+        the lcm of the point's eight denominators: :meth:`integer_sum` at
+        D p, and one division.
         """
         if len(point) != 4:
             raise ValueError(f"a point has 4 coordinates (x1, y1, x2, y2), not {len(point)}")
-        d1, d2 = self.bidegree
         parts, den = _integral([part for g in point for part in (g.re, g.im)])
+        total_re, total_im = self.integer_sum(parts)
+        scale = den ** sum(self.bidegree)
+        return GaussianRational(Fraction(total_re, scale), Fraction(total_im, scale))
+
+    def integer_sum(self, parts: Sequence[int]) -> tuple[int, int]:
+        """F at a point of Gaussian integers, as its (re, im) ints.
+
+        ``parts`` are the point's real and imaginary parts as eight ints,
+        (x1.re, x1.im, y1.re, y1.im, x2.re, x2.im, y2.re, y2.im).  The powers
+        of each coordinate are tabled once per call.
+        """
+        d1, d2 = self.bidegree
         tables = []
         for re, im, degree in zip(parts[::2], parts[1::2], (d1, d1, d2, d2)):
             powers = [(1, 0)]
@@ -126,8 +137,7 @@ class BiHomogPoly(Value):
             vr, vi = cr * dr - ci * di, cr * di + ci * dr
             total_re += coeff * (ur * vr - ui * vi)
             total_im += coeff * (ur * vi + ui * vr)
-        scale = den ** (d1 + d2)
-        return GaussianRational(Fraction(total_re, scale), Fraction(total_im, scale))
+        return total_re, total_im
 
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
         x1, y1, x2, y2 = point

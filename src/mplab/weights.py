@@ -9,7 +9,7 @@ are w -> -w and w -> w, so an involution is a sign.
 from __future__ import annotations
 
 from .exactlin import GaussianRational, Value
-from .polytope import RationalPolytope, contains, hull
+from .polytope import RationalPolytope, _interval, contains
 
 
 class InvolutionSpec(Value):
@@ -31,7 +31,7 @@ class InvolutionSpec(Value):
         """
         if self.sign == -1:
             return p
-        return hull([0]) if contains(p, 0) else RationalPolytope.empty()
+        return _interval(0) if contains(p, 0) else RationalPolytope.empty()
 
 
 def negation_involution() -> InvolutionSpec:

@@ -273,6 +273,11 @@ class TestIntegerBacking:
         with pytest.raises(TypeError):
             RatMatrix(((F(1, 2),),))
 
+    def test_shape_of_a_matrix_with_no_rows(self):
+        empty = RatMatrix(())
+        assert (empty.rows, empty.cols) == (0, 0)
+        assert empty.is_square
+
     def test_identity_is_shared_and_frac_returns_its_fraction(self):
         assert RatMatrix.identity(3) is RatMatrix.identity(3)
         assert RatMatrix.identity(3) == RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -417,6 +422,12 @@ class TestAntisymplecticInvolutions:
         swap = LinearInvolution(RatMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
         with pytest.raises(ValueError, match="dimension must be even"):
             is_antisymplectic(swap)
+
+    @pytest.mark.parametrize("dim", [3, 1, 0, -2])
+    def test_dimension_refused_in_its_own_words(self, dim):
+        # odd dimensions, and even ones below 2, are refused before any draw
+        with pytest.raises(ValueError, match="^dimension must be even and >= 2$"):
+            random_antisymplectic_involution(dim, 0)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_predicate_equals_the_definition(self, dim):

@@ -498,15 +498,16 @@ class TestRepresentationRoute:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count ``BiHomogPoly.evaluate`` calls per bidegree."""
+    """Count ``BiHomogPoly.integer_sum`` calls per bidegree: the sum that
+    every evaluation of an invariant vector makes, by ``evaluate`` or not."""
     calls = {}
-    genuine = BiHomogPoly.evaluate
+    genuine = BiHomogPoly.integer_sum
 
-    def counting(self, point):
+    def counting(self, parts):
         calls[self.bidegree] = calls.get(self.bidegree, 0) + 1
-        return genuine(self, point)
+        return genuine(self, parts)
 
-    monkeypatch.setattr(BiHomogPoly, "evaluate", counting)
+    monkeypatch.setattr(BiHomogPoly, "integer_sum", counting)
     return calls
 
 
@@ -651,6 +652,64 @@ class TestIntegerPredicates:
         for cls, x in points.items():
             assert orbit_predicates(x) == q_i_predicates(x)
             assert classify_borel_orbit_closure(x) is cls
+
+
+@pytest.fixture
+def clearings(monkeypatch):
+    """Count the denominator clearings ``orbits`` makes, as a list of the
+    lengths of the sequences it clears."""
+    calls = []
+    genuine = orbits._integral
+
+    def counting(xs):
+        calls.append(len(xs))
+        return genuine(xs)
+
+    monkeypatch.setattr(orbits, "_integral", counting)
+    return calls
+
+
+class TestPointPairs:
+    """A point clears each pair's denominators once, at construction, and
+    the intersection route reads the stored pairs; the representation route
+    clears the coordinates itself."""
+
+    def test_construction_clears_each_pair_once(self, clearings):
+        x = FlagPoint.real(F(1, 2), F(-1, 3), 2, 0)
+        assert clearings == [4, 4]
+        assert x.pairs == ((3, 0, -2, 0), (2, 0, 0, 0))
+
+    def test_a_zero_pair_is_refused_before_any_clearing(self, clearings):
+        for coords in ((0, 0, 1, 1), (1, 1, 0, 0)):
+            with pytest.raises(ValueError, match="coordinate pair is \\(0, 0\\)$"):
+                FlagPoint.real(*coords)
+        assert clearings == []
+
+    def test_intersection_route_clears_nothing(self, clearings):
+        points = [FlagPoint.real(F(2, 3), 1, -1, F(5, 7)), *REPS.values()]
+        twins = [FlagPoint(*x.coords) for x in points]
+        clearings.clear()
+        for i, (x, twin) in enumerate(zip(points, twins)):
+            assert x == twin and x != points[i - 1]
+            orbit_predicates(x)
+            moment_polytope(x, 3, 5)
+            for lam in (F(1, 2), 2, 8):
+                membership_in_C(x, 3, 5, lam)
+        assert clearings == []
+
+    def test_representation_route_clears_the_coordinates_once(self, clearings):
+        x = REPS[OrbitClass.POINT]  # every invariant vector is evaluated
+        gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
+        assert clearings == [8]
+
+    def test_representation_route_reads_no_stored_pair(self):
+        x = FlagPoint.real(F(2, 3), 1, -1, F(5, 7))
+        false_pairs = FlagPoint(*x.coords)
+        false_pairs.__dict__["pairs"] = REPS[OrbitClass.POINT].pairs  # claims the fixed point
+        assert moment_polytope(false_pairs, 3, 5).is_empty  # the intersection route reads it
+        for gamma in (NEG, identity_involution()):
+            assert (gamma_highest_weight_polytope(RealFormCase(false_pairs, gamma), 3, 5)
+                    == gamma_highest_weight_polytope(RealFormCase(x, gamma), 3, 5))
 
 
 class TestRouteDisagreement:
@@ -865,3 +924,79 @@ class TestThirdRoute:
                 assert oracle_hull(x.coords, l1, l2) == delta_y
         finally:
             oracle_basis.cache_clear()
+
+
+# -- the paper's invariances, through both routes ------------------------------
+
+def stretched(p, m):
+    """The polytope ``p`` times the factor m."""
+    return RationalPolytope(tuple(m * v for v in p.vertices))
+
+
+def swapped(x):
+    """The point ``x`` with its two factors exchanged."""
+    return FlagPoint(x.a2, x.c2, x.a1, x.c1)
+
+
+def weights_near(data, delta, lam1, lam2):
+    """Three weights drawn around ``delta``, or among its vertices."""
+    den = data.draw(st.integers(1, 3))
+    near = st.builds(F, st.integers(-den, den * (lam1 + lam2 + 1)), st.just(den))
+    return [data.draw(near | st.sampled_from(delta.vertices or (F(0),))) for _ in range(3)]
+
+
+class TestInvariances:
+    """Delta(x, m*lam1, m*lam2) = m * Delta(x, lam1, lam2), since the
+    polytope is the closure of lam / r over the bundle powers; and the group
+    acts on both factors alike, so exchanging them with their weights
+    changes no polytope.  The representation route at m*lam evaluates
+    vectors of degree m(lam1 + lam2), and under the exchange the invariant
+    vector of index k changes by the sign (-1)^k, so neither is trivial."""
+
+    @given(cls=st.sampled_from(OrbitClass), data=st.data(), lam1=st.integers(1, 4),
+           lam2=st.integers(1, 4), m=st.sampled_from([2, 3]))
+    @settings(deadline=None, max_examples=25)
+    def test_stretching_the_weights_stretches_the_polytope(self, cls, data, lam1, lam2, m):
+        x = data.draw(gaussian_points(cls))
+        delta = moment_polytope(x, lam1, lam2)
+        assert moment_polytope(x, m * lam1, m * lam2) == stretched(delta, m)
+        for lam in weights_near(data, delta, lam1, lam2):
+            assert (membership_in_C(x, m * lam1, m * lam2, m * lam).member
+                    == membership_in_C(x, lam1, lam2, lam).member)
+
+    @given(cls=st.sampled_from(OrbitClass), data=st.data(), lam1=st.integers(1, 4),
+           lam2=st.integers(1, 4), m=st.sampled_from([2, 3]))
+    @settings(deadline=None, max_examples=25)
+    def test_stretching_holds_on_the_representation_route(self, cls, data, lam1, lam2, m):
+        x = data.draw(gaussian_points(cls))
+        achieved = orbits._achieved_hull(x.coords, lam1, lam2)
+        assert orbits._achieved_hull(x.coords, m * lam1, m * lam2) == stretched(achieved, m)
+        if x.is_real:
+            for gamma in (NEG, identity_involution()):
+                case = RealFormCase(x, gamma)
+                assert (gamma_highest_weight_polytope(case, m * lam1, m * lam2)
+                        == stretched(gamma_highest_weight_polytope(case, lam1, lam2), m))
+
+    @given(cls=st.sampled_from(OrbitClass), data=st.data(), lam1=st.integers(1, 4),
+           lam2=st.integers(1, 4))
+    @settings(deadline=None, max_examples=25)
+    def test_exchanging_the_factors_changes_no_polytope(self, cls, data, lam1, lam2):
+        x = data.draw(gaussian_points(cls))
+        y = swapped(x)
+        delta = moment_polytope(x, lam1, lam2)
+        assert moment_polytope(y, lam2, lam1) == delta
+        for lam in weights_near(data, delta, lam1, lam2):
+            assert membership_in_C(y, lam2, lam1, lam) == membership_in_C(x, lam1, lam2, lam)
+
+    @given(cls=st.sampled_from(OrbitClass), data=st.data(), lam1=st.integers(1, 4),
+           lam2=st.integers(1, 4))
+    @settings(deadline=None, max_examples=25)
+    def test_exchanging_holds_on_the_representation_route(self, cls, data, lam1, lam2):
+        x = data.draw(gaussian_points(cls))
+        y = swapped(x)
+        assert (orbits._achieved_hull(y.coords, lam2, lam1)
+                == orbits._achieved_hull(x.coords, lam1, lam2))
+        if x.is_real:
+            for gamma in (NEG, identity_involution()):
+                assert (gamma_highest_weight_polytope(RealFormCase(y, gamma), lam2, lam1)
+                        == gamma_highest_weight_polytope(RealFormCase(x, gamma), lam1, lam2))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mplab import wire
 from mplab.polytope import (
     RationalPolytope,
+    _interval,
     contains,
     hull,
 )
@@ -83,6 +84,45 @@ class TestEquals:
         for vertex in ((F(1),), 1.0):
             with pytest.raises(ValueError):
                 RationalPolytope((vertex,))
+
+
+def case_table_rows(lam1, lam2):
+    """Every endpoint tuple that the closed forms give ``_interval`` at
+    weights (lam1, lam2): each orbit class's polytope, each hull of achieved
+    weights the representation route can find, and the identity cut's origin."""
+    top, k_max = lam1 + lam2, min(lam1, lam2)
+    rows = [(abs(lam1 - lam2), top), (top,), (0,)]
+    rows += [(lam1 - lam2,)] if lam1 >= lam2 else [(lam2 - lam1,)]
+    for low in range(k_max + 1):
+        rows.append((top - 2 * low,))
+        rows += [(top - 2 * high, top - 2 * low) for high in range(low + 1, k_max + 1)]
+    return rows
+
+
+class TestInterval:
+    """``_interval`` builds from ints with none of ``hull``'s conversions
+    and checks; on the endpoints the closed forms give it, it builds what
+    ``hull`` builds, and the checked entries still refuse bad endpoints."""
+
+    def test_equals_hull_on_every_case_table_row(self):
+        for lam1 in range(1, 13):
+            for lam2 in range(1, 13):
+                for ends in case_table_rows(lam1, lam2):
+                    got, want = _interval(*ends), hull(ends)
+                    assert got == want and repr(got) == repr(want)
+                    assert all(type(v) is Fraction for v in got.vertices)
+        assert _interval() == RationalPolytope.empty()
+
+    def test_checked_entries_refuse_what_interval_does_not_check(self):
+        for bad in ((F(1), F(0)), (F(1), F(1))):
+            with pytest.raises(ValueError, match="^vertices must be unique and sorted$"):
+                RationalPolytope(bad)
+        for bad in ((0, 1), (1,), (F(0), 1)):
+            with pytest.raises(ValueError, match="^a polytope on the line has at most two"):
+                RationalPolytope(bad)
+        for point in (1.0, (1,)):
+            with pytest.raises(TypeError):
+                hull([0, point])
 
 
 class TestIntersectSubspace:

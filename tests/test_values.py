@@ -68,6 +68,10 @@ CASES = [
 ]
 
 
+# the classes that store a derived field: FlagPoint's Gaussian-integer pairs
+DERIVED = {FlagPoint: ("pairs",)}
+
+
 def _same(a, b) -> bool:
     """Value equality between instances of one class."""
     return type(a) is type(b) and a == b
@@ -77,8 +81,10 @@ def _same(a, b) -> bool:
                          ids=[r.split("(", 1)[0] for _, r in CASES])
 def test_value_class_parity(build, expected_repr):
     a, b = build(), build()
-    # the constructor stores exactly the fields, in annotation order
-    assert list(vars(a)) == list(type(a)._fields)
+    # the constructor stores exactly the fields, in annotation order, and
+    # then the derived fields its class declares, which no repr shows
+    assert type(a)._derived == DERIVED.get(type(a), ())
+    assert list(vars(a)) == [*type(a)._fields, *type(a)._derived]
     assert repr(a) == expected_repr
     assert a is not b and _same(a, b)
     assert a != object()
@@ -97,6 +103,7 @@ def test_value_class_parity(build, expected_repr):
     assert repr(a) == expected_repr
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert _same(clone, a) and repr(clone) == expected_repr
+        assert all(getattr(clone, f) == getattr(a, f) for f in type(a)._derived)
 
 
 def test_cases_cover_every_value_class():
