@@ -1,7 +1,9 @@
-"""Exact rational linear algebra: kernels, involution fixed spaces, symplectic predicates.
+"""Exact rational linear algebra: kernels, involution fixed spaces, symplectic
+predicates, and the Q(i) coordinate value.
 
-Everything here works over Q (``fractions.Fraction``) or Q(i) (:class:`GaussianRational`)
-with no rounding anywhere.  A matrix is integer rows over one common
+Everything here works over Q (``fractions.Fraction``) with no rounding
+anywhere; :class:`GaussianRational` holds a point's Q(i) coordinates with
+no arithmetic on them.  A matrix is integer rows over one common
 denominator, so products, sums and elimination run over ``int``, and a
 ``Fraction`` is built only where a value enters or leaves a matrix.
 Canonical forms follow reduced-echelon conventions so that outputs are
@@ -334,7 +336,7 @@ def is_antisymplectic(s: LinearInvolution) -> bool:
 
 
 class GaussianRational(Value):
-    """Element of Q(i) with exact field arithmetic."""
+    """An exact coordinate in Q(i), held as its two rational parts, with no field arithmetic."""
 
     re: Fraction
     im: Fraction
@@ -353,29 +355,6 @@ class GaussianRational(Value):
     @property
     def is_real(self) -> bool:
         return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        n = other.re * other.re + other.im * other.im
-        num = self * other.conjugate()
-        return GaussianRational(num.re / n, num.im / n)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

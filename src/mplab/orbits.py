@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .exactlin import GaussianRational, Value, _integral, frac
 from .polytope import RationalPolytope, _interval, contains
 from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
-from .weights import BorelElement, InvolutionSpec
+from .weights import InvolutionSpec
 
 
 class OrbitClass(Enum):
@@ -83,7 +83,7 @@ class FlagPoint(Value):
 
     @classmethod
     def real(cls, a1, c1, a2, c2) -> "FlagPoint":
-        return cls(*(GaussianRational.of(frac(v)) for v in (a1, c1, a2, c2)))
+        return cls(*(GaussianRational.of(v) for v in (a1, c1, a2, c2)))
 
     @property
     def is_real(self) -> bool:
@@ -133,13 +133,6 @@ def classify_borel_orbit_closure(x: FlagPoint) -> OrbitClass:
     if z2:
         return OrbitClass.FIRST_FACTOR
     return OrbitClass.DIAGONAL if d else OrbitClass.DENSE
-
-
-def borel_act(g: BorelElement, x: FlagPoint) -> FlagPoint:
-    """Diagonal action of a Borel element on both factors."""
-    p1 = g.apply((x.a1, x.c1))
-    p2 = g.apply((x.a2, x.c2))
-    return FlagPoint(p1[0], p1[1], p2[0], p2[1])
 
 
 class Membership(NamedTuple):

@@ -15,11 +15,10 @@ y2 d/dx2, as the t^e coefficient of the substituted F is (-1)^e D^e F / e!.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .exactlin import GaussianRational, RatMatrix, Value, _integral, kernel
+from .exactlin import RatMatrix, Value, _integral, kernel
 
 Exponent = tuple[int, int, int, int]
 
@@ -100,20 +99,6 @@ class BiHomogPoly(Value):
                 square = square * square
         return out
 
-    def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Exact evaluation at (x1, y1, x2, y2) in Q(i)^4, summed over ints.
-
-        F is homogeneous of degree n = d1 + d2, so F(p) = F(D p) / D^n with D
-        the lcm of the point's eight denominators: :meth:`integer_sum` at
-        D p, and one division.
-        """
-        if len(point) != 4:
-            raise ValueError(f"a point has 4 coordinates (x1, y1, x2, y2), not {len(point)}")
-        parts, den = _integral([part for g in point for part in (g.re, g.im)])
-        total_re, total_im = self.integer_sum(parts)
-        scale = den ** sum(self.bidegree)
-        return GaussianRational(Fraction(total_re, scale), Fraction(total_im, scale))
-
     def integer_sum(self, parts: Sequence[int]) -> tuple[int, int]:
         """F at a point of Gaussian integers, as its (re, im) ints.
 
@@ -121,6 +106,8 @@ class BiHomogPoly(Value):
         (x1.re, x1.im, y1.re, y1.im, x2.re, x2.im, y2.re, y2.im).  The powers
         of each coordinate are tabled once per call.
         """
+        if len(parts) != 8:
+            raise ValueError(f"a point has 8 integer parts, not {len(parts)}")
         d1, d2 = self.bidegree
         tables = []
         for re, im, degree in zip(parts[::2], parts[1::2], (d1, d1, d2, d2)):

@@ -1,4 +1,4 @@
-"""Torus involutions on the weight axis and exact Borel elements.
+"""Torus involutions on the weight axis.
 
 Conventions for the worked model: the maximal torus of SU(2) consists of the
 diagonal matrices and weights are stored in alpha-units, integers on the
@@ -8,7 +8,7 @@ are w -> -w and w -> w, so an involution is a sign.
 
 from __future__ import annotations
 
-from .exactlin import GaussianRational, Value
+from .exactlin import Value
 from .polytope import RationalPolytope, _interval, contains
 
 
@@ -40,20 +40,3 @@ def negation_involution() -> InvolutionSpec:
 
 def identity_involution() -> InvolutionSpec:
     return InvolutionSpec(1, "identity")
-
-
-class BorelElement(Value):
-    """Borel element [[alpha, beta], [0, 1/alpha]] over Q(i); its determinant is 1."""
-
-    alpha: GaussianRational
-    beta: GaussianRational
-
-    def __init__(self, alpha: GaussianRational, beta: GaussianRational):
-        if alpha.is_zero:
-            raise ValueError("alpha must be nonzero")
-        self.__dict__.update(alpha=alpha, beta=beta)
-
-    def apply(self, pair: tuple[GaussianRational, GaussianRational]
-              ) -> tuple[GaussianRational, GaussianRational]:
-        x, y = pair
-        return (self.alpha * x + self.beta * y, y / self.alpha)

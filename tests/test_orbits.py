@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import borel_act, q_add, q_div, q_mul, q_sub, reference_value, vanishes_at
 from mplab import orbits, reps, wire
 from mplab.checks import check_two_routes, load_golden_cases
 from mplab.exactlin import GaussianRational
@@ -17,7 +18,6 @@ from mplab.orbits import (
     Membership,
     OrbitClass,
     RealFormCase,
-    borel_act,
     classify_borel_orbit_closure,
     enumerate_polytope_catalog,
     gamma_highest_weight_polytope,
@@ -34,11 +34,7 @@ from mplab.polytope import (
     hull,
 )
 from mplab.reps import BiHomogPoly, SectionSpaceSpec, highest_weight_vector
-from mplab.weights import (
-    BorelElement,
-    identity_involution,
-    negation_involution,
-)
+from mplab.weights import identity_involution, negation_involution
 
 F = Fraction
 REPS = orbit_representatives()
@@ -66,14 +62,14 @@ class TestFlagPoint:
         a1, c1 = GaussianRational.of(1, F(1, 2)), GaussianRational.of(-3, 2)
         a2 = GaussianRational.of(F(4, 9))
         x = FlagPoint(a1, c1, a2, zero)
-        assert x == FlagPoint(s * a1, s * c1, u * a2, zero)
+        assert x == FlagPoint(q_mul(s, a1), q_mul(s, c1), q_mul(u, a2), zero)
         assert x == FlagPoint(a1, c1, GaussianRational.of(0, -1), zero)
         # a non-real scale on one coordinate alone moves the point
-        assert x != FlagPoint(s * a1, c1, a2, zero)
-        assert x != FlagPoint(a1, s * c1, a2, zero)
+        assert x != FlagPoint(q_mul(s, a1), c1, a2, zero)
+        assert x != FlagPoint(a1, q_mul(s, c1), a2, zero)
         assert x != FlagPoint(a1, c1, zero, u)
-        assert FlagPoint(zero, c1, a2, u) == FlagPoint(zero, s, u * a2, u * u)
-        assert FlagPoint(zero, c1, a2, u) != FlagPoint(s, zero, u * a2, u * u)
+        assert FlagPoint(zero, c1, a2, u) == FlagPoint(zero, s, q_mul(u, a2), q_mul(u, u))
+        assert FlagPoint(zero, c1, a2, u) != FlagPoint(s, zero, q_mul(u, a2), q_mul(u, u))
 
     def test_is_real(self):
         assert REPS[OrbitClass.DENSE].is_real
@@ -104,7 +100,7 @@ class TestClassification:
 
     def test_borel_action_preserves_class(self):
         # brute-force consistency: the predicates are invariants of the sampled action
-        elements = [BorelElement(GaussianRational.of(a, ai), GaussianRational.of(b, bi))
+        elements = [(GaussianRational.of(a, ai), GaussianRational.of(b, bi))
                     for a, ai, b, bi in itertools.product((1, 2, F(-1, 3)), (0, 1),
                                                           (0, F(5, 2)), (0, -2))
                     ]
@@ -116,7 +112,7 @@ class TestClassification:
         # sampled points on the dense orbit are in general position, unlike the
         # lower-dimensional classes whose defining predicate stays pinned
         x = REPS[OrbitClass.DENSE]
-        images = [borel_act(BorelElement(GaussianRational.of(a), GaussianRational.of(b)), x)
+        images = [borel_act((GaussianRational.of(a), GaussianRational.of(b)), x)
                   for a in (1, 2, 3) for b in (0, 1)]
         distinct = []
         for img in images:
@@ -128,7 +124,7 @@ class TestClassification:
     def test_diagonal_orbit_stays_diagonal(self):
         x = REPS[OrbitClass.DIAGONAL]
         for a, b in ((2, 5), (F(1, 2), -1), (3, F(7, 3))):
-            g = BorelElement(GaussianRational.of(a), GaussianRational.of(b))
+            g = (GaussianRational.of(a), GaussianRational.of(b))
             assert orbit_predicates(borel_act(g, x))[2]
 
 
@@ -391,32 +387,14 @@ def test_bundle_power_below_one_is_refused_before_the_weights():
         SectionSpaceSpec(0, 0, 1.5)
 
 
-def sum_every_term(poly, coords):
-    """``poly`` at ``coords``, every term summed: no term skipped, no early
-    stop, each power from a table of repeated products over Q(i)."""
-    d1, d2 = poly.bidegree
-    tables = []
-    for g, degree in zip(coords, (d1, d1, d2, d2)):
-        tables.append([GaussianRational.of(1)])
-        for _ in range(degree):
-            tables[-1].append(tables[-1][-1] * g)
-    total = GaussianRational(F(0))
-    for exp, coeff in poly.terms:
-        term = GaussianRational.of(coeff)
-        for table, power in zip(tables, exp):
-            term = term * table[power]
-        total = total + term
-    return total
-
-
 def reference_representation_route(case, lam1, lam2, r_max=2):
     """The representation route evaluated at every k of every bundle power
-    r <= ``r_max``, without ``BiHomogPoly.evaluate``."""
+    r <= ``r_max``, summed in Q(i) without ``BiHomogPoly.integer_sum``."""
     achieved = []
     for r in range(1, r_max + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for k in range(spec.k_max + 1):
-            if not sum_every_term(highest_weight_vector(spec, k), case.x.coords).is_zero:
+            if not reference_value(highest_weight_vector(spec, k), case.x.coords).is_zero:
                 achieved.append(F(r * (lam1 + lam2) - 2 * k, r))
     closure = hull(achieved)
     if case.gamma.sign == -1:  # the -1 eigenspace is the whole axis
@@ -436,7 +414,7 @@ gammas = st.sampled_from([NEG, identity_involution()])
 @st.composite
 def real_points(draw):
     """Real flag points of every orbit class, most of them dense, and the
-    zero coordinates that let ``evaluate`` skip terms."""
+    zero coordinates that make terms vanish."""
     a1, a2 = draw(rationals), draw(rationals)
     c1, c2 = draw(nonzero_rationals), draw(nonzero_rationals)
     shape = draw(st.sampled_from(["free", "free", "diagonal", "first", "second", "point",
@@ -489,7 +467,8 @@ class TestRepresentationRoute:
         # is checked through its hull, which a real form only cuts
         a1, c1, a2, c2 = x.coords
         want = moment_polytope(x, lam1, lam2)
-        for y in (FlagPoint(t1 * a1, t1 * c1, a2, c2), FlagPoint(a1, c1, t2 * a2, t2 * c2)):
+        for y in (FlagPoint(q_mul(t1, a1), q_mul(t1, c1), a2, c2),
+                  FlagPoint(a1, c1, q_mul(t2, a2), q_mul(t2, c2))):
             assert y == x
             assert classify_borel_orbit_closure(y) is classify_borel_orbit_closure(x)
             assert moment_polytope(y, lam1, lam2) == want
@@ -499,7 +478,7 @@ class TestRepresentationRoute:
 @pytest.fixture
 def evaluations(monkeypatch):
     """Count ``BiHomogPoly.integer_sum`` calls per bidegree: the sum that
-    every evaluation of an invariant vector makes, by ``evaluate`` or not."""
+    every evaluation of an invariant vector makes."""
     calls = {}
     genuine = BiHomogPoly.integer_sum
 
@@ -533,19 +512,24 @@ class TestRepresentationWork:
             gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
             assert evaluations[(3, 5)] <= 4
 
-    def test_evaluation_multiplies_no_gaussian_rational(self, monkeypatch):
-        # evaluate sums over Gaussian integers, so no Q(i) product is made;
-        # the expected cuts come from the intersection route, which makes
-        # none either (TestIntersectionWork)
+    def test_evaluation_multiplies_no_gaussian_rational(self):
+        # GaussianRational has no product, so one made here would raise
+        # TypeError; the expected cuts come from the intersection route,
+        # which makes none either (TestIntersectionWork)
         cases = [RealFormCase(x, gamma) for x in REPS.values()
                  for gamma in (NEG, identity_involution())]
         want = [case.gamma.negated_cut(moment_polytope(case.x, 3, 5)) for case in cases]
-
-        def refused(x, y):
-            raise AssertionError("GaussianRational product in the representation route")
-
-        monkeypatch.setattr(GaussianRational, "__mul__", refused)
         assert [gamma_highest_weight_polytope(case, 3, 5) for case in cases] == want
+
+    def test_downward_scan_steps_one_k_at_a_time(self, monkeypatch):
+        # with the k = k_max vector zero, a dense point's hull ends at k_max - 1
+        genuine = orbits.highest_weight_vector
+
+        def top_vanishes(spec, k):
+            return BiHomogPoly(spec.bidegree, ()) if k == spec.k_max else genuine(spec, k)
+
+        monkeypatch.setattr(orbits, "highest_weight_vector", top_vanishes)
+        assert orbits._achieved_hull(FlagPoint.real(0, 1, 1, 1).coords, 3, 5) == seg(4, 8)
 
 
 numbers = {"Q": st.builds(GaussianRational, rationals),
@@ -557,19 +541,40 @@ def borel_moves(draw, field):
     """A real flag point and an upper-triangular element over ``field``.
 
     The element's corner entry is drawn or chosen to send a1 or a2 to 0, so
-    the moves make the zero coordinates ``evaluate`` skips on as well as
-    remove them.
+    the moves make zero coordinates as well as remove them.
     """
     x = draw(real_points())
     alpha = draw(nonzero_numbers[field])
     target = draw(st.sampled_from(["drawn", "a1", "a2"]))
-    if target == "a1" and not x.c1.is_zero:
-        beta = -alpha * x.a1 / x.c1
+    if target == "a1" and not x.c1.is_zero:  # x is real, so -a1/c1 is rational
+        beta = q_mul(alpha, GaussianRational(-x.a1.re / x.c1.re))
     elif target == "a2" and not x.c2.is_zero:
-        beta = -alpha * x.a2 / x.c2
+        beta = q_mul(alpha, GaussianRational(-x.a2.re / x.c2.re))
     else:
         beta = draw(numbers[field])
-    return x, BorelElement(alpha, beta)
+    return x, (alpha, beta)
+
+
+class TestBorelAction:
+    """The reference action ``borel_act`` that the invariance properties use."""
+
+    def test_apply(self):
+        two, one = GaussianRational.of(2), GaussianRational.of(1)
+        moved = borel_act((two, one), FlagPoint(one, one, one, one)).coords
+        assert moved == (GaussianRational.of(3), GaussianRational.of(F(1, 2))) * 2
+
+    def test_apply_over_gaussian_rationals(self):
+        # (alpha x + beta y, y / alpha): the matrix [[alpha, beta], [0, 1/alpha]]
+        alpha, beta = GaussianRational.of(1, 2), GaussianRational.of(F(-1, 3), 1)
+        x, y = GaussianRational.of(F(5, 2), -1), GaussianRational.of(3, 4)
+        moved = borel_act((alpha, beta), FlagPoint(x, y, y, x)).coords
+        inverse = q_div(GaussianRational.of(1), alpha)
+        assert moved[:2] == (q_add(q_mul(alpha, x), q_mul(beta, y)), q_mul(y, inverse))
+        assert q_mul(moved[1], alpha) == y
+
+    def test_zero_alpha_refused(self):
+        with pytest.raises(ValueError, match="alpha must be nonzero"):
+            borel_act((GaussianRational.of(0), GaussianRational.of(1)), REPS[OrbitClass.DENSE])
 
 
 class TestBorelInvariance:
@@ -600,7 +605,7 @@ class TestBorelInvariance:
 
 def q_i_predicates(x):
     """(z1, z2, d) from their definition, through products in Q(i)."""
-    return x.c1.is_zero, x.c2.is_zero, (x.a1 * x.c2 - x.a2 * x.c1).is_zero
+    return x.c1.is_zero, x.c2.is_zero, q_sub(q_mul(x.a1, x.c2), q_mul(x.a2, x.c1)).is_zero
 
 
 @st.composite
@@ -621,10 +626,10 @@ def predicate_points(draw):
             a2 = one
     else:
         t = GaussianRational(draw(rationals), draw(nonzero_rationals))
-        a2, c2 = t * a1, t * c1
+        a2, c2 = q_mul(t, a1), q_mul(t, c1)
         if kind == "off-diagonal":
             step = draw(st.sampled_from([one, GaussianRational(F(0), F(1))]))
-            a2, c2 = (a2 + step, c2) if draw(st.booleans()) else (a2, c2 + step)
+            a2, c2 = (q_add(a2, step), c2) if draw(st.booleans()) else (a2, q_add(c2, step))
     return FlagPoint(a1, c1, a2, c2)
 
 
@@ -647,7 +652,7 @@ class TestIntegerPredicates:
         a1, c1, a2, c2, t = (number() for _ in range(5))
         zero = GaussianRational(F(0))
         points = {OrbitClass.DENSE: FlagPoint(a1, c1, a2, c2),
-                  OrbitClass.DIAGONAL: FlagPoint(a1, c1, t * a1, t * c1),
+                  OrbitClass.DIAGONAL: FlagPoint(a1, c1, q_mul(t, a1), q_mul(t, c1)),
                   OrbitClass.FIRST_FACTOR: FlagPoint(a1, c1, a2, zero)}
         for cls, x in points.items():
             assert orbit_predicates(x) == q_i_predicates(x)
@@ -793,7 +798,7 @@ class TestRouteIndependence:
         unpatched = self.unpatched_identity_cuts()
         forbid(monkeypatch, orbits, ("highest_weight_vector",))
         forbid(monkeypatch, reps, ("highest_weight_vector",))
-        forbid(monkeypatch, BiHomogPoly, ("evaluate",))
+        forbid(monkeypatch, BiHomogPoly, ("integer_sum",))
         for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
             polytope = moment_polytope(x, l1, l2)
             assert NEG.negated_cut(polytope) == delta_y
@@ -801,17 +806,13 @@ class TestRouteIndependence:
 
 
 class TestIntersectionWork:
-    """The intersection route makes no product in Q(i)."""
+    """The intersection route makes no product in Q(i): GaussianRational has
+    none, so one made here would raise TypeError."""
 
-    def test_predicates_multiply_no_gaussian_rational(self, monkeypatch):
+    def test_predicates_multiply_no_gaussian_rational(self):
         cases = [(wire.parse_point_literal(c["point"]), c["lam1"], c["lam2"],
                   OrbitClass(c["orbit_class"]), wire.polytope_from_json(c["delta_x"]))
                  for c in load_golden_cases()]
-
-        def refused(x, y):
-            raise AssertionError("GaussianRational product in the intersection route")
-
-        monkeypatch.setattr(GaussianRational, "__mul__", refused)
         assert len(cases) == 80
         for x, l1, l2, cls, delta_x in cases:
             assert classify_borel_orbit_closure(x) is cls
@@ -840,7 +841,7 @@ def oracle_hull(coords, lam1, lam2, r_max=2):
     for r in range(1, r_max + 1):
         spec = SectionSpaceSpec(r, lam1, lam2)
         for w in reps.weight_decomposition(spec):
-            if any(not f.evaluate(coords).is_zero for f in oracle_basis(spec, w)):
+            if not all(vanishes_at(f, coords) for f in oracle_basis(spec, w)):
                 achieved.append(F(w, r))
     return hull(achieved)
 
@@ -853,8 +854,9 @@ def gaussian_points(draw, cls):
     a1, a2 = draw(numbers[field]), draw(numbers[field])
     c1, c2, t = (draw(nonzero_numbers[field]) for _ in range(3))
     zero = GaussianRational(F(0))
-    coords = {OrbitClass.DENSE: (a1, c1, (a1 * c2 - t) / c1, c2),  # a1 c2 - a2 c1 = t
-              OrbitClass.DIAGONAL: (a1, c1, t * a1, t * c1),
+    # the dense point's a2 makes a1 c2 - a2 c1 = t
+    coords = {OrbitClass.DENSE: (a1, c1, q_div(q_sub(q_mul(a1, c2), t), c1), c2),
+              OrbitClass.DIAGONAL: (a1, c1, q_mul(t, a1), q_mul(t, c1)),
               OrbitClass.FIRST_FACTOR: (a1, c1, t, zero),
               OrbitClass.SECOND_FACTOR: (t, zero, a2, c2),
               OrbitClass.POINT: (t, zero, c2, zero)}[cls]
@@ -901,7 +903,7 @@ class TestThirdRoute:
 
         def certified(r):
             spec = SectionSpaceSpec(r, lam1, lam2)
-            return any(not f.evaluate(x.coords).is_zero for f in oracle_basis(spec, int(r * lam)))
+            return not all(vanishes_at(f, x.coords) for f in oracle_basis(spec, int(r * lam)))
 
         member, witness = membership_in_C(x, lam1, lam2, lam)
         if member:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_value
 from mplab import checks, reps
 from mplab.exactlin import GaussianRational, RatMatrix, kernel
 from mplab.reps import (
@@ -38,19 +39,6 @@ def shear_expansion(f):
                 key = (i, b + a - i, j, d + c - j, e)
                 out[key] = out.get(key, 0) + coeff * comb(a, i) * comb(c, j) * (-1) ** e
     return {k: v for k, v in out.items() if v != 0}
-
-
-def reference_value(f, point):
-    """f at ``point``, summed term by term with ``GaussianRational`` ``*`` and
-    ``+``: each power a repeated product, each coefficient a factor."""
-    total = GaussianRational.of(0)
-    for exp, coeff in f.terms:
-        term = GaussianRational.of(coeff)
-        for g, power in zip(point, exp):
-            for _ in range(power):
-                term = term * g
-        total = total + term
-    return total
 
 
 def reference_invariant(f):
@@ -326,18 +314,22 @@ class TestOracleWork:
         assert max(sum(1 for row in m.ints if row[j]) for j in range(m.cols)) <= 2
 
 
-# each over a denominator of its own; about 40 % of the numerators drawn
-# exceed 10**6, and about 5 % are 0
-rationals = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 10**4))
+# about 40 % of the parts drawn exceed 10**6; zero coordinates come from a drawn mask
+heights = st.integers(-10**19, 10**19)
 
 
 @st.composite
 def evaluation_points(draw):
-    """(x1, y1, x2, y2) in Q(i)^4 with mixed denominators and heights, and a
-    drawn set of coordinates, possibly empty or all four, set to zero."""
+    """The eight parts of a point of Gaussian integers with mixed heights,
+    and a drawn set of coordinates, possibly empty or all four, set to zero."""
     zeros = draw(st.lists(st.booleans(), min_size=4, max_size=4))
-    return tuple(GaussianRational.of(0) if zero
-                 else GaussianRational(draw(rationals), draw(rationals)) for zero in zeros)
+    return [part for zero in zeros
+            for part in ((0, 0) if zero else (draw(heights), draw(heights)))]
+
+
+def at(parts):
+    """The Q(i) coordinates of the Gaussian-integer point with ``parts``."""
+    return [GaussianRational.of(re, im) for re, im in zip(parts[::2], parts[1::2])]
 
 
 @st.composite
@@ -366,10 +358,8 @@ class TestBiHomogPoly:
 
     def test_exact_evaluation(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
-        pt = tuple(GaussianRational.of(v) for v in (Fraction(1), Fraction(2),
-                                                    Fraction(3), Fraction(4)))
         # x1*y2 - x2*y1 at (1, 2, 3, 4) = 4 - 6
-        assert f.evaluate(pt) == GaussianRational.of(-2)
+        assert f.integer_sum([1, 0, 2, 0, 3, 0, 4, 0]) == (-2, 0)
 
     @pytest.mark.parametrize("zeros", [(0,), (1,), (2, 3), (0, 2), (0, 1, 2, 3)])
     def test_evaluation_at_zero_coordinates_sums_to_the_same_value(self, zeros):
@@ -377,21 +367,20 @@ class TestBiHomogPoly:
         # while x^0 = 1 at x = 0
         f = poly((4, 2), {**dict(highest_weight_vector(SectionSpaceSpec(2, 2, 1), 1).terms),
                           (0, 4, 0, 2): 3, (4, 0, 2, 0): -5, (2, 2, 1, 1): 7})
-        values = (GaussianRational.of(Fraction(2, 3), -1), GaussianRational.of(-3),
-                  GaussianRational.of(0, Fraction(1, 2)), GaussianRational.of(5, 2))
-        pt = tuple(GaussianRational.of(0) if i in zeros else v for i, v in enumerate(values))
-        assert f.evaluate(pt) == reference_value(f, pt)
+        values = ((2, -3), (-3, 0), (0, 1), (5, 2))
+        pt = [part for i, v in enumerate(values) for part in ((0, 0) if i in zeros else v)]
+        assert GaussianRational.of(*f.integer_sum(pt)) == reference_value(f, at(pt))
 
     @given(evaluated_polynomials(), evaluation_points())
     def test_evaluation_equals_the_term_by_term_sum(self, f, pt):
-        assert f.evaluate(pt) == reference_value(f, pt)
+        assert GaussianRational.of(*f.integer_sum(pt)) == reference_value(f, at(pt))
 
-    def test_evaluation_needs_exactly_four_coordinates(self):
+    def test_integer_sum_needs_exactly_eight_parts(self):
         f = highest_weight_vector(SectionSpaceSpec(1, 2, 1), 1)
-        pt = [GaussianRational.of(v) for v in (1, 2, 3, 4)]
-        for bad in (pt[:3], pt + [GaussianRational.of(7, 3)], []):
-            with pytest.raises(ValueError, match=rf"^a point has 4 .* not {len(bad)}$"):
-                f.evaluate(bad)
+        pt = [1, 0, 2, 0, 3, 0, 4, 0]
+        for bad in (pt[:7], pt[:6], pt + [7], []):
+            with pytest.raises(ValueError, match=rf"^a point has 8 integer parts, not {len(bad)}$"):
+                f.integer_sum(bad)
 
     THREE_TERMS = poly((2, 1), {(2, 0, 0, 1): 3, (1, 1, 1, 0): -2, (0, 2, 0, 1): 5})
 
@@ -410,6 +399,16 @@ class TestBiHomogPoly:
         f = highest_weight_vector(SectionSpaceSpec(1, 1, 1), 1)
         assert f.pretty() == "x1*y2 - y1*x2"
         assert BiHomogPoly((1, 1), ()).pretty() == "0"
+
+    @pytest.mark.parametrize("f, text", [
+        (poly((2, 1), {(2, 0, 0, 1): 1, (1, 1, 1, 0): -1, (0, 2, 0, 1): 3, (0, 2, 1, 0): -4}),
+         "x1^2*y2 - x1*y1*x2 - 4*y1^2*x2 + 3*y1^2*y2"),
+        (poly((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}), "x1*y2 + y1*x2"),
+        (BiHomogPoly.monomial((0, 0, 0, 0), -1), "-1"),
+        (BiHomogPoly.monomial((0, 0, 0, 0), 5), "5"),
+    ], ids=["four_terms", "plus_one", "minus_one", "five"])
+    def test_pretty_signs_powers_and_constants(self, f, text):
+        assert f.pretty() == text
 
     def test_large_binomials_exact(self):
         from math import comb

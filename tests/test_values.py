@@ -22,7 +22,7 @@ from mplab.numeric import SampleSet
 from mplab.orbits import FlagPoint, RealFormCase
 from mplab.polytope import RationalPolytope
 from mplab.reps import BiHomogPoly, SectionSpaceSpec
-from mplab.weights import BorelElement, InvolutionSpec
+from mplab.weights import InvolutionSpec
 
 G = GaussianRational
 
@@ -46,9 +46,6 @@ CASES = [
      "SectionSpaceSpec(r=2, lam1=3, lam2=1)"),
     (lambda: InvolutionSpec(-1, label="negation"),
      "InvolutionSpec(sign=-1, label='negation')"),
-    (lambda: BorelElement(_g(2), beta=_g(1, 1)),
-     "BorelElement(alpha=GaussianRational(re=Fraction(2, 1), im=Fraction(0, 1)), "
-     "beta=GaussianRational(re=Fraction(1, 1), im=Fraction(1, 1)))"),
     (lambda: FlagPoint(_g(1), _g(0, 2), _g(F(-3, 4)), c2=_g(1)),
      "FlagPoint(a1=GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
      "c1=GaussianRational(re=Fraction(0, 1), im=Fraction(2, 1)), "

@@ -2,14 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from mplab.exactlin import GaussianRational
 from mplab.polytope import RationalPolytope, hull
-from mplab.weights import (
-    BorelElement,
-    InvolutionSpec,
-    identity_involution,
-    negation_involution,
-)
+from mplab.weights import InvolutionSpec, identity_involution, negation_involution
 
 F = Fraction
 
@@ -36,24 +30,3 @@ class TestInvolutionEigenspaces:
             with pytest.raises(ValueError, match="sign"):
                 InvolutionSpec(sign)
 
-
-class TestBorelElement:
-    def test_apply(self):
-        two = GaussianRational.of(2)
-        one = GaussianRational.of(1)
-        g = BorelElement(two, one)
-        out = g.apply((one, one))
-        assert out[0] == GaussianRational.of(3)
-        assert out[1] == GaussianRational.of(F(1, 2))
-
-    def test_apply_over_gaussian_rationals(self):
-        # (alpha x + beta y, y / alpha): the matrix [[alpha, beta], [0, 1/alpha]]
-        alpha, beta = GaussianRational.of(1, 2), GaussianRational.of(F(-1, 3), 1)
-        x, y = GaussianRational.of(F(5, 2), -1), GaussianRational.of(3, 4)
-        out = BorelElement(alpha, beta).apply((x, y))
-        assert out == (alpha * x + beta * y, y * (GaussianRational.of(1) / alpha))
-        assert out[1] * alpha == y
-
-    def test_zero_alpha_refused(self):
-        with pytest.raises(ValueError, match="alpha must be nonzero"):
-            BorelElement(GaussianRational.of(0), GaussianRational.of(1))
