@@ -82,7 +82,7 @@ def frac(x) -> Fraction:
 
 def _integral(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers ``ns`` and the least positive ``d`` with ``xs == [n / d for n in ns]``."""
-    d = lcm(*(x.denominator for x in xs))
+    d = lcm(*[x.denominator for x in xs])
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
@@ -341,12 +341,12 @@ class GaussianRational(Value):
     re: Fraction
     im: Fraction
 
-    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
-        self.__dict__.update(re=re, im=im)
+    def __init__(self, re, im=0):
+        self.__dict__.update(re=frac(re), im=frac(im))
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        return cls(frac(re), frac(im))
+        return cls(re, im)
 
     @property
     def is_zero(self) -> bool:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .exactlin import GaussianRational, Value, _integral, frac
 from .polytope import RationalPolytope, _interval, contains
-from .reps import SectionSpaceSpec, check_weights, highest_weight_vector
+from .reps import SectionSpaceSpec, check_weights, highest_weight_vector, power_tables
 from .weights import InvolutionSpec
 
 
@@ -196,26 +196,28 @@ class RealFormCase(Value):
 
 def _achieved_hull(coords: tuple[GaussianRational, ...], lam1: int, lam2: int) -> RationalPolytope:
     """Hull of the weights whose invariant vectors at the first bundle power
-    are nonzero at ``coords``; independent of the involution."""
+    are nonzero at ``coords``; independent of the involution.  Every vector
+    tested is summed over one set of power tables of the cleared point."""
     spec = SectionSpaceSpec(1, lam1, lam2)
     # F is homogeneous, so it vanishes at coords exactly where it vanishes
     # at D * coords, D the lcm of their denominators: a Gaussian-integer point.
-    parts = _integral([part for g in coords for part in (g.re, g.im)])[0]
+    tables = power_tables(_integral([part for g in coords for part in (g.re, g.im)])[0],
+                          lam1, lam2)
     # The weight falls as k grows, so the least and the greatest achieving k
     # span the same hull as every achieving k does.
-    low = _first_nonzero(spec, range(spec.k_max + 1), parts)
+    low = _first_nonzero(spec, range(spec.k_max + 1), tables)
     if low is None:
         return RationalPolytope.empty()
-    high = _first_nonzero(spec, range(spec.k_max, low, -1), parts)
+    high = _first_nonzero(spec, range(spec.k_max, low, -1), tables)
     top = lam1 + lam2
     return _interval(top - 2 * low) if high is None else _interval(top - 2 * high, top - 2 * low)
 
 
-def _first_nonzero(spec: SectionSpaceSpec, ks: range, parts: list[int]) -> int | None:
+def _first_nonzero(spec: SectionSpaceSpec, ks: range, tables: list) -> int | None:
     """The first k in ``ks`` whose invariant vector is nonzero at the
-    Gaussian-integer point with parts ``parts``."""
+    Gaussian-integer point whose power tables are ``tables``."""
     return next((k for k in ks
-                 if highest_weight_vector(spec, k).integer_sum(parts) != (0, 0)), None)
+                 if highest_weight_vector(spec, k).table_sum(tables) != (0, 0)), None)
 
 
 def gamma_highest_weight_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPolytope:

@@ -11,6 +11,9 @@ binomial sum, and two independent references check it: the factored product
 form, equal by the binomial theorem, and a brute-force linear solve for the
 full N-invariant subspace at a given weight: the kernel of D = y1 d/dx1 +
 y2 d/dx2, as the t^e coefficient of the substituted F is (-1)^e D^e F / e!.
+
+Vectors store their terms unchecked, as they come out sorted and nonzero; one
+set of :func:`power_tables` per point serves every :meth:`BiHomogPoly.table_sum` there.
 """
 
 from __future__ import annotations
@@ -100,22 +103,14 @@ class BiHomogPoly(Value):
         return out
 
     def integer_sum(self, parts: Sequence[int]) -> tuple[int, int]:
-        """F at a point of Gaussian integers, as its (re, im) ints.
+        """F at a point of Gaussian integers, as its (re, im) ints: the
+        :func:`power_tables` of its eight integer parts ``parts``, (x1.re,
+        x1.im, y1.re, ..., y2.im), to this bidegree, then :meth:`table_sum`."""
+        return self.table_sum(power_tables(parts, *self.bidegree))
 
-        ``parts`` are the point's real and imaginary parts as eight ints,
-        (x1.re, x1.im, y1.re, y1.im, x2.re, x2.im, y2.re, y2.im).  The powers
-        of each coordinate are tabled once per call.
-        """
-        if len(parts) != 8:
-            raise ValueError(f"a point has 8 integer parts, not {len(parts)}")
-        d1, d2 = self.bidegree
-        tables = []
-        for re, im, degree in zip(parts[::2], parts[1::2], (d1, d1, d2, d2)):
-            powers = [(1, 0)]
-            for _ in range(degree):
-                pr, pi = powers[-1]
-                powers.append((pr * re - pi * im, pr * im + pi * re))
-            tables.append(powers)
+    def table_sum(self, tables: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+        """F term by term over a point's :func:`power_tables`, which reach
+        at least this bidegree, as its (re, im) ints."""
         x1, y1, x2, y2 = tables
         total_re = total_im = 0
         for (a, b, c, d), coeff in self.terms:
@@ -152,6 +147,21 @@ class BiHomogPoly(Value):
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def power_tables(parts: Sequence[int], d1: int, d2: int) -> list[list[tuple[int, int]]]:
+    """Powers 0..d1 of x1 and y1 and 0..d2 of x2 and y2, as (re, im) ints, at
+    the Gaussian-integer point whose eight integer parts are ``parts``."""
+    if len(parts) != 8:
+        raise ValueError(f"a point has 8 integer parts, not {len(parts)}")
+    tables = []
+    for re, im, degree in zip(parts[::2], parts[1::2], (d1, d1, d2, d2)):
+        powers = [(1, 0)]
+        for _ in range(degree):
+            pr, pi = powers[-1]
+            powers.append((pr * re - pi * im, pr * im + pi * re))
+        tables.append(powers)
+    return tables
 
 
 def check_weights(lam1: int, lam2: int) -> None:
@@ -203,9 +213,12 @@ def highest_weight_vector(spec: SectionSpaceSpec, k: int) -> BiHomogPoly:
     sum over j of (-1)^(k-j) C(k, j) x1^j y1^(d1-j) x2^(k-j) y2^(d2-k+j)."""
     _check_k(spec, k)
     d1, d2 = spec.bidegree
-    # ascending j gives ascending exponents, so the terms come out sorted
-    return BiHomogPoly((d1, d2), tuple(((j, d1 - j, k - j, d2 - k + j),
-                                        (-1) ** (k - j) * comb(k, j)) for j in range(k + 1)))
+    # ascending j gives ascending exponents: the terms are sorted, and stored unchecked
+    f = object.__new__(BiHomogPoly)
+    f.__dict__.update(bidegree=(d1, d2), terms=tuple([((j, d1 - j, k - j, d2 - k + j),
+                                                       (-1) ** (k - j) * comb(k, j))
+                                                      for j in range(k + 1)]))
+    return f
 
 
 _DET = BiHomogPoly.from_terms((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})

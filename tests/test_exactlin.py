@@ -477,6 +477,16 @@ class TestGaussianRational:
         assert g == GaussianRational.of(3, 0) and g.is_real and not g.is_zero
         assert not GaussianRational.of(F(2, 3), F(-1, 4)).is_real
 
+    def test_parts_are_stored_as_fractions(self):
+        g = GaussianRational(1, 2)
+        assert repr(g) == repr(GaussianRational.of(1, 2))
+        assert type(g.re) is F and type(g.im) is F
+
+    @pytest.mark.parametrize("parts", [(0.5,), (1, 0.5), (F(1), 2.0)])
+    def test_float_parts_refused(self, parts):
+        with pytest.raises(TypeError, match=r"^refusing float -> Fraction coercion; pass exact input$"):
+            GaussianRational(*parts)
+
     def test_no_field_arithmetic(self):
         for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "conjugate"):
             assert not hasattr(GaussianRational, name)

@@ -87,6 +87,16 @@ class TestClassification:
         for cls, pt in REPS.items():
             assert classify_borel_orbit_closure(pt) is cls
 
+    def test_representative_coordinates(self):
+        # projective equality would accept any rescaling, but the float lab
+        # samples from these exact coordinates
+        want = {OrbitClass.DENSE: (0, 1, 1, 1), OrbitClass.DIAGONAL: (1, 1, 1, 1),
+                OrbitClass.FIRST_FACTOR: (0, 1, 1, 0), OrbitClass.SECOND_FACTOR: (1, 0, 0, 1),
+                OrbitClass.POINT: (1, 0, 1, 0)}
+        assert [(cls, x.coords) for cls, x in orbit_representatives().items()] == [
+            (cls, tuple(GaussianRational(F(v), F(0)) for v in coords))
+            for cls, coords in want.items()]
+
     def test_spec_examples(self):
         assert classify_borel_orbit_closure(FlagPoint.real(0, 1, 1, 1)) is OrbitClass.DENSE
         assert classify_borel_orbit_closure(FlagPoint.real(1, 1, 1, 1)) is OrbitClass.DIAGONAL
@@ -477,16 +487,16 @@ class TestRepresentationRoute:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count ``BiHomogPoly.integer_sum`` calls per bidegree: the sum that
+    """Count ``BiHomogPoly.table_sum`` calls per bidegree: the sum that
     every evaluation of an invariant vector makes."""
     calls = {}
-    genuine = BiHomogPoly.integer_sum
+    genuine = BiHomogPoly.table_sum
 
-    def counting(self, parts):
+    def counting(self, tables):
         calls[self.bidegree] = calls.get(self.bidegree, 0) + 1
-        return genuine(self, parts)
+        return genuine(self, tables)
 
-    monkeypatch.setattr(BiHomogPoly, "integer_sum", counting)
+    monkeypatch.setattr(BiHomogPoly, "table_sum", counting)
     return calls
 
 
@@ -511,6 +521,22 @@ class TestRepresentationWork:
             evaluations.clear()
             gamma_highest_weight_polytope(RealFormCase(x, NEG), 3, 5)
             assert evaluations[(3, 5)] <= 4
+
+    @pytest.mark.parametrize("cls, want", [(OrbitClass.DENSE, seg(2, 8)),
+                                           (OrbitClass.POINT, RationalPolytope.empty())])
+    def test_tables_are_built_once_per_call(self, monkeypatch, cls, want):
+        # the dense point tests two vectors and the fixed point all four,
+        # each summed over the one set of tables
+        built = []
+        genuine = orbits.power_tables
+
+        def counting(parts, d1, d2):
+            built.append((d1, d2))
+            return genuine(parts, d1, d2)
+
+        monkeypatch.setattr(orbits, "power_tables", counting)
+        assert orbits._achieved_hull(REPS[cls].coords, 3, 5) == want
+        assert built == [(3, 5)]
 
     def test_evaluation_multiplies_no_gaussian_rational(self):
         # GaussianRational has no product, so one made here would raise
@@ -798,7 +824,7 @@ class TestRouteIndependence:
         unpatched = self.unpatched_identity_cuts()
         forbid(monkeypatch, orbits, ("highest_weight_vector",))
         forbid(monkeypatch, reps, ("highest_weight_vector",))
-        forbid(monkeypatch, BiHomogPoly, ("integer_sum",))
+        forbid(monkeypatch, BiHomogPoly, ("integer_sum", "table_sum"))
         for (x, l1, l2, delta_y), want in zip(GOLDEN, unpatched):
             polytope = moment_polytope(x, l1, l2)
             assert NEG.negated_cut(polytope) == delta_y

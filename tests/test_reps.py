@@ -135,12 +135,16 @@ class TestHighestWeightVectors:
             form(spec, k)
 
     def test_forms_agree_on_grid(self):
-        for r in range(1, 4):
-            for l1 in (1, 2, 3):
-                for l2 in (1, 2, 3):
+        # highest_weight_vector stores its terms unchecked; BiHomogPoly's
+        # checks pass on them and give back the same vector
+        for r in range(1, 5):
+            for l1 in range(1, 5):
+                for l2 in range(1, 5):
                     spec = SectionSpaceSpec(r, l1, l2)
                     for k in range(spec.k_max + 1):
-                        assert highest_weight_vector(spec, k) == hw_vector_product_form(spec, k)
+                        f = highest_weight_vector(spec, k)
+                        assert f == BiHomogPoly(spec.bidegree, f.terms)
+                        assert f == hw_vector_product_form(spec, k)
 
     def test_product_form_equals_generic_expansion(self):
         det = poly((1, 1), {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
@@ -158,7 +162,9 @@ class TestHighestWeightVectors:
         for weights in [(l1, l2) for l1 in range(1, 9) for l2 in range(1, 9)] + [(49, 49)]:
             spec = SectionSpaceSpec(1, *weights)
             for k in range(spec.k_max + 1):
-                assert highest_weight_vector(spec, k) == hw_vector_product_form(spec, k)
+                f = highest_weight_vector(spec, k)
+                assert f == BiHomogPoly(spec.bidegree, f.terms)
+                assert f == hw_vector_product_form(spec, k)
 
 
 class TestNInvariance:
@@ -381,6 +387,32 @@ class TestBiHomogPoly:
         for bad in (pt[:7], pt[:6], pt + [7], []):
             with pytest.raises(ValueError, match=rf"^a point has 8 integer parts, not {len(bad)}$"):
                 f.integer_sum(bad)
+
+    def test_power_tables(self):
+        # (2 + i)^2 = 3 + 4i and (2 + i)^3 = 2 + 11i; a zero coordinate reads 1, 0, 0
+        tables = reps.power_tables([2, 1, 0, 0, -1, 0, 0, 3], 3, 1)
+        assert tables == [[(1, 0), (2, 1), (3, 4), (2, 11)], [(1, 0), (0, 0), (0, 0), (0, 0)],
+                          [(1, 0), (-1, 0)], [(1, 0), (0, 3)]]
+        for bad in ([0] * 7, [0] * 9):
+            with pytest.raises(ValueError, match=rf"^a point has 8 integer parts, not {len(bad)}$"):
+                reps.power_tables(bad, 1, 1)
+
+    @given(st.integers(1, 4), st.integers(1, 4), evaluation_points())
+    def test_vectors_summed_over_shared_tables(self, lam1, lam2, pt):
+        # the route's sums: every vector of the first power over one set of tables
+        spec = SectionSpaceSpec(1, lam1, lam2)
+        tables = reps.power_tables(pt, lam1, lam2)
+        for k in range(spec.k_max + 1):
+            f = highest_weight_vector(spec, k)
+            assert f.table_sum(tables) == f.integer_sum(pt)
+            assert GaussianRational.of(*f.table_sum(tables)) == reference_value(f, at(pt))
+
+    @given(evaluated_polynomials(), st.integers(0, 2), st.integers(0, 2), evaluation_points())
+    def test_longer_tables_sum_to_the_same_value(self, f, e1, e2, pt):
+        d1, d2 = f.bidegree
+        tables = reps.power_tables(pt, d1 + e1, d2 + e2)
+        assert f.table_sum(tables) == f.integer_sum(pt)
+        assert GaussianRational.of(*f.table_sum(tables)) == reference_value(f, at(pt))
 
     THREE_TERMS = poly((2, 1), {(2, 0, 0, 1): 3, (1, 1, 1, 0): -2, (0, 2, 0, 1): 5})
 
