@@ -344,10 +344,6 @@ class GaussianRational(Value):
     def __init__(self, re, im=0):
         self.__dict__.update(re=frac(re), im=frac(im))
 
-    @classmethod
-    def of(cls, re, im=0) -> "GaussianRational":
-        return cls(re, im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

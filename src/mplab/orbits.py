@@ -83,7 +83,7 @@ class FlagPoint(Value):
 
     @classmethod
     def real(cls, a1, c1, a2, c2) -> "FlagPoint":
-        return cls(*(GaussianRational.of(v) for v in (a1, c1, a2, c2)))
+        return cls(*(GaussianRational(v) for v in (a1, c1, a2, c2)))
 
     @property
     def is_real(self) -> bool:
@@ -274,15 +274,19 @@ def real_moment_polytope(case: RealFormCase, lam1: int, lam2: int) -> RationalPo
     return via_intersection
 
 
+_REPRESENTATIVES = {
+    OrbitClass.DENSE: FlagPoint.real(0, 1, 1, 1),
+    OrbitClass.DIAGONAL: FlagPoint.real(1, 1, 1, 1),
+    OrbitClass.FIRST_FACTOR: FlagPoint.real(0, 1, 1, 0),
+    OrbitClass.SECOND_FACTOR: FlagPoint.real(1, 0, 0, 1),
+    OrbitClass.POINT: FlagPoint.real(1, 0, 1, 0),
+}
+
+
 def orbit_representatives() -> dict[OrbitClass, FlagPoint]:
-    """One real representative per orbit-closure class."""
-    return {
-        OrbitClass.DENSE: FlagPoint.real(0, 1, 1, 1),
-        OrbitClass.DIAGONAL: FlagPoint.real(1, 1, 1, 1),
-        OrbitClass.FIRST_FACTOR: FlagPoint.real(0, 1, 1, 0),
-        OrbitClass.SECOND_FACTOR: FlagPoint.real(1, 0, 0, 1),
-        OrbitClass.POINT: FlagPoint.real(1, 0, 1, 0),
-    }
+    """One real representative per orbit-closure class, in a new dict of
+    the immutable points built once, at import."""
+    return dict(_REPRESENTATIVES)
 
 
 def enumerate_polytope_catalog(lam1: int, lam2: int,
@@ -294,7 +298,7 @@ def enumerate_polytope_catalog(lam1: int, lam2: int,
     """
     check_weights(lam1, lam2)
     seen: list[RationalPolytope] = []
-    for rep in orbit_representatives().values():
+    for rep in _REPRESENTATIVES.values():
         poly = real_moment_polytope(RealFormCase(rep, gamma), lam1, lam2)
         if poly not in seen:
             seen.append(poly)

@@ -102,12 +102,6 @@ class BiHomogPoly(Value):
                 square = square * square
         return out
 
-    def integer_sum(self, parts: Sequence[int]) -> tuple[int, int]:
-        """F at a point of Gaussian integers, as its (re, im) ints: the
-        :func:`power_tables` of its eight integer parts ``parts``, (x1.re,
-        x1.im, y1.re, ..., y2.im), to this bidegree, then :meth:`table_sum`."""
-        return self.table_sum(power_tables(parts, *self.bidegree))
-
     def table_sum(self, tables: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, int]:
         """F term by term over a point's :func:`power_tables`, which reach
         at least this bidegree, as its (re, im) ints."""

@@ -4,12 +4,13 @@ Rationals travel as decimal strings (numerator, denominator) so arbitrary
 precision survives JSON.  A polytope is ``{"dim": 1, "vertices": [...]}``
 with each vertex a flat [num, den] pair; no other dimension is accepted.
 
-Flag-point literal grammar (EBNF, whitespace ignored):
+Flag-point literal grammar (EBNF; all whitespace, tabs included, is ignored):
 
     point    = pair ";" pair
     pair     = coord "," coord
     coord    = rational [ ("+" | "-") rational "i" ]
     rational = ["-"] digits [ "/" digits ]
+    digits   = ("0" | ... | "9") { "0" | ... | "9" }
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def polytope_from_json(obj: dict) -> RationalPolytope:
     return RationalPolytope(verts)
 
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _COORD_RE = re.compile(
     rf"^(?P<re>{_RATIONAL})(?:(?P<sign>[+-])(?P<im>{_RATIONAL})i)?$")
 
 
 def parse_gaussian(text: str) -> GaussianRational:
-    match = _COORD_RE.match(text.strip().replace(" ", ""))
+    match = _COORD_RE.match("".join(text.split()))
     if not match:
         raise ValueError(f"bad coordinate literal {text!r}")
     try:
@@ -88,7 +89,7 @@ def parse_gaussian(text: str) -> GaussianRational:
         raise ValueError(f"zero denominator in coordinate literal {text!r}") from None
     if match["sign"] == "-":
         im_part = -im_part
-    return GaussianRational.of(re_part, im_part)
+    return GaussianRational(re_part, im_part)
 
 
 def parse_point_literal(text: str) -> FlagPoint:

@@ -66,12 +66,12 @@ def reference_value(f, point):
     power from a table of repeated products, each coefficient a factor."""
     tables = []
     for g, degree in zip(point, (f.bidegree[0],) * 2 + (f.bidegree[1],) * 2):
-        tables.append([GaussianRational.of(1)])
+        tables.append([GaussianRational(1)])
         for _ in range(degree):
             tables[-1].append(q_mul(tables[-1][-1], g))
-    total = GaussianRational.of(0)
+    total = GaussianRational(0)
     for exp, coeff in f.terms:
-        term = GaussianRational.of(coeff)
+        term = GaussianRational(coeff)
         for table, power in zip(tables, exp):
             term = q_mul(term, table[power])
         total = q_add(total, term)
@@ -80,7 +80,17 @@ def reference_value(f, point):
 
 def vanishes_at(f, coords):
     """Whether f is zero at the Q(i) point ``coords``: the point is cleared
-    here, by the lcm of its eight denominators, and summed over ints."""
+    here, by the lcm of its eight denominators, and f is summed over ints
+    term by term, each power a run of products, with no code of mplab's."""
     parts = [part for g in coords for part in (g.re, g.im)]
     d = lcm(*(part.denominator for part in parts))
-    return f.integer_sum([part.numerator * (d // part.denominator) for part in parts]) == (0, 0)
+    ints = [part.numerator * (d // part.denominator) for part in parts]
+    total_re = total_im = 0
+    for exp, coeff in f.terms:
+        term_re, term_im = coeff, 0
+        for re, im, power in zip(ints[::2], ints[1::2], exp):
+            for _ in range(power):
+                term_re, term_im = term_re * re - term_im * im, term_re * im + term_im * re
+        total_re += term_re
+        total_im += term_im
+    return total_re == total_im == 0

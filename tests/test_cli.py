@@ -82,6 +82,13 @@ class TestPolytopeCommand:
         p = run_main("polytope", "--weights", "2", "1", "--point", "not-a-point")
         assert p.returncode == 2
 
+    @pytest.mark.parametrize("point", ["1\t/2,1;1,1", " 1 / 2 ,\n1;1,\t1 ", "1/2+\t0i,1;1,1"])
+    def test_whitespace_in_a_point_literal_is_ignored(self, point):
+        p = run_main("polytope", "--weights", "2", "1", "--point", point)
+        want = run_main("polytope", "--weights", "2", "1", "--point", "1/2,1;1,1")
+        assert p.returncode == 0
+        assert (p.stdout, p.stderr) == (want.stdout, want.stderr)
+
     def test_missing_subcommand_usage_error(self):
         p = run_main()
         assert p.returncode == 2
@@ -98,6 +105,13 @@ class TestMalformedInput:
     def test_zero_denominator_point(self):
         assert_usage_error(run_main("polytope", "--weights", "2", "1",
                                     "--point", "1/0,1;1,1"))
+
+    @pytest.mark.parametrize("coord", ["\u0663", "\uff11", "1/\u0662", "1+\u0663i"])
+    def test_non_ascii_digits_in_a_point_literal(self, coord):
+        # Arabic-Indic three and two, fullwidth one: digits to str.isdigit, not to the grammar
+        p = run_main("polytope", "--weights", "2", "1", "--point", f"{coord},1;1,1")
+        assert_usage_error(p)
+        assert p.stderr == f"error: bad coordinate literal {coord!r}\n"
 
     def test_non_integer_gamma_matrix(self):
         assert_usage_error(run_main("realpolytope", "--weights", "2", "1",
