@@ -73,12 +73,6 @@ def _text(value) -> str:
     return value
 
 
-def _int_pair(value) -> list[int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise TypeError("not a pair")
-    return [wire.json_int(v) for v in value]
-
-
 def _load_json(path: str):
     """The JSON value in a file; a file that cannot be decoded or parsed is a
     ValueError that names it."""
@@ -91,22 +85,23 @@ def _load_json(path: str):
             raise ValueError(f"{path} cannot be read as JSON: {exc}") from None
 
 
-# Each option once: its flag, its other add_argument arguments, its config-file
-# reader (None: a flag only) and its default.  Config keys are read in this
-# order, so a config file's first bad value is the one reported.
+# Each option once: its flag, its other add_argument arguments, its reader
+# (None: a flag only) and its default.  The reader parses the flag's text, as
+# argparse's type, and the config file's value alike; an ``nargs`` option's
+# config value is a JSON array, each entry read alone.  Config keys are read in
+# this order, so a config file's first bad value is the one reported.
 _OPTIONS = {
-    "weights": ("--weights", dict(nargs=2, type=int, metavar=("L1", "L2"),
-                                  help="the two positive integer weights"), _int_pair, None),
+    "weights": ("--weights", dict(nargs=2, metavar=("L1", "L2"),
+                                  help="the two positive integer weights"), wire.json_int, None),
     "config": ("--config", dict(help="JSON file with default option values"), None, None),
     "point": ("--point", dict(help="flag point literal 'a1,c1;a2,c2'"), _text, None),
     "gamma": ("--gamma", dict(help="involution: negation | identity | [[-1]] | [[1]]"),
               _text, None),
-    "r": ("--r", dict(type=int, help="bundle power (default 1)"), wire.json_int, 1),
-    "k": ("--k", dict(type=int, help="index of the invariant vector"), wire.json_int, None),
-    "weight": ("--weight", dict(type=int, help="torus weight to solve at"), wire.json_int, None),
-    "seed": ("--seed", dict(type=int, help="RNG seed (default: MPLAB_SEED or 0)"),
-             wire.json_int, None),
-    "n": ("--n", dict(type=int, help=f"number of samples (default 1000, at most {MAX_SAMPLES})"),
+    "r": ("--r", dict(help="bundle power (default 1)"), wire.json_int, 1),
+    "k": ("--k", dict(help="index of the invariant vector"), wire.json_int, None),
+    "weight": ("--weight", dict(help="torus weight to solve at"), wire.json_int, None),
+    "seed": ("--seed", dict(help="RNG seed (default: MPLAB_SEED or 0)"), wire.json_int, None),
+    "n": ("--n", dict(help=f"number of samples (default 1000, at most {MAX_SAMPLES})"),
           wire.json_int, 1000),
     "subgroup": ("--subgroup", dict(choices=["B", "H", "G", "G'"],
                                     help="which group to sample (default H)"), _text, "H"),
@@ -130,15 +125,18 @@ def _resolve(args: argparse.Namespace) -> None:
     table = _load_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(table, dict):
         raise ValueError("config file must hold a JSON object")
-    for name, (_, _, read, value) in _OPTIONS.items():
+    for name, (_, kwargs, read, value) in _OPTIONS.items():
         if read is None or name not in names or getattr(args, name) is not None:
             continue
         if name in table:
+            raw, count = table[name], kwargs.get("nargs")
             try:
-                value = read(table[name])
+                if count and not (isinstance(raw, list) and len(raw) == count):
+                    raise TypeError(f"not a list of {count}")
+                value = [read(v) for v in raw] if count else read(raw)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"bad value for --{name} in config file: "
-                                 f"{json.dumps(table[name])}") from None
+                                 f"{json.dumps(raw)}") from None
         setattr(args, name, value)
 
 
@@ -161,7 +159,7 @@ def _seed(args: argparse.Namespace) -> int:
     if seed is None:
         env = os.environ.get("MPLAB_SEED") or "0"
         try:
-            seed = int(env)
+            seed = wire.json_int(env)
         except ValueError:
             raise ValueError(f"MPLAB_SEED={env!r} is not an integer") from None
     if seed < 0:
@@ -391,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_line, names) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_line)
         for name in names:
-            flag, kwargs, _, _ = _OPTIONS[name]
-            sub.add_argument(flag, **kwargs)
+            flag, kwargs, read, _ = _OPTIONS[name]
+            sub.add_argument(flag, **kwargs, **({"type": read} if read else {}))
         sub.set_defaults(func=func)
     return parser
 

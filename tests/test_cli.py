@@ -959,6 +959,93 @@ class TestSeedOption:
         assert cli.main(["verify", "--suite", "lagrangian"]) == 2
         assert capsys.readouterr().err == "error: MPLAB_SEED='abc' is not an integer\n"
 
+    @pytest.mark.parametrize("env", ["\u0663", "1_0"], ids=ascii)
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "lagrangian"],
+        ["sample", "--weights", "2", "1", "--point", "0/1,1/1;1/1,1/1", "--n", "5"],
+    ], ids=lambda command: command[0])
+    def test_seed_environment_outside_the_integer_grammar(self, capsys, monkeypatch,
+                                                          command, env):
+        # int() reads Arabic-Indic three as 3 and 1_0 as 10; a config value may not
+        def no_work(*args, **kwargs):
+            raise AssertionError("the seed was refused after the work began")
+        monkeypatch.setattr(checks, "run_suite", no_work)
+        monkeypatch.setattr(numeric, "sample_orbit", no_work)
+        monkeypatch.setenv("MPLAB_SEED", env)
+        assert cli.main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: MPLAB_SEED={env!r} is not an integer\n"
+
+
+# Each integer flag: the argv of a subcommand that takes it, up to the flag's
+# last value (``--weights`` has its first value given).
+INTEGER_FLAGS = {
+    "--weights": ["polytope", "--point", "0,1;1,1", "--weights", "2"],
+    "--r": ["decompose", "--weights", "2", "1", "--r"],
+    "--k": ["hwv", "--weights", "2", "1", "--k"],
+    "--weight": ["oracle", "--weights", "2", "1", "--weight"],
+    "--seed": ["verify", "--suite", "lagrangian", "--seed"],
+    "--n": ["sample", "--weights", "2", "1", "--point", "0,1;1,1", "--n"],
+}
+# Integers to int() but not to the grammar: Arabic-Indic two, fullwidth one,
+# an underscore, a plus sign and a leading space.
+OUTSIDE_THE_GRAMMAR = ["\u0662", "\uff11", "1_0", "+2", " 2"]
+
+
+class TestIntegerGrammar:
+    """Flags, config values and ``MPLAB_SEED`` read an integer by one grammar,
+    ``wire.json_int``'s ASCII ``-?[0-9]+``."""
+
+    @pytest.mark.parametrize("bad", OUTSIDE_THE_GRAMMAR, ids=ascii)
+    @pytest.mark.parametrize("flag", INTEGER_FLAGS)
+    def test_flag_outside_the_grammar_is_a_usage_error(self, flag, bad):
+        argv = INTEGER_FLAGS[flag]
+        p = run_main(*argv, bad)
+        assert p.returncode == 2 and p.stdout == ""
+        assert p.stderr.startswith("usage: mplab ")
+        assert p.stderr.splitlines()[-1] == (f"mplab {argv[0]}: error: argument {flag}: "
+                                             f"invalid json_int value: {bad!r}")
+
+    @pytest.mark.parametrize("command, name, tokens, value", [
+        (["oracle", "--weights", "2", "1"], "weight", ["-1"], -1),
+        (["hwv", "--weights", "2", "1"], "k", ["001"], 1),
+        (["decompose", "--weights", "2", "1"], "r", ["007"], 7),
+        (["polytope", "--point", "0,1;1,1"], "weights", ["007", "1"], [7, 1]),
+        (["sample", "--weights", "2", "1", "--point", "0,1;1,1", "--n", "3"], "seed",
+         [str(2 ** 64)], 2 ** 64),
+    ], ids=["weight=-1", "k=001", "r=007", "weights=007,1", "seed=2**64"])
+    def test_well_formed_flags_read_as_their_config_values(self, tmp_path, command, name,
+                                                            tokens, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({name: value}))
+        p = run_main(*command, f"--{name}", *tokens)
+        q = run_main(*command, "--config", str(cfg))
+        assert p.returncode == q.returncode == 0
+        assert (p.stdout, p.stderr) == (q.stdout, q.stderr)
+
+    @pytest.mark.parametrize("text", ["0", "7", "-1", "-0", "007", str(2 ** 64),
+                                      *OUTSIDE_THE_GRAMMAR, "1e3", "0x10", ""], ids=ascii)
+    def test_flag_config_and_wire_share_one_grammar(self, tmp_path, text):
+        def read_r(argv):
+            """``--r`` as ``decompose`` reads it, or None where it is refused."""
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    args = cli.build_parser().parse_args(argv)
+                    cli._resolve(args)
+                except (SystemExit, ValueError):
+                    return None
+            return args.r
+
+        try:
+            want = wire.json_int(text)
+        except ValueError:
+            want = None
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"r": text}))
+        assert read_r(["decompose", "--r", text]) == want
+        assert read_r(["decompose", "--config", str(cfg)]) == want
+
 
 class TestWireFormats:
     def test_round_trip_all_catalog_polytopes(self):

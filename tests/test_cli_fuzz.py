@@ -28,7 +28,7 @@ from mplab import checks, cli
 SEED = 20261018
 RUNS = 900
 
-GENERIC = ["", "-1", "x", "--", "1.5", "0,1;\n1,1", "é"]
+GENERIC = ["", "-1", "x", "--", "1.5", "0,1;\n1,1", "é", "\u0662", "1_0"]
 # Per option: well-formed values, drawn GOOD of the time, and malformed or
 # oversized ones.
 GOOD = 0.8
