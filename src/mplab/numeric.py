@@ -327,13 +327,17 @@ def _gather_columns(points: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-# The exact sweep behind hausdorff_distance.  Every squared distance is summed
-# column by column, d0^2 + d1^2 + ..., in the order cKDTree sums it, and the one
-# square root is taken at the end, so the sweep's distance equals the tree's
-# bit for bit.
+# The exact sweep and cell grid behind hausdorff_distance.  Every squared
+# distance is summed column by column, d0^2 + d1^2 + ..., in the order cKDTree
+# sums it, and the one square root is taken at the end, so their distance
+# equals the tree's bit for bit.
 _FIRST_WINDOW = 8      # sorted targets scanned around each query in the first round
 _PROBE = 256           # queries that try the first round before a cloud is swept
 _CHUNK = 1 << 18       # candidate distances held at once by one round
+_GRID_MAX_DIM = 3      # the cell grid serves clouds of at most this dimension
+_CELLS_PER_TARGET = 0.5  # the grid's cell count, per target
+_GRID_MAX_SIDE = 1 << 20  # cells along an axis, so index rounding stays below the margin
+_GRID_MARGIN = 1 - 1e-9  # a grid minimum below (margin * edge)^2 is exact
 
 
 def _sorted_along_spread(targets: np.ndarray) -> tuple[np.ndarray, int]:
@@ -382,8 +386,8 @@ def _probe_resolves(queries: np.ndarray, targets: np.ndarray, axis: int) -> bool
     """Whether the first round resolves at least half of a spread of queries.
 
     Points on a curve resolve in a few neighbours along the axis; a cloud
-    that fills a volume or an area mostly does not, and a tree serves it
-    better.  A cloud of at most _PROBE queries is swept whatever its shape.
+    that fills a volume or an area mostly does not, and the cell grid serves
+    it better.  A cloud of at most _PROBE queries is swept whatever its shape.
     """
     if len(queries) <= _PROBE:
         return True
@@ -417,14 +421,144 @@ def _sweep_max_sq(queries: np.ndarray, targets: np.ndarray, axis: int,
     return floor
 
 
+def _segment_minima(queries: np.ndarray, targets: np.ndarray, owner: np.ndarray,
+                    first: np.ndarray, length: np.ndarray, best: np.ndarray) -> None:
+    """Lower best[i] to the least squared distance from queries[i] to its segments.
+
+    Segment j is targets[first[j]:first[j] + length[j]], searched for query
+    owner[j]; owner is nondecreasing.  The segments are laid end to end and
+    cut into slices of _CHUNK candidates, and each query's minimum over a
+    slice comes from one ``np.minimum.reduceat``.
+    """
+    keep = length > 0
+    owner, first, length = owner[keep], first[keep], length[keep]
+    end = np.cumsum(length)
+    begin = end - length
+    total = int(end[-1]) if len(end) else 0
+    for s in range(0, total, _CHUNK):
+        e = min(s + _CHUNK, total)
+        j0, j1 = np.searchsorted(end, s, "right"), np.searchsorted(begin, e)
+        lo = np.maximum(begin[j0:j1], s)
+        size = np.minimum(end[j0:j1], e) - lo
+        cand = np.repeat(first[j0:j1] - begin[j0:j1], size) + np.arange(s, e)
+        rows = np.repeat(owner[j0:j1], size)
+        diff = queries[:, 0][rows] - targets[:, 0][cand]
+        sq = diff * diff
+        for c in range(1, targets.shape[1]):
+            diff = queries[:, c][rows] - targets[:, c][cand]
+            sq += diff * diff
+        own = owner[j0:j1]
+        run = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+        best[own[run]] = np.minimum(best[own[run]], np.minimum.reduceat(sq, lo[run] - s))
+
+
+def _cell_ids(points: np.ndarray, lo: np.ndarray, edge: float, side: np.ndarray
+              ) -> np.ndarray:
+    """Each point's cell in the padded grid, row-major; a point beyond the
+    grid's box is clipped to its border cells."""
+    cell = np.zeros(len(points), dtype=np.intp)
+    for c in range(points.shape[1]):
+        k = np.clip(np.floor((points[:, c] - lo[c]) / edge), 0, side[c] - 3) + 1
+        cell = cell * side[c] + k.astype(np.intp)
+    return cell
+
+
+def _grid_max_sq(queries: np.ndarray, targets: np.ndarray,
+                 ordered: tuple[np.ndarray, int], floor: float) -> float:
+    """max(floor, largest squared distance from a query to its nearest target).
+
+    The fixed-radius cell method of Bentley, Stanat and Williams (1977).  The
+    targets are binned into cubic cells of edge h over the box both clouds
+    span, with an empty ring around it; a point beyond the box is clipped to
+    its border cells.  A query's minimum over its own cell bounds its
+    distance; a query whose bound can raise the running maximum searches the
+    3^d cells around it.  A minimum below (h (1 - 1e-9))^2 is exact: every
+    target outside the block lies more than h away along some axis, rounding
+    of the cell indices included.  Queries more than h outside the targets'
+    box are swept first, which raises the running maximum early; once it
+    exceeds (2h)^2, no minimum the grid settles can raise it, and the sweep's
+    first round drops most of the rest, so they are swept too.  The few the
+    grid leaves open are swept last; ``ordered`` is the targets sorted along
+    their spread.
+    """
+    n, d = targets.shape
+    t_lo, t_hi = targets.min(axis=0), targets.max(axis=0)
+    lo = np.maximum(t_lo, queries.min(axis=0))
+    span = np.maximum(np.minimum(t_hi, queries.max(axis=0)) - lo, 0)
+    # a box of one point takes its edge from the targets' box, or any edge
+    edge = _cell_edge(span, n) or _cell_edge(t_hi - t_lo, n) or 1.0
+    far = ((queries < t_lo - edge) | (queries > t_hi + edge)).any(axis=1)
+    floor = _sweep_spread(queries[far], targets, ordered, floor)
+    queries = queries[~far]
+    limit = (edge * _GRID_MARGIN) ** 2
+    if floor >= 4 * limit:
+        return _sweep_max_sq(queries, *ordered, floor)
+    side = (np.minimum(np.floor(span / edge), _GRID_MAX_SIDE) + 3).astype(np.intp)
+    cell = _cell_ids(targets, lo, edge, side)
+    order = np.argsort(cell)
+    binned, cell = _gather_columns(targets, order), cell[order]
+    count = np.bincount(cell, minlength=int(np.prod(side)))
+    first = np.cumsum(count) - count
+    qcell = _cell_ids(queries, lo, edge, side)
+    bound = np.full(len(queries), np.inf)
+    _segment_minima(queries, binned, np.arange(len(queries)),
+                    first[qcell], count[qcell], bound)
+    stride = np.cumprod(np.r_[1, side[:0:-1]])[::-1]
+    around = np.stack(np.meshgrid(*[(-1, 0, 1)] * d, indexing="ij"), -1).reshape(-1, d)
+    around = around[around.any(axis=1)] @ stride
+    left = []
+    for pick in (count[qcell] == 0, count[qcell] > 0):  # empty own cells first
+        sel = np.flatnonzero(pick & (bound > floor))
+        near = (qcell[sel, None] + around).ravel()
+        _segment_minima(queries, binned, np.repeat(sel, len(around)),
+                        first[near], count[near], bound)
+        done = bound[sel] < limit
+        if done.any():
+            floor = max(floor, float(bound[sel][done].max()))
+        left.append(sel[~done])
+    left = np.concatenate(left)
+    return _sweep_max_sq(queries[left[bound[left] > floor]], *ordered, floor)
+
+
+def _sweep_spread(queries: np.ndarray, targets: np.ndarray,
+                  ordered: tuple[np.ndarray, int], floor: float) -> float:
+    """_sweep_max_sq along the axis of largest spread of the queries and the
+    targets together; ``ordered`` serves when that is the targets' own axis."""
+    if not len(queries):
+        return floor
+    axis = int(np.argmax(np.maximum(targets.max(axis=0), queries.max(axis=0))
+                         - np.minimum(targets.min(axis=0), queries.min(axis=0))))
+    if axis != ordered[1]:
+        ordered = _gather_columns(targets, np.argsort(targets[:, axis])), axis
+    return _sweep_max_sq(queries, *ordered, floor)
+
+
+def _cell_edge(span: np.ndarray, n: int) -> float:
+    """The edge of about n * _CELLS_PER_TARGET cubic cells over a box of these
+    spans, or 0 when every span is 0.
+
+    An axis shorter than the edge is one cell, so a sheet or a line makes no
+    more cells than a volume.  The geometric means are taken in logs, to
+    stay in the float range.
+    """
+    logs = sorted((math.log(s) for s in span.tolist() if s > 0), reverse=True)
+    total = -math.log(max(1.0, n * _CELLS_PER_TARGET))
+    edge = 0.0
+    for k, log in enumerate(logs, 1):
+        total += log
+        edge = max(edge, math.exp(total / k))
+    return edge
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric sample-based Hausdorff distance between two point clouds.
 
-    The distance is an exact NumPy sweep along each cloud's axis of largest
-    spread, equal bit for bit to ``scipy.spatial.cKDTree``.  When a probe of
-    the first round leaves most queries unresolved, as on clouds that fill a
-    volume, the call is computed with ``cKDTree`` where SciPy is installed;
-    without SciPy the sweep finishes it, with the same value.
+    The distance is exact and equal bit for bit to ``scipy.spatial.cKDTree``;
+    it never imports SciPy.  The queries of each direction are swept along
+    the targets' axis of largest spread.  When a probe of the first round
+    leaves most queries unresolved, as on clouds that fill a volume, and
+    d <= 3, a cell grid over the targets answers them instead, and hands the
+    few it cannot settle to the sweep.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.size == 0 or b.size == 0:
@@ -440,16 +574,14 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     if max(np.abs(a).max(), np.abs(b).max()) > bound:
         raise ValueError(f"a point cloud coordinate exceeds {bound} in magnitude, "
                          f"where a squared distance in dimension {d} can overflow")
-    sorted_a, sorted_b = _sorted_along_spread(a), _sorted_along_spread(b)
-    if not (_probe_resolves(a, *sorted_b) and _probe_resolves(b, *sorted_a)):
-        try:
-            from scipy.spatial import cKDTree
-        except ImportError:  # the sweep is exact on any cloud, only slower
-            pass
+    floor = -np.inf
+    for queries, targets in ((a, b), (b, a)):
+        ordered = _sorted_along_spread(targets)
+        if d <= _GRID_MAX_DIM and not _probe_resolves(queries, *ordered):
+            floor = _grid_max_sq(queries, targets, ordered, floor)
         else:
-            return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
-    d_ab = _sweep_max_sq(a, *sorted_b, -np.inf)
-    return float(np.sqrt(_sweep_max_sq(b, *sorted_a, d_ab)))
+            floor = _sweep_max_sq(queries, *ordered, floor)
+    return float(np.sqrt(floor))
 
 
 # The largest radius coadjoint_fixed_check takes.  Its clouds lie on the sphere

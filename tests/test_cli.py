@@ -573,7 +573,7 @@ class TestImportLayering:
             assert p.returncode == 0, err
             got[side] = json.loads(out.strip().splitlines()[-1])
         assert got["without"].pop("scipy") == []
-        assert "scipy.spatial" in got["with"].pop("scipy")  # the shells went to the tree
+        assert got["with"].pop("scipy") == []  # the shells went to the cell grid
         assert got["without"]["hausdorff"] == got["with"].pop("tree")
         assert got["without"]["verify"][0] == 0
         assert [got["without"][sub][0] for sub in ("B", "H", "G", "G'")] == [0] * 4

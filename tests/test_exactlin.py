@@ -264,6 +264,14 @@ class TestIntegerBacking:
         assert scaled == m and hash(scaled) == hash(m)
         assert RatMatrix.from_rows(entries(m)) == m
 
+    def test_sum_over_denominators_two_and_three(self):
+        a = RatMatrix.from_rows([[F(1, 2), F(-3, 2)], [0, 1]])
+        b = RatMatrix.from_rows([[F(1, 3), 1], [F(2, 3), F(-1, 3)]])
+        assert (a.den, b.den) == (2, 3)
+        want = ((F(5, 6), F(-1, 2)), (F(2, 3), F(2, 3)))
+        assert entries(a + b) == want
+        assert entries(b + a) == want
+
     def test_constructor_checks(self):
         assert RatMatrix(((2, 4), (6, 0)), -4) == RatMatrix.from_rows([[F(-1, 2), -1], [F(-3, 2), 0]])
         with pytest.raises(ValueError, match="ragged"):
@@ -323,6 +331,14 @@ class TestEigensplit:
         plus, minus = eigensplit(s)
         assert plus == []
         assert minus == [(F(1), F(0)), (F(0), F(1))]
+
+    def test_rational_involution(self):
+        s = LinearInvolution(RatMatrix.from_rows([[0, 2], [F(1, 2), 0]]))
+        assert fixed_subspace(s) == [(F(1), F(1, 2))]
+        # fixed_subspace adds I + S, denominators 1 and 2; the sum is the same
+        # in the other order
+        want = ((F(1), F(2)), (F(1, 2), F(1)))
+        assert entries(RatMatrix.identity(2) + s.matrix) == entries(s.matrix + RatMatrix.identity(2)) == want
 
     def test_swap(self):
         s = LinearInvolution(RatMatrix.from_rows([[0, 1], [1, 0]]))
@@ -476,6 +492,22 @@ class TestGaussianRational:
         g = GaussianRational(F(3))
         assert g == GaussianRational(3, 0) and g.is_real and not g.is_zero
         assert not GaussianRational(F(2, 3), F(-1, 4)).is_real
+
+    @pytest.mark.parametrize("re, im, zero", [(0, 0, True), (F(1, 2), 0, False), (0, -1, False),
+                                              (1, 1, False), (1, 0, False), (0, 1, False)])
+    def test_is_zero(self, re, im, zero):
+        assert GaussianRational(re, im).is_zero is zero
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_zero_pair_refused_by_flag_points(self, which):
+        from mplab.orbits import FlagPoint
+        zero, one, i = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
+        pairs = [[one, zero], [zero, i]]
+        FlagPoint(*pairs[0], *pairs[1])  # a pair with one nonzero part is a point
+        pairs[which] = [zero, zero]
+        name = ("first", "second")[which]
+        with pytest.raises(ValueError, match=rf"^{name} coordinate pair is \(0, 0\)$"):
+            FlagPoint(*pairs[0], *pairs[1])
 
     def test_parts_are_stored_as_fractions(self):
         g = GaussianRational(1, 2)

@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import json
 import math
 import os
 import re
@@ -539,7 +540,7 @@ class TestHausdorffDistance:
 
 @functools.lru_cache(maxsize=None)
 def _layout_clouds(shape):
-    """Two clouds the sweep serves (coadjoint curves) or hands to the tree (shells)."""
+    """Two clouds the sweep serves (coadjoint curves) or the cell grid (shells)."""
     if shape == "curve":
         return _reference_coadjoint_clouds(2, 3000, 9, "q")
     return _shell(3), _shell(103)
@@ -647,29 +648,32 @@ def test_coadjoint_report_does_not_depend_on_the_blas_kernel(suite):
 
 
 def _sweep(a, b):
-    """The sweep alone: no probe and no hand-over to cKDTree."""
+    """The sweep alone: no probe and no cell grid."""
     floor = numeric._sweep_max_sq(a, *numeric._sorted_along_spread(b), -np.inf)
     return float(np.sqrt(numeric._sweep_max_sq(b, *numeric._sorted_along_spread(a), floor)))
 
 
+def _grid(a, b):
+    """The cell grid alone, whatever the probe would say."""
+    floor = numeric._grid_max_sq(a, b, numeric._sorted_along_spread(b), -np.inf)
+    return float(np.sqrt(numeric._grid_max_sq(b, a, numeric._sorted_along_spread(a), floor)))
+
+
 @pytest.fixture
-def tree_builds(monkeypatch):
-    """Count the cKDTree builds hausdorff_distance makes."""
-    import scipy.spatial
-    builds = []
-    tree = scipy.spatial.cKDTree
-
-    def counting_tree(data):
-        builds.append(len(data))
-        return tree(data)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
-    return builds
+def routes(monkeypatch):
+    """The number of queries handed to each call of the grid and of the sweep."""
+    calls = {"grid": [], "sweep": []}
+    for name, attr in (("grid", "_grid_max_sq"), ("sweep", "_sweep_max_sq")):
+        def counting(queries, *args, _name=name, _real=getattr(numeric, attr)):
+            calls[_name].append(len(queries))
+            return _real(queries, *args)
+        monkeypatch.setattr(numeric, attr, counting)
+    return calls
 
 
-def _shell(seed):
-    # the G-orbit image of the dense point fills the shell 1 <= |Phi| <= 3
-    return numeric.sample_orbit(REPS[OrbitClass.DENSE], "G", 10_000, seed, 2, 1).phis
+def _shell(seed, lam1=2, lam2=1):
+    # the G-orbit image of the dense point fills the shell |l1 - l2| <= |Phi| <= l1 + l2
+    return numeric.sample_orbit(REPS[OrbitClass.DENSE], "G", 10_000, seed, lam1, lam2).phis
 
 
 class TestHausdorffSweep:
@@ -677,20 +681,18 @@ class TestHausdorffSweep:
 
     @pytest.mark.parametrize("lam,seed,plane", [(1, 0, "q"), (2, 1, "q"), (3, 7, "q"),
                                                 (2, 1601, "q"), (1, 0, "k"), (3, 401, "k")])
-    def test_coadjoint_clouds_are_swept(self, tree_builds, lam, seed, plane):
+    def test_coadjoint_clouds_are_swept(self, routes, lam, seed, plane):
         cut, orbit = _reference_coadjoint_clouds(lam, 10_000, seed, plane)
         want = _reference_hausdorff(cut, orbit)
-        tree_builds.clear()
         assert numeric.hausdorff_distance(cut, orbit) == want
-        assert tree_builds == []
+        assert routes["grid"] == [] and len(routes["sweep"]) == 2
         assert _sweep(cut, orbit) == want
 
-    def test_shell_is_handed_to_the_tree(self, tree_builds):
+    def test_shell_is_served_by_the_grid(self, routes):
         a, b = _shell(3), _shell(103)
         want = _reference_hausdorff(a, b)
-        tree_builds.clear()
         assert numeric.hausdorff_distance(a, b) == want
-        assert tree_builds == [10_000, 10_000]
+        assert routes["grid"] == [10_000, 10_000]
         assert _sweep(a, b) == want
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -701,14 +703,13 @@ class TestHausdorffSweep:
         assert _sweep(a, b) == want
         assert numeric.hausdorff_distance(a, b) == want
 
-    def test_plane_curve_samples_are_swept(self, tree_builds):
+    def test_plane_curve_samples_are_swept(self, routes):
         th = np.random.default_rng(5).uniform(0, 2 * np.pi, (2, 4000))
         a = np.stack([np.cos(th[0]), np.sin(th[0])], axis=1)
         b = np.stack([np.cos(th[1]), np.sin(th[1])], axis=1)
         want = _reference_hausdorff(a, b)
-        tree_builds.clear()
         assert numeric.hausdorff_distance(a, b) == want
-        assert tree_builds == []
+        assert routes["grid"] == [] and len(routes["sweep"]) == 2
 
     @pytest.mark.parametrize("levels", [1, 2, 5, 40])
     def test_many_equal_coordinates_along_the_sort_axis(self, levels):
@@ -785,6 +786,127 @@ class TestHausdorffSweep:
                 numeric.hausdorff_distance(empty, np.ones((2, 3)))
         with pytest.raises(ValueError):
             numeric.hausdorff_distance(np.ones((2, 3)), np.ones((2, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_family(family):
+    """Two clouds of one shape, at most 10 000 points each."""
+    rng = np.random.default_rng(41)
+    if family.startswith("shell"):
+        weights = tuple(int(w) for w in family[7:-1].split(", "))
+        return _shell(3, *weights), _shell(103, *weights)
+    if family == "cube":
+        return rng.uniform(-1, 1, (8000, 3)), rng.uniform(-1, 1, (7000, 3))
+    if family == "lattice + 0.5":
+        lattice = np.stack(np.meshgrid(*[np.arange(12.0)] * 3), axis=-1).reshape(-1, 3)
+        return lattice, lattice + 0.5
+    if family == "sheet":
+        return (np.c_[rng.normal(size=(6000, 2)), np.zeros(6000)],
+                np.c_[rng.uniform(-2, 2, (5000, 2)), np.zeros(5000)])
+    if family == "line":
+        return (rng.normal(size=(3000, 1)) * [1.0, 2.0, -1.0] + 0.5,
+                rng.uniform(-2, 2, (2000, 1)) * [1.0, 2.0, -1.0] + 0.5)
+    if family == "blob and far outlier":
+        return np.r_[rng.normal(size=(5000, 3)), [[50.0, 50.0, 50.0]]], rng.normal(size=(5000, 3))
+    if family == "separated clusters":
+        blob = rng.normal(size=(4000, 3))
+        return np.r_[blob, blob[:2000] + [8.0, 0.0, 0.0]], rng.normal(size=(4000, 3))
+    if family == "one against n":
+        return rng.normal(size=(1, 3)), rng.normal(size=(8000, 3))
+    assert family == "duplicated points"
+    return (rng.normal(size=(40, 3))[rng.integers(0, 40, 3000)],
+            rng.normal(size=(25, 3))[rng.integers(0, 25, 2000)])
+
+
+GRID_FAMILIES = ["shell (2, 1)", "shell (3, 1)", "shell (1, 1)", "shell (5, 2)", "cube",
+                 "lattice + 0.5", "sheet", "line", "blob and far outlier",
+                 "separated clusters", "one against n", "duplicated points"]
+
+
+class TestHausdorffGrid:
+    """The cell grid equals the cKDTree reference bit for bit, on every cloud shape,
+    alone and as hausdorff_distance uses it."""
+
+    @pytest.mark.parametrize("family", GRID_FAMILIES)
+    def test_equals_the_reference(self, family):
+        a, b = _grid_family(family)
+        want = _reference_hausdorff(a, b)
+        assert _grid(a, b) == want
+        assert _grid(b, a) == want
+        assert numeric.hausdorff_distance(a, b) == want
+
+    @pytest.mark.parametrize("family", ["shell (2, 1)", "cube", "separated clusters",
+                                        "duplicated points"])
+    def test_chunk_boundaries_keep_the_distance(self, monkeypatch, family):
+        a, b = _grid_family(family)
+        want = _reference_hausdorff(a, b)
+        monkeypatch.setattr(numeric, "_CHUNK", 97)  # a prime: segments straddle slices
+        assert _grid(a, b) == want
+
+    @pytest.mark.parametrize("family", ["shell (2, 1)", "shell (3, 1)", "shell (1, 1)",
+                                        "shell (5, 2)"])
+    def test_shells_settle_in_the_grid(self, routes, family):
+        a, b = _grid_family(family)
+        numeric.hausdorff_distance(a, b)
+        assert routes["grid"] == [10_000, 10_000]
+        # The largest nearest distance of a shell is about one cell edge, so
+        # at most its one farthest query per direction is left to the sweep.
+        assert sum(routes["sweep"]) <= 2 and max(routes["sweep"]) <= 1
+
+    def test_separated_clusters_reach_the_sweep(self, routes):
+        a, b = _grid_family("separated clusters")
+        numeric.hausdorff_distance(a, b)
+        assert routes["grid"] == [6000, 4000]
+        # the shifted cluster lies more than a cell outside the other cloud
+        assert routes["sweep"][0] == 2000
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dimensions(self, routes, d):
+        rng = np.random.default_rng(40 + d)
+        a, b = rng.uniform(-1, 1, (3000, d)), rng.uniform(-1, 1, (2500, d))
+        want = _reference_hausdorff(a, b)
+        assert numeric.hausdorff_distance(a, b) == want
+        # a 1-D cloud resolves in the first round; above 3-D the grid's 3^d
+        # neighbours cost more than the sweep
+        assert routes["grid"] == ([3000, 2500] if d in (2, 3) else [])
+        assert _grid(a, b) == want
+
+    def test_points_on_cell_boundaries(self, monkeypatch, routes):
+        monkeypatch.setattr(numeric, "_cell_edge", lambda span, n: 1.0)
+        evens = 2.0 * np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+        halves = 0.5 * np.stack(np.meshgrid(*[np.arange(21.0)] * 3), axis=-1).reshape(-1, 3)
+        want = _reference_hausdorff(halves, evens)
+        assert _grid(halves, evens) == want == math.sqrt(3)
+        assert sum(routes["sweep"]) > 0  # the queries one edge or more away
+
+    def test_a_nearer_target_outside_the_block_is_found(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_cell_edge", lambda span, n: 1.0)
+        # the query's block spans [0, 3) along x; its nearest target lies beyond it
+        queries, targets = np.array([[1.99, 0.0]]), np.array([[0.0, 0.0], [3.5, 0.0]])
+        floor = numeric._grid_max_sq(queries, targets,
+                                     numeric._sorted_along_spread(targets), -np.inf)
+        assert floor == (3.5 - 1.99) ** 2
+
+
+def test_hausdorff_distance_loads_no_scipy():
+    """A fresh process with SciPy installed computes the shells' distance
+    without importing any of it."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = """if True:
+        import importlib.util, json, sys
+        from mplab import numeric
+        from mplab.orbits import OrbitClass, orbit_representatives
+        dense = orbit_representatives()[OrbitClass.DENSE]
+        a, b = (numeric.sample_orbit(dense, "G", 10_000, s, 2, 1).phis for s in (3, 103))
+        numeric.hausdorff_distance(a, b)
+        print(json.dumps([importlib.util.find_spec("scipy") is not None,
+                          sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+        """
+    p = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == [True, []]
 
 
 class TestClosedFormFlow:

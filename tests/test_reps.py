@@ -458,3 +458,42 @@ class TestBiHomogPoly:
         # middle coefficient of the degree-50 determinant power, no overflow
         assert abs(dict(f.terms)[(25, 25, 25, 25)]) == comb(50, 25)
         assert verify_n_invariance(f)
+
+
+class TestInputLimits:
+    """The command line's two route limits, at the limit and one past it."""
+
+    def test_section_space_dimension(self):
+        from mplab import cli
+        assert reps.MAX_SECTION_SPACE_DIM == 2500
+        at = SectionSpaceSpec(1, 49, 49)
+        assert section_space_dim(at) == reps.MAX_SECTION_SPACE_DIM
+        assert cli._limited(at) is at
+        past = SectionSpaceSpec(1, 40, 60)  # 41 * 61
+        assert section_space_dim(past) == reps.MAX_SECTION_SPACE_DIM + 1
+        with pytest.raises(ValueError, match=r"^section space dimension 2501 exceeds the limit 2500$"):
+            cli._limited(past)
+
+    @pytest.mark.parametrize("extra_bit", [False, True], ids=["at-limit", "one-bit-over"])
+    def test_route_point_size(self, monkeypatch, capsys, extra_bit):
+        from mplab import cli
+
+        class Reached(Exception):
+            pass
+
+        def route(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "real_moment_polytope", route)
+        # 1/A, 1/B, 1/C and 1 carry 9 + 3 * 622 bits; times L1 + L2 = 80 that
+        # is the limit, and an A of 623 bits puts the point 80 over it
+        assert reps.MAX_ROUTE_POINT_SIZE == 80 * (9 + 3 * 622)
+        a = 2 ** (622 if extra_bit else 621) + 1
+        argv = ["realpolytope", "--weights", "40", "40", "--gamma", "negation",
+                "--point", f"1/{a},1/{2 ** 621 + 3};1/{2 ** 621 + 5},1"]
+        if extra_bit:
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == "error: point size 150080 exceeds the limit 150000\n"
+        else:
+            with pytest.raises(Reached):  # the point passes to the route
+                cli.main(argv)
